@@ -2,7 +2,35 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def as_int(value, name: str, minimum: int | None = None) -> int:
+    """An integer (bools excluded) that is at least ``minimum`` when given."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
+def as_finite(value, name: str, minimum: float | None = None) -> float:
+    """A finite float that is at least ``minimum`` when given."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum!r}, got {value!r}")
+    return value
+
+
+def check_tol(tol, positive: bool = True) -> None:
+    """Reject a tolerance that is not finite and positive (nonnegative if not ``positive``)."""
+    if not (math.isfinite(tol) and (tol > 0.0 if positive else tol >= 0.0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"tol must be finite and {kind}, got {tol!r}")
 
 
 def as_vector(a) -> np.ndarray:

@@ -25,9 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._validate import as_finite, as_int, check_tol
 from .errors import ConvergenceError, OverflowFailure
+from .tridiagonal import JordanVariant, dissipativity_threshold
 
 __all__ = [
     "ThresholdResult",
@@ -39,19 +39,10 @@ __all__ = [
 ]
 
 
-def _check_order(n: int, minimum: int = 1) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"term count must be an integer, got {type(n).__name__}")
-    if n < minimum:
-        raise ValueError(f"term count must be at least {minimum}, got {n}")
-    return int(n)
-
-
-def _check_x(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"argument must be finite and nonnegative, got {x!r}")
-    return x
+def _exp(exponent: float) -> float:
+    if exponent >= 709.0:
+        raise OverflowFailure(f"exponent {exponent!r} overflows double precision")
+    return math.exp(exponent)
 
 
 def i0_partial(n: int, x: float) -> float:
@@ -59,10 +50,11 @@ def i0_partial(n: int, x: float) -> float:
 
     Terms accumulate by the ratio t_j = t_{j-1} (x/j)^2, which avoids
     forming x^{2j} and (j!)^2 separately.  Overflow of the sum raises
-    ``OverflowFailure``; for n <= 16 that needs x beyond roughly 1e20.
+    ``OverflowFailure``; that happens near x = 1.3e154 for n = 2, 3.5e22
+    for n = 8 and 1.2e11 for n = 16.
     """
-    n = _check_order(n)
-    x = _check_x(x)
+    n = as_int(n, "term count", minimum=1)
+    x = as_finite(x, "argument", minimum=0.0)
     term = 1.0
     total = 1.0
     for j in range(1, n):
@@ -75,9 +67,8 @@ def i0_partial(n: int, x: float) -> float:
 
 def i0_reference(x: float, tol: float = 1e-16) -> float:
     """I_0(2x) summed to relative tolerance ``tol`` (series converges for all x)."""
-    x = _check_x(x)
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    x = as_finite(x, "argument", minimum=0.0)
+    check_tol(tol)
     term = 1.0
     total = 1.0
     for j in range(1, 4000):
@@ -91,13 +82,13 @@ def i0_reference(x: float, tol: float = 1e-16) -> float:
 
 
 def bound1(n: int, x: float) -> float:
-    """exp(2 x cos(pi/(n+1))); dominates i0_partial(n, .) on x >= 0."""
-    n = _check_order(n)
-    x = _check_x(x)
-    value = 2.0 * x * math.cos(math.pi / (n + 1))
-    if value >= 709.0:
-        raise OverflowFailure(f"exponent {value!r} overflows double precision")
-    return math.exp(value)
+    """exp(2 x cos(pi/(n+1))); dominates i0_partial(n, .) on x >= 0.
+
+    The rate is -2 dissipativity_threshold(n, STANDARD).
+    """
+    alpha = dissipativity_threshold(as_int(n, "term count", minimum=1), JordanVariant.STANDARD)
+    x = as_finite(x, "argument", minimum=0.0)
+    return _exp(-2.0 * x * alpha)
 
 
 def bound2(n: int, x: float) -> float:
@@ -105,14 +96,12 @@ def bound2(n: int, x: float) -> float:
     free-end constant would suggest.
 
     This candidate FAILS for n = 2 on an interior window of x; see
-    ``threshold_x0``.  It is provided to be measured, not trusted.
+    ``threshold_x0``.  It is provided to be measured, not trusted.  The
+    rate is -2 dissipativity_threshold(n, MODIFIED).
     """
-    n = _check_order(n)
-    x = _check_x(x)
-    value = 2.0 * x * math.cos(2.0 * math.pi / (2 * n + 1))
-    if value >= 709.0:
-        raise OverflowFailure(f"exponent {value!r} overflows double precision")
-    return 1.0 - math.exp(-x) + math.exp(value)
+    alpha = dissipativity_threshold(as_int(n, "term count", minimum=1), JordanVariant.MODIFIED)
+    x = as_finite(x, "argument", minimum=0.0)
+    return 1.0 - math.exp(-x) + _exp(-2.0 * x * alpha)
 
 
 @dataclass(frozen=True)
@@ -148,13 +137,11 @@ def threshold_x0(
     rejected: there cos(pi/2) = 0 and cos(2 pi/3) = -1/2 make both bounds
     identically 1, the gap vanishes everywhere, and no crossing exists.
     """
-    n = _check_order(n, minimum=2)
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    n = as_int(n, "term count", minimum=2)
+    check_tol(tol)
     if not (math.isfinite(search_hi) and search_hi > 1e-3):
         raise ValueError(f"search_hi must exceed the scan floor 1e-3, got {search_hi!r}")
-    if scan_points < 2:
-        raise ValueError(f"scan_points must be at least 2, got {scan_points!r}")
+    scan_points = as_int(scan_points, "scan_points", minimum=2)
 
     def gap(x: float) -> float:
         return bound2(n, x) - bound1(n, x)

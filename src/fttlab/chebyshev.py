@@ -22,14 +22,19 @@ import math
 
 import numpy as np
 
+from ._validate import as_int
+
 __all__ = ["u_eval", "u_zeros", "u_diff_eval", "u_diff_zeros"]
 
 
-def _check_order(n: int, minimum: int) -> None:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"polynomial order must be an integer, got {n!r}")
-    if n < minimum:
-        raise ValueError(f"polynomial order must be >= {minimum}, got {n}")
+def _recurrence(n: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """(U_{n-1}(x), U_n(x)) by the forward recurrence."""
+    x = np.asarray(x, dtype=float)
+    prev = np.zeros_like(x)          # U_{-1}
+    curr = np.ones_like(x)           # U_0
+    for _ in range(n):
+        prev, curr = curr, 2.0 * x * curr - prev
+    return prev, curr
 
 
 def u_eval(n: int, x):
@@ -37,30 +42,20 @@ def u_eval(n: int, x):
 
     ``x`` may be a float or an ndarray; the result matches its shape.
     """
-    _check_order(n, 0)
-    x = np.asarray(x, dtype=float)
-    prev = np.zeros_like(x)          # U_{-1}
-    curr = np.ones_like(x)           # U_0
-    for _ in range(n):
-        prev, curr = curr, 2.0 * x * curr - prev
+    _, curr = _recurrence(as_int(n, "polynomial order", minimum=0), x)
     return float(curr) if curr.ndim == 0 else curr
 
 
 def u_diff_eval(n: int, x):
     """Evaluate (U_n - U_{n-1})(x).  Requires n >= 1."""
-    _check_order(n, 1)
-    x = np.asarray(x, dtype=float)
-    prev = np.zeros_like(x)
-    curr = np.ones_like(x)
-    for _ in range(n):
-        prev, curr = curr, 2.0 * x * curr - prev
+    prev, curr = _recurrence(as_int(n, "polynomial order", minimum=1), x)
     out = curr - prev
     return float(out) if out.ndim == 0 else out
 
 
 def u_zeros(n: int) -> np.ndarray:
     """All n zeros of U_n, descending: cos(k pi/(n+1)) for k = 1..n."""
-    _check_order(n, 1)
+    n = as_int(n, "polynomial order", minimum=1)
     k = np.arange(1, n + 1)
     return np.cos(k * math.pi / (n + 1))
 
@@ -73,7 +68,7 @@ def u_diff_zeros(n: int) -> np.ndarray:
     Max is cos(pi/(2n+1)), min is -cos(2 pi/(2n+1)) (for n = 1 both collapse
     to cos(pi/3) = 1/2).
     """
-    _check_order(n, 1)
+    n = as_int(n, "polynomial order", minimum=1)
     k = np.arange(1, n + 1)
     raw = np.where(k % 2 == 1, 1.0, -1.0) * np.cos(k * math.pi / (2 * n + 1))
     return np.sort(raw)[::-1]

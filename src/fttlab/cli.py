@@ -27,6 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._validate import check_tol
 from .bessel import bound1, bound2, i0_partial, threshold_x0
 from .errors import ConsistencyError, NumericsError
 from .inequalities import (
@@ -226,6 +227,7 @@ def _cmd_semigroup_norm(args: argparse.Namespace) -> int:
 
 
 def _cmd_bessel_sweep(args: argparse.Namespace) -> int:
+    check_tol(args.tol, positive=False)
     grid = _parse_grid(args.grid)
     if float(np.min(grid)) < 0.0:
         raise ValueError("partial sums are defined for x >= 0 only")

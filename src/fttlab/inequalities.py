@@ -25,21 +25,19 @@ equality cases are the corresponding kernel eigenvectors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from ._validate import as_vector
+from ._validate import as_int, as_vector, check_tol
 from .tridiagonal import (
     BlockSign,
     JordanVariant,
-    dissipativity_threshold,
-    eig_sturm,
-    eigvec_inverse_iteration,
-    symmetrize,
     UpperBidiagonal,
+    _extreme_eigenpair,
+    dissipativity_threshold,
+    eig_sturm,  # noqa: F401  unused, but bench/test_bench.py patches it in this namespace
 )
 
 __all__ = [
@@ -51,6 +49,8 @@ __all__ = [
     "verify",
     "extremal_vector",
 ]
+
+_EXTREMAL_TOL = 1e-13  # eigenvalue bracket width and eigenvector residual scale
 
 
 class InequalityKind(Enum):
@@ -72,6 +72,17 @@ class InequalityKind(Enum):
     @property
     def variant(self) -> JordanVariant:
         return JordanVariant.STANDARD if self.pins_right_end else JordanVariant.MODIFIED
+
+    @property
+    def sign(self) -> BlockSign:
+        """Sign of the block whose dissipativity the kind reduces to.
+
+        Lower bounds on the pinned energy come from +J; the pinned upper
+        bound from -J; the free-end kinds swap because of the alternating flip.
+        """
+        if self in (InequalityKind.LOWER_PINNED, InequalityKind.UPPER_FREE):
+            return BlockSign.PLUS
+        return BlockSign.MINUS
 
 
 @dataclass(frozen=True)
@@ -99,40 +110,22 @@ def difference_energy(a, kind: InequalityKind) -> float:
     return float(np.sum(np.diff(padded) ** 2))
 
 
-def _check_n(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    return int(n)
-
-
 def sharp_constant(kind: InequalityKind, n: int) -> float:
-    """Best possible constant for the given kind and dimension."""
-    n = _check_n(n)
-    if kind is InequalityKind.LOWER_PINNED:
-        return 2.0 * (1.0 - math.cos(math.pi / (n + 1)))
-    if kind is InequalityKind.LOWER_FREE:
-        return 2.0 * (1.0 - math.cos(math.pi / (2 * n + 1)))
-    if kind is InequalityKind.UPPER_PINNED:
-        return 2.0 * (1.0 + math.cos(math.pi / (n + 1)))
-    return 2.0 * (1.0 + math.cos(2.0 * math.pi / (2 * n + 1)))
+    """Best possible constant for the given kind and dimension.
+
+    2 (1 + alpha) for the pinned kinds and 2 (1 - alpha) for the free-end
+    kinds, with alpha = threshold_alpha(kind, n).
+    """
+    alpha = threshold_alpha(kind, n)
+    return 2.0 * (1.0 + alpha) if kind.pins_right_end else 2.0 * (1.0 - alpha)
 
 
 def threshold_alpha(kind: InequalityKind, n: int) -> float:
     """Boundary alpha of the dissipativity statement underlying the kind.
 
-    Lower bounds on the pinned energy come from +J being dissipative; the
-    pinned upper bound from -J; the free-end cases swap because of the
-    alternating flip.  sharp_constant == 2 (1 + alpha) for the pinned kinds
-    and 2 (1 - alpha) for the free-end kinds.
+    It is the threshold of the kind's variant under ``kind.sign``.
     """
-    n = _check_n(n)
-    if kind is InequalityKind.LOWER_PINNED:
-        return dissipativity_threshold(n, JordanVariant.STANDARD, BlockSign.PLUS)
-    if kind is InequalityKind.UPPER_PINNED:
-        return dissipativity_threshold(n, JordanVariant.STANDARD, BlockSign.MINUS)
-    if kind is InequalityKind.LOWER_FREE:
-        return dissipativity_threshold(n, JordanVariant.MODIFIED, BlockSign.MINUS)
-    return dissipativity_threshold(n, JordanVariant.MODIFIED, BlockSign.PLUS)
+    return dissipativity_threshold(as_int(n, "dimension", minimum=1), kind.variant, kind.sign)
 
 
 def verify(
@@ -144,8 +137,7 @@ def verify(
     can be probed (a perturbed constant must flip the verdict on the
     extremal vector) and defaults to the genuine constant.
     """
-    if not (tol >= 0.0):
-        raise ValueError(f"tol must be nonnegative, got {tol!r}")
+    check_tol(tol, positive=False)
     a = as_vector(a)
     lhs = difference_energy(a, kind)
     rhs = constant_scale * sharp_constant(kind, a.size) * float(a @ a)
@@ -154,7 +146,7 @@ def verify(
     return CheckReport(lhs=lhs, rhs=rhs, margin=margin, holds=holds)
 
 
-def extremal_vector(kind: InequalityKind, n: int, tol: float = 1e-13) -> np.ndarray:
+def extremal_vector(kind: InequalityKind, n: int) -> np.ndarray:
     """Unit vector attaining equality, to within the eigensolver residual.
 
     It is the eigenvector of the symmetrized block at the kind's threshold
@@ -162,14 +154,8 @@ def extremal_vector(kind: InequalityKind, n: int, tol: float = 1e-13) -> np.ndar
     driven by +J, the smallest for kinds driven by -J.  Free-end kinds need
     the alternating flip to undo the sign substitution in their reduction.
     """
-    n = _check_n(n)
-    alpha = threshold_alpha(kind, n)
-    block = UpperBidiagonal(n, alpha, kind.variant)
-    sym = symmetrize(block)
-    eigenvalues = eig_sturm(sym, tol=tol)
-    driven_by_plus = kind is InequalityKind.LOWER_PINNED or kind is InequalityKind.UPPER_FREE
-    extreme = float(eigenvalues[-1] if driven_by_plus else eigenvalues[0])
-    v = eigvec_inverse_iteration(sym, extreme, tol=tol)
+    block = UpperBidiagonal(n, threshold_alpha(kind, n), kind.variant)
+    _, v = _extreme_eigenpair(block, top=kind.sign is BlockSign.PLUS, tol=_EXTREMAL_TOL)
     if not kind.pins_right_end:
         v = v * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     return v

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._validate import as_int
+
 __all__ = ["SplitMix64"]
 
 _MASK = (1 << 64) - 1
@@ -30,9 +32,7 @@ class SplitMix64:
     """Deterministic stream of uniforms from a 64-bit seed."""
 
     def __init__(self, seed: int) -> None:
-        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        self._state = int(seed) & _MASK
+        self._state = as_int(seed, "seed") & _MASK
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
@@ -51,8 +51,7 @@ class SplitMix64:
 
     def vector(self, n: int) -> np.ndarray:
         """n i.i.d. entries uniform on [-1, 1)."""
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"length must be a positive integer, got {n!r}")
+        n = as_int(n, "length", minimum=1)
         return np.array([self.symmetric() for _ in range(n)])
 
     def integer(self, lo: int, hi: int) -> int:

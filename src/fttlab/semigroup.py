@@ -36,11 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import as_square_matrix, as_vector
+from ._validate import as_finite, as_int, as_square_matrix, as_vector, check_tol
 from .errors import ConsistencyError, ConvergenceError, OverflowFailure
 from .inequalities import CheckReport
 from .rng import SplitMix64
-from .tridiagonal import JordanVariant, UpperBidiagonal
+from .tridiagonal import JordanVariant, UpperBidiagonal, dissipativity_threshold
 
 __all__ = [
     "NormCurve",
@@ -63,13 +63,7 @@ __all__ = [
 ]
 
 _RESTART_SEED = 0x5EED1E55  # fixed pseudorandom restart for the power iteration
-
-
-def _check_finite_scalar(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+_POWER_BUDGET = 10000  # power steps per start vector, for the first run and the restart
 
 
 def expm_oracle(Q, x: float, tol: float = 1e-18) -> np.ndarray:
@@ -80,9 +74,8 @@ def expm_oracle(Q, x: float, tol: float = 1e-18) -> np.ndarray:
     squared back up.  Intermediate overflow raises ``OverflowFailure``.
     """
     Q = as_square_matrix(Q)
-    x = _check_finite_scalar("x", x)
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    x = as_finite(x, "x")
+    check_tol(tol)
     A = Q * x
     anorm = float(np.linalg.norm(A, 1))
     squarings = 0 if anorm <= 0.5 else int(math.ceil(math.log2(anorm / 0.5)))
@@ -125,21 +118,20 @@ def exp_jordan_closed(n: int, alpha: float, x: float) -> np.ndarray:
     Only the standard variant has this form; the modified block's last
     column is not polynomial in x, which is why the oracle exists.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"block size must be a positive integer, got {n!r}")
-    alpha = _check_finite_scalar("alpha", alpha)
-    x = _check_finite_scalar("x", x)
+    n = as_int(n, "block size", minimum=1)
+    alpha = as_finite(alpha, "alpha")
+    x = as_finite(x, "x")
     scale = math.exp(alpha * x) if alpha * x < 709.0 else math.inf
     if not math.isfinite(scale):
         raise OverflowFailure(f"e^(alpha x) overflows for alpha*x = {alpha * x!r}")
-    coeff = _taylor_coefficients(int(n), x)
+    coeff = _taylor_coefficients(n, x)
+    row, col = np.triu_indices(n)
     out = np.zeros((n, n))
-    for k in range(n):
-        out += np.diag(np.full(n - k, coeff[k]), k)
+    out[row, col] = coeff[col - row]
     return scale * out
 
 
-def operator_norm(M, tol: float = 1e-12, max_iter: int = 20000) -> float:
+def operator_norm(M, tol: float = 1e-12) -> float:
     """Largest singular value via power iteration on M^T M.
 
     Deterministic: the start vector is all ones, and a single restart with a
@@ -149,8 +141,7 @@ def operator_norm(M, tol: float = 1e-12, max_iter: int = 20000) -> float:
     last estimates.
     """
     M = as_square_matrix(M)
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    check_tol(tol)
     largest = float(np.max(np.abs(M)))
     if largest == 0.0:
         return 0.0
@@ -159,11 +150,11 @@ def operator_norm(M, tol: float = 1e-12, max_iter: int = 20000) -> float:
     M = M / scale
     n = M.shape[0]
 
-    def run(v: np.ndarray, budget: int) -> tuple[float | None, float]:
+    def run(v: np.ndarray) -> tuple[float | None, float]:
         v = v / float(np.linalg.norm(v))
         sigma_prev = -1.0
         settled = 0
-        for _ in range(budget):
+        for _ in range(_POWER_BUDGET):
             w = M @ v
             sigma = float(np.linalg.norm(w))
             g = M.T @ w
@@ -186,11 +177,10 @@ def operator_norm(M, tol: float = 1e-12, max_iter: int = 20000) -> float:
             raise OverflowFailure(f"operator norm overflows double precision ({sigma!r} * {scale!r})")
         return value
 
-    result, last = run(np.ones(n), max_iter // 2)
+    result, last = run(np.ones(n))
     if result is not None:
         return finish(result)
-    restart = SplitMix64(_RESTART_SEED).vector(n)
-    result, last2 = run(restart, max_iter // 2)
+    result, last2 = run(SplitMix64(_RESTART_SEED).vector(n))
     if result is not None:
         return finish(result)
     raise ConvergenceError(
@@ -199,7 +189,7 @@ def operator_norm(M, tol: float = 1e-12, max_iter: int = 20000) -> float:
 
 
 def default_contraction_grid() -> np.ndarray:
-    """x = 0 plus 64 log-spaced points on (0, 10]."""
+    """x = 0 plus 64 log-spaced points on [0.01, 10]."""
     return np.concatenate(([0.0], np.geomspace(0.01, 10.0, 64)))
 
 
@@ -245,15 +235,24 @@ def _validate_grid(xs, allow_zero: bool) -> np.ndarray:
     return grid
 
 
+def _norm_curve(Q: np.ndarray, grid: np.ndarray, norm_tol: float) -> NormCurve:
+    norms = np.array([operator_norm(expm_oracle(Q, x), tol=norm_tol) for x in grid])
+    return NormCurve(xs=grid, norms=norms)
+
+
 def contraction_check(Q, xs=None, tol: float = 1e-10) -> NormCurve:
     """Norms of exp(Qx) along the grid; the caller compares against 1 + tol."""
     Q = as_square_matrix(Q)
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    check_tol(tol)
     grid = _validate_grid(xs, allow_zero=True)
-    norm_tol = min(1e-12, tol / 10.0)
-    norms = np.array([operator_norm(expm_oracle(Q, x), tol=norm_tol) for x in grid])
-    return NormCurve(xs=grid, norms=norms)
+    return _norm_curve(Q, grid, norm_tol=min(1e-12, tol / 10.0))
+
+
+def _propagator_rows(a: np.ndarray, x: float) -> list[float]:
+    """Entries of exp(J_n(0) x) a, last first: row j is sum_{k<=j} x^k/k! a_{n-j+k}."""
+    n = a.size
+    coeff = _taylor_coefficients(n, x)
+    return [float(coeff[: j + 1] @ a[n - 1 - j:]) for j in range(n)]
 
 
 def gftt_lhs(a, x: float) -> float:
@@ -264,26 +263,25 @@ def gftt_lhs(a, x: float) -> float:
     enters is claimed for x >= 0 only.
     """
     a = as_vector(a)
-    x = _check_finite_scalar("x", x)
-    n = a.size
-    coeff = _taylor_coefficients(n, x)
+    x = as_finite(x, "x")
     total = 0.0
-    for j in range(n):
-        inner = float(coeff[: j + 1] @ a[n - 1 - j:])
+    # an explicit loop: sum() or a dot product would change the rounding
+    for inner in _propagator_rows(a, x):
         total += inner * inner
     return total
 
 
 def gftt_check(a, x: float, tol: float = 1e-10) -> CheckReport:
-    """Check gftt_lhs(a, x) <= exp(2 x cos(pi/(n+1))) sum a_j^2."""
+    """Check gftt_lhs(a, x) <= exp(2 x cos(pi/(n+1))) sum a_j^2.
+
+    The rate 2 cos(pi/(n+1)) is -2 dissipativity_threshold(n, STANDARD).
+    """
     a = as_vector(a)
-    x = _check_finite_scalar("x", x)
-    if x < 0.0:
-        raise ValueError(f"the bound is claimed for x >= 0 only, got {x!r}")
-    if not (tol >= 0.0):
-        raise ValueError(f"tol must be nonnegative, got {tol!r}")
+    x = as_finite(x, "x", minimum=0.0)
+    check_tol(tol, positive=False)
     lhs = gftt_lhs(a, x)
-    rhs = math.exp(2.0 * x * math.cos(math.pi / (a.size + 1))) * float(a @ a)
+    alpha = dissipativity_threshold(a.size, JordanVariant.STANDARD)
+    rhs = math.exp(-2.0 * x * alpha) * float(a @ a)
     margin = lhs - rhs
     return CheckReport(lhs=lhs, rhs=rhs, margin=margin, holds=margin <= tol)
 
@@ -298,23 +296,18 @@ def gftt2_toeplitz_lhs(a, x: float) -> float:
     of this package's job.
     """
     a = as_vector(a)
-    x = _check_finite_scalar("x", x)
-    n = a.size
-    coeff = _taylor_coefficients(n, x)
+    x = as_finite(x, "x")
     total = math.exp(-x) * float(a[-1]) ** 2
-    for j in range(1, n):
-        inner = float(coeff[: j + 1] @ a[n - 1 - j:])
+    for inner in _propagator_rows(a, x)[1:]:
         total += inner * inner
     return total
 
 
-def gftt2_exact_lhs(a, alpha: float, x: float, tol: float = 1e-18) -> float:
+def gftt2_exact_lhs(a, alpha: float, x: float) -> float:
     """||exp(J~_n(alpha) x) a||^2 through the exponential oracle."""
     a = as_vector(a)
-    alpha = _check_finite_scalar("alpha", alpha)
-    x = _check_finite_scalar("x", x)
     block = UpperBidiagonal(a.size, alpha, JordanVariant.MODIFIED)
-    image = expm_oracle(block.to_dense(), x, tol=tol) @ a
+    image = expm_oracle(block.to_dense(), x) @ a
     return float(image @ image)
 
 
@@ -352,11 +345,9 @@ def gftt2_discrepancy_probe(n: int, samples: int, seed: int) -> Gftt2ProbeReport
     uniform on [0, 5), reproducibly from the given seed.  Exit semantics are
     the caller's business: the probe only reports extrema, it never asserts.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool) or samples < 0:
-        raise ValueError(f"sample count must be a nonnegative integer, got {samples!r}")
-    alpha = -math.cos(2.0 * math.pi / (2 * n + 1))
+    n = as_int(n, "dimension", minimum=1)
+    samples = as_int(samples, "sample count", minimum=0)
+    alpha = dissipativity_threshold(n, JordanVariant.MODIFIED)
     rng = SplitMix64(seed)
     excess: ProbeWitness | None = None
     discrepancy: ProbeWitness | None = None
@@ -364,7 +355,7 @@ def gftt2_discrepancy_probe(n: int, samples: int, seed: int) -> Gftt2ProbeReport
         a = rng.vector(n)
         x = 5.0 * rng.uniform()
         toeplitz = gftt2_toeplitz_lhs(a, x)
-        bound = math.exp(2.0 * x * math.cos(2.0 * math.pi / (2 * n + 1))) * float(a @ a)
+        bound = math.exp(-2.0 * alpha * x) * float(a @ a)
         exact = math.exp(-2.0 * alpha * x) * gftt2_exact_lhs(a, alpha, x)
         e_val = toeplitz - bound
         d_val = abs(toeplitz - exact)
@@ -373,7 +364,7 @@ def gftt2_discrepancy_probe(n: int, samples: int, seed: int) -> Gftt2ProbeReport
         if discrepancy is None or d_val > discrepancy.value:
             discrepancy = ProbeWitness(value=d_val, a=a, x=x)
     return Gftt2ProbeReport(
-        n=int(n), samples=int(samples), seed=int(seed), alpha=alpha,
+        n=n, samples=samples, seed=int(seed), alpha=alpha,
         bound_excess=excess, exact_discrepancy=discrepancy,
     )
 
@@ -386,6 +377,11 @@ class SubspaceBasis:
     dim: int
 
 
+def _sym_max_eigenvalue(Q: np.ndarray) -> float:
+    """Largest eigenvalue of Q + Q^T: the quadratic form's verdict on Q."""
+    return float(np.linalg.eigvalsh(Q + Q.T)[-1])
+
+
 def norm_preserving_subspace(Q, x: float, tol: float = 1e-8) -> SubspaceBasis:
     """Basis of the subspace on which exp(Qx) preserves the norm.
 
@@ -396,12 +392,11 @@ def norm_preserving_subspace(Q, x: float, tol: float = 1e-8) -> SubspaceBasis:
     loose, or Q not actually dissipative).
     """
     Q = as_square_matrix(Q)
-    x = _check_finite_scalar("x", x)
+    x = as_finite(x, "x")
     if not (x > 0.0):
         raise ValueError(f"x must be positive, got {x!r}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    sym_max = float(np.linalg.eigvalsh(Q + Q.T)[-1])
+    check_tol(tol)
+    sym_max = _sym_max_eigenvalue(Q)
     if sym_max > tol:
         raise ValueError(
             f"generator is not dissipative within tol: max eig(Q+Q^T) = {sym_max!r}"
@@ -452,18 +447,16 @@ def strict_contraction_check(Q, xs=None, tol: float = 1e-6) -> StrictContraction
     or above 1 + tol.
     """
     Q = as_square_matrix(Q)
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    check_tol(tol)
     grid = _validate_grid(xs, allow_zero=False)
-    sym_max = float(np.linalg.eigvalsh(Q + Q.T)[-1])
+    sym_max = _sym_max_eigenvalue(Q)
     form_strict = sym_max < -tol
-    norms = np.array([operator_norm(expm_oracle(Q, x), tol=1e-12) for x in grid])
-    curve = NormCurve(xs=grid, norms=norms)
+    curve = _norm_curve(Q, grid, norm_tol=1e-12)
     if form_strict and curve.max_norm >= 1.0 + tol:
         raise ConsistencyError(
             f"strictly dissipative generator produced norm {curve.max_norm!r} >= 1"
         )
-    grid_strict = bool(np.all(norms < 1.0 - tol))
+    grid_strict = bool(np.all(curve.norms < 1.0 - tol))
     return StrictContractionReport(
         is_strict=form_strict,
         sym_max_eigenvalue=sym_max,

@@ -28,6 +28,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import solve_banded
 
+from ._validate import as_finite, as_int, check_tol
 from .errors import ConvergenceError
 
 __all__ = [
@@ -69,12 +70,8 @@ class UpperBidiagonal:
     variant: JordanVariant = JordanVariant.STANDARD
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"block size must be a positive integer, got {self.n!r}")
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "n", as_int(self.n, "block size", minimum=1))
+        object.__setattr__(self, "alpha", as_finite(self.alpha, "alpha"))
 
     def diagonal(self) -> np.ndarray:
         d = np.full(self.n, self.alpha)
@@ -177,8 +174,7 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
     ``ConvergenceError`` with the offending bracket if a bisection stalls
     before reaching ``tol``.
     """
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    check_tol(tol)
     diag = [float(v) for v in tri.diag]
     off2 = [float(v) * float(v) for v in tri.offdiag]
     n = tri.n
@@ -225,8 +221,7 @@ def eigvec_inverse_iteration(
     ``|T v - eigenvalue v| <= 10 tol``; only that residual is guaranteed,
     not any particular sign or phase.
     """
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    check_tol(tol)
     n = tri.n
     if n == 1:
         if abs(tri.diag[0] - eigenvalue) > 10.0 * tol:
@@ -291,17 +286,31 @@ def dissipativity_threshold(
     +J_n(alpha) is dissipative iff alpha <= -cos(pi/(n+1)); -J_n(alpha) iff
     alpha >= +cos(pi/(n+1)).  The modified block replaces these by
     -cos(2 pi/(2n+1)) and +cos(pi/(2n+1)); all four are largest/smallest
-    zeros of the matching Chebyshev characteristic polynomial.
+    zeros of the matching Chebyshev characteristic polynomial.  Every sharp
+    constant in the package (inequality constants, semigroup and Bessel
+    exponential rates) is derived from this function.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"block size must be a positive integer, got {n!r}")
+    n = as_int(n, "block size", minimum=1)
     if variant is JordanVariant.STANDARD:
         boundary = math.cos(math.pi / (n + 1))
-    else:
-        boundary = -math.cos(2.0 * math.pi / (2 * n + 1)) if sign is BlockSign.PLUS \
-            else math.cos(math.pi / (2 * n + 1))
-        return boundary
-    return -boundary if sign is BlockSign.PLUS else boundary
+        return -boundary if sign is BlockSign.PLUS else boundary
+    if sign is BlockSign.PLUS:
+        return -math.cos(2.0 * math.pi / (2 * n + 1))
+    return math.cos(math.pi / (2 * n + 1))
+
+
+def _extreme_eigenpair(
+    block: UpperBidiagonal, top: bool, tol: float
+) -> tuple[float, np.ndarray]:
+    """Largest (``top``) or smallest eigenvalue of J^T + J and a unit eigenvector.
+
+    The eigenvalue is bisected to width ``tol`` and the eigenvector has
+    residual <= 10 tol.
+    """
+    sym = symmetrize(block)
+    eigenvalues = eig_sturm(sym, tol=tol)
+    mu = float(eigenvalues[-1] if top else eigenvalues[0])
+    return mu, eigvec_inverse_iteration(sym, mu, tol=tol)
 
 
 def check_dissipative(block: UpperBidiagonal, tol: float = 1e-10) -> DissipativityReport:
@@ -311,13 +320,8 @@ def check_dissipative(block: UpperBidiagonal, tol: float = 1e-10) -> Dissipativi
     is <= tol.  The witness is a unit eigenvector at that eigenvalue; its
     quadratic form equals max_eigenvalue / 2 up to the eigensolver residual.
     """
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    sym = symmetrize(block)
-    eig_tol = min(1e-13, tol * 1e-2)
-    eigenvalues = eig_sturm(sym, tol=eig_tol)
-    mu = float(eigenvalues[-1])
-    witness = eigvec_inverse_iteration(sym, mu, tol=eig_tol)
+    check_tol(tol)
+    mu, witness = _extreme_eigenpair(block, top=True, tol=min(1e-13, tol * 1e-2))
     return DissipativityReport(
         threshold=dissipativity_threshold(block.n, block.variant, BlockSign.PLUS),
         is_dissipative=mu <= tol,

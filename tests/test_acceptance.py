@@ -214,22 +214,7 @@ def test_criterion_10_threshold_reproducibility():
         assert result.bracket_hi - result.bracket_lo <= 1e-10, n
     fixture = os.path.join(FIXTURE_DIR, "threshold_x0_n2.json")
     fresh = F.threshold_x0(2, tol=1e-12, search_hi=100.0, scan_points=512)
-    if not os.path.exists(fixture):
-        os.makedirs(FIXTURE_DIR, exist_ok=True)
-        with open(fixture, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "n": 2,
-                    "tol": 1e-12,
-                    "search_hi": 100.0,
-                    "scan_points": 512,
-                    "x0_hex": fresh.x0.hex(),
-                    "x0": repr(fresh.x0),
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+    assert os.path.exists(fixture), "the committed fixture is missing; it is never regenerated"
     with open(fixture, encoding="utf-8") as fh:
         frozen = json.load(fh)
     assert fresh.x0.hex() == frozen["x0_hex"], (

@@ -13,7 +13,15 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fttlab import ThresholdResult, bound1, bound2, i0_partial, i0_reference, threshold_x0
+from fttlab import (
+    ThresholdResult,
+    bound1,
+    bound2,
+    gftt_lhs,
+    i0_partial,
+    i0_reference,
+    threshold_x0,
+)
 from fttlab.errors import OverflowFailure
 
 
@@ -48,6 +56,17 @@ class TestPartialSums:
     def test_property_partial_below_reference(self, x, n):
         assert i0_partial(n, x) <= i0_reference(x) * (1 + 1e-14)
 
+    def test_partial_sum_is_scalar_shadow_of_gftt_lhs(self):
+        # s_n(x) = ||exp(J_n(0) x) e_n||^2, so bound1 is the generalized
+        # bound at a = e_n
+        for n in range(1, 31):
+            e_n = np.zeros(n)
+            e_n[-1] = 1.0
+            for x in np.linspace(0.0, 50.0, 26):
+                assert i0_partial(n, float(x)) == pytest.approx(
+                    gftt_lhs(e_n, float(x)), rel=1e-13
+                ), (n, x)
+
     def test_overflow_raises(self):
         with pytest.raises(OverflowFailure):
             i0_partial(4, 1e200)
@@ -68,10 +87,20 @@ class TestBounds:
         assert bound1(2, 1.0) == pytest.approx(math.e, rel=1e-15)
         # cos(pi/2) is ~6e-17 in floats, not exactly zero
         assert bound1(1, 7.3) == pytest.approx(1.0, abs=1e-14)
+        for n in (1, 2, 5, 40):
+            for x in (0.0, 0.3, 2.0, 17.5):
+                want = math.exp(2.0 * x * math.cos(math.pi / (n + 1)))
+                assert bound1(n, x) == want, (n, x)
 
     def test_bound2_formula(self):
         want = 1 - math.exp(-2.0) + math.exp(4.0 * math.cos(2 * math.pi / 5))
         assert bound2(2, 2.0) == pytest.approx(want, rel=1e-15)
+        for n in (1, 2, 5, 40):
+            for x in (0.0, 0.3, 2.0, 17.5):
+                want = 1.0 - math.exp(-x) + math.exp(
+                    2.0 * x * math.cos(2.0 * math.pi / (2 * n + 1))
+                )
+                assert bound2(n, x) == want, (n, x)
 
     def test_first_bound_dominates_partials(self):
         for n in range(1, 21):
@@ -150,3 +179,5 @@ class TestThreshold:
             threshold_x0(3, search_hi=1e-4)
         with pytest.raises(ValueError):
             threshold_x0(3, scan_points=1)
+        with pytest.raises(ValueError):
+            threshold_x0(3, scan_points=10.0)

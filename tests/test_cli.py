@@ -158,6 +158,15 @@ class TestBesselSweep:
         assert code == 2
         assert "x >= 0" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_tol_rejected(self, capsys, tol):
+        # nan would mark the bound2 failure at x = 2 ok; -1 would report
+        # bound1 exceeded where it holds
+        code, out, err = run(capsys, "bessel-sweep", "--n", "2", "--grid", "0:4:5", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "tol" in err
+
 
 class TestThreshold:
     def test_range_with_rejected_row(self, capsys):

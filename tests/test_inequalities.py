@@ -83,6 +83,23 @@ class TestConstants:
                 2 * (1 + math.cos(2 * t2)), abs=1e-15
             )
 
+    def test_constants_bit_match_literal_cosines(self):
+        # the derived constants and thresholds must reproduce these literal
+        # boundary-cosine formulas exactly, not merely to a tolerance
+        for n in range(1, 2001):
+            c1 = math.cos(math.pi / (n + 1))
+            c2 = math.cos(math.pi / (2 * n + 1))
+            c3 = math.cos(2.0 * math.pi / (2 * n + 1))
+            literal = {
+                InequalityKind.LOWER_PINNED: (2.0 * (1.0 - c1), -c1),
+                InequalityKind.LOWER_FREE: (2.0 * (1.0 - c2), c2),
+                InequalityKind.UPPER_PINNED: (2.0 * (1.0 + c1), c1),
+                InequalityKind.UPPER_FREE: (2.0 * (1.0 + c3), -c3),
+            }
+            for kind, (constant, alpha) in literal.items():
+                assert sharp_constant(kind, n).hex() == constant.hex(), (kind, n)
+                assert threshold_alpha(kind, n).hex() == alpha.hex(), (kind, n)
+
     def test_upper_free_equals_squared_cosine_form(self):
         # 2(1 + cos(2 pi/(2n+1))) = 4 cos^2(pi/(2n+1))
         for n in range(1, 20):
