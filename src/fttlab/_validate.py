@@ -1,10 +1,12 @@
-"""Input validation helpers shared by the numerical modules."""
+"""Input validation and range guards shared by the numerical modules."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from .errors import OverflowFailure
 
 
 def as_int(value, name: str, minimum: int | None = None) -> int:
@@ -51,3 +53,10 @@ def as_square_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ValueError("matrix entries must be finite")
     return out
+
+
+def checked_exp(exponent: float) -> float:
+    """math.exp(exponent), raising ``OverflowFailure`` where it would overflow."""
+    if exponent >= 709.0:
+        raise OverflowFailure(f"exponent {exponent!r} overflows double precision")
+    return math.exp(exponent)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._validate import as_finite, as_int, check_tol
+from ._validate import as_finite, as_int, check_tol, checked_exp
 from .errors import ConvergenceError, OverflowFailure
 from .tridiagonal import JordanVariant, dissipativity_threshold
 
@@ -45,12 +45,6 @@ __all__ = [
     "bound2",
     "threshold_x0",
 ]
-
-
-def _exp(exponent: float) -> float:
-    if exponent >= 709.0:
-        raise OverflowFailure(f"exponent {exponent!r} overflows double precision")
-    return math.exp(exponent)
 
 
 def i0_partial(n: int, x: float) -> float:
@@ -96,7 +90,7 @@ def bound1(n: int, x: float) -> float:
     """
     alpha = dissipativity_threshold(as_int(n, "term count", minimum=1), JordanVariant.STANDARD)
     x = as_finite(x, "argument", minimum=0.0)
-    return _exp(-2.0 * x * alpha)
+    return checked_exp(-2.0 * x * alpha)
 
 
 def bound2(n: int, x: float) -> float:
@@ -111,7 +105,7 @@ def bound2(n: int, x: float) -> float:
     """
     alpha = dissipativity_threshold(as_int(n, "term count", minimum=1), JordanVariant.MODIFIED)
     x = as_finite(x, "argument", minimum=0.0)
-    return 1.0 - math.exp(-x) + _exp(-2.0 * x * alpha)
+    return 1.0 - math.exp(-x) + checked_exp(-2.0 * x * alpha)
 
 
 @dataclass(frozen=True)

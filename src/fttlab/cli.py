@@ -356,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=[v.value for v in JordanVariant],
                    default=JordanVariant.STANDARD.value)
     p.add_argument("--grid", metavar="LO:HI:COUNT[:geom]", default=None,
-                   help="default is 0 plus 64 log-spaced points on (0.01, 10]")
+                   help="default is 0 plus 64 log-spaced points on [0.01, 10]")
     p.add_argument("--tol", type=float, default=1e-10)
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_semigroup_norm)

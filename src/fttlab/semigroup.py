@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import as_finite, as_int, as_square_matrix, as_vector, check_tol
+from ._validate import as_finite, as_int, as_square_matrix, as_vector, check_tol, checked_exp
 from .errors import ConsistencyError, ConvergenceError, OverflowFailure
 from .inequalities import CheckReport
 from .rng import SplitMix64
@@ -115,20 +115,19 @@ def _taylor_coefficients(n: int, x: float) -> np.ndarray:
 def exp_jordan_closed(n: int, alpha: float, x: float) -> np.ndarray:
     """Closed form of exp(J_n(alpha) x): e^{alpha x} times Toeplitz x^k/k!.
 
-    Only the standard variant has this form; the modified block's last
-    column is not polynomial in x, which is why the oracle exists.
+    Only the standard variant has this form (the modified block's last column
+    is not polynomial in x, hence the oracle); overflow raises ``OverflowFailure``.
     """
     n = as_int(n, "block size", minimum=1)
     alpha = as_finite(alpha, "alpha")
     x = as_finite(x, "x")
-    scale = math.exp(alpha * x) if alpha * x < 709.0 else math.inf
-    if not math.isfinite(scale):
-        raise OverflowFailure(f"e^(alpha x) overflows for alpha*x = {alpha * x!r}")
-    coeff = _taylor_coefficients(n, x)
     row, col = np.triu_indices(n)
     out = np.zeros((n, n))
-    out[row, col] = coeff[col - row]
-    return scale * out
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        out[row, col] = checked_exp(alpha * x) * _taylor_coefficients(n, x)[col - row]
+    if not np.all(np.isfinite(out)):
+        raise OverflowFailure(f"exp(J_n(alpha) x) overflows at n={n}, alpha={alpha!r}, x={x!r}")
+    return out
 
 
 def operator_norm(M, tol: float = 1e-12) -> float:
@@ -281,7 +280,7 @@ def gftt_check(a, x: float, tol: float = 1e-10) -> CheckReport:
     check_tol(tol, positive=False)
     lhs = gftt_lhs(a, x)
     alpha = dissipativity_threshold(a.size, JordanVariant.STANDARD)
-    rhs = math.exp(-2.0 * x * alpha) * float(a @ a)
+    rhs = checked_exp(-2.0 * x * alpha) * float(a @ a)
     margin = lhs - rhs
     return CheckReport(lhs=lhs, rhs=rhs, margin=margin, holds=margin <= tol)
 
@@ -297,7 +296,7 @@ def gftt2_toeplitz_lhs(a, x: float) -> float:
     """
     a = as_vector(a)
     x = as_finite(x, "x")
-    total = math.exp(-x) * float(a[-1]) ** 2
+    total = checked_exp(-x) * float(a[-1]) ** 2
     for inner in _propagator_rows(a, x)[1:]:
         total += inner * inner
     return total

@@ -130,6 +130,11 @@ class TestJordanClosedForm:
         with pytest.raises(OverflowFailure):
             exp_jordan_closed(3, 200.0, 10.0)
 
+    def test_overflowing_coefficients_raise_instead_of_nan(self):
+        # e^{alpha x} underflows to 0 while x^2/2 overflows: 0 * inf would be NaN
+        with pytest.raises(OverflowFailure):
+            exp_jordan_closed(3, -1.0, 1e200)
+
 
 class TestOperatorNorm:
     def test_against_svd(self):
@@ -247,6 +252,10 @@ class TestGftt:
             margin = verify(InequalityKind.LOWER_PINNED, a).margin
             assert derivative == pytest.approx(margin, abs=1e-6 * max(1.0, sum_sq))
 
+    def test_overflowing_bound_raises_overflow_failure(self):
+        with pytest.raises(OverflowFailure):
+            gftt_check(np.ones(2), 1000.0)
+
     def test_negative_x_rejected_by_check_only(self):
         a = np.array([1.0, 2.0])
         assert gftt_lhs(a, -3.0) >= 0.0
@@ -260,6 +269,10 @@ class TestGftt2:
             assert gftt2_toeplitz_lhs(np.array([1.5]), x) == pytest.approx(
                 math.exp(-x) * 2.25, abs=1e-14
             )
+
+    def test_overflowing_decay_term_raises_overflow_failure(self):
+        with pytest.raises(OverflowFailure):
+            gftt2_toeplitz_lhs(np.ones(2), -1000.0)
 
     def test_exact_route_contracts_at_free_threshold(self):
         rng = SplitMix64(191)

@@ -1,18 +1,23 @@
 """Structured matrices, Sturm eigenvalues, and dissipativity classification.
 
 Dense numpy routines (eigvalsh, det, explicit matvec) serve as the second
-route throughout; the library never calls them for these quantities.
+route throughout, and scipy's solve_banded (LAPACK dgtsv) for the tridiagonal
+solve; the library never calls them for these quantities.
 """
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from fttlab import (
     BlockSign,
+    InequalityKind,
     JordanVariant,
     SymTridiagonal,
     UpperBidiagonal,
@@ -21,6 +26,7 @@ from fttlab import (
     dissipativity_threshold,
     eig_sturm,
     eigvec_inverse_iteration,
+    extremal_vector,
     quad_form,
     symmetrize,
     u_diff_zeros,
@@ -29,6 +35,7 @@ from fttlab import (
 )
 from fttlab.errors import ConvergenceError
 from fttlab.rng import SplitMix64
+from fttlab.tridiagonal import _solve_tridiagonal
 
 
 def random_tridiagonal(rng, n):
@@ -157,6 +164,23 @@ class TestEigSturm:
         assert np.max(np.abs(got - want)) < 1e-9
 
 
+def test_spectral_core_bit_matches_fixture():
+    # eig_sturm on symmetrized blocks and the extremal vectors, as float.hex,
+    # frozen from the scalar bisection and scipy's banded solve
+    fixture = os.path.join(os.path.dirname(__file__), "fixtures", "spectral_bits.json")
+    assert os.path.exists(fixture), "the committed fixture is missing; it is never regenerated"
+    with open(fixture, encoding="utf-8") as fh:
+        frozen = json.load(fh)
+    for key, want in frozen["eig_sturm"].items():
+        variant, n, alpha = key.split("/")
+        block = UpperBidiagonal(int(n), float(alpha), JordanVariant(variant))
+        assert [v.hex() for v in eig_sturm(symmetrize(block))] == want, key
+    for key, want in frozen["extremal_vector"].items():
+        kind, n = key.split("/")
+        assert [v.hex() for v in extremal_vector(InequalityKind(kind), int(n))] == want, key
+    assert len(frozen["eig_sturm"]) == 30 and len(frozen["extremal_vector"]) == 12
+
+
 class TestInverseIteration:
     def test_residuals_small(self):
         rng = SplitMix64(41)
@@ -167,6 +191,37 @@ class TestInverseIteration:
                 v = eigvec_inverse_iteration(t, lam)
                 assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
                 assert np.linalg.norm(dense @ v - lam * v) < 1e-9
+
+    @pytest.mark.parametrize(
+        "diag, offdiag, lam", [([2.0, 2.0, 2.0], [0.0, 0.0], 2.0), ([0.0, 0.0], [1.0], 1.0)]
+    )
+    def test_singular_shift_is_jittered(self, diag, offdiag, lam):
+        # T - lam I has an exactly zero pivot, so the first solve fails
+        t = SymTridiagonal(np.array(diag), np.array(offdiag))
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve_tridiagonal(t.offdiag, t.diag - lam, t.offdiag, np.ones(t.n))
+        tol = 1e-12
+        v = eigvec_inverse_iteration(t, lam, tol=tol)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(t.matvec(v) - lam * v) <= 10.0 * tol
+
+    def test_solve_matches_lapack_gtsv_bit_for_bit(self):
+        # scipy's solve_banded calls LAPACK dgtsv for (1, 1) bands
+        rng = SplitMix64(43)
+        for trial in range(300):
+            n = rng.integer(2, 12)
+            sub, diag, sup, rhs = (rng.vector(m) for m in (n - 1, n, n - 1, n))
+            if trial % 2:  # entries in {-1, -0, 0, 1}: ties, signed zeros, zero pivots
+                sub, diag = np.round(sub), np.round(diag)
+            ab = np.zeros((3, n))
+            ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
+            try:
+                want = solve_banded((1, 1), ab, rhs)
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    _solve_tridiagonal(sub, diag, sup, rhs)
+                continue
+            assert _solve_tridiagonal(sub, diag, sup, rhs).tobytes() == want.tobytes()
 
     def test_one_dimensional_case(self):
         t = SymTridiagonal(np.array([0.7]), np.array([]))
