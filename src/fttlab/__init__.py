@@ -22,101 +22,18 @@ The package is organized around one chain of ideas:
     A deterministic command line front end (``fttlab --help``).
 """
 
-from .bessel import ThresholdResult, bound1, bound2, i0_partial, i0_reference, threshold_x0
-from .chebyshev import u_diff_eval, u_diff_zeros, u_eval, u_zeros
-from .errors import ConsistencyError, ConvergenceError, NumericsError, OverflowFailure
-from .inequalities import (
-    CheckReport,
-    InequalityKind,
-    difference_energy,
-    extremal_vector,
-    sharp_constant,
-    threshold_alpha,
-    verify,
-)
-from .semigroup import (
-    Gftt2ProbeReport,
-    NormCurve,
-    StrictContractionReport,
-    SubspaceBasis,
-    contraction_check,
-    default_contraction_grid,
-    exp_jordan_closed,
-    expm_oracle,
-    gftt2_discrepancy_probe,
-    gftt2_exact_lhs,
-    gftt2_toeplitz_lhs,
-    gftt_check,
-    gftt_lhs,
-    norm_preserving_subspace,
-    operator_norm,
-    strict_contraction_check,
-)
-from .tridiagonal import (
-    BlockSign,
-    DissipativityReport,
-    JordanVariant,
-    SymTridiagonal,
-    UpperBidiagonal,
-    check_dissipative,
-    det_recurrence,
-    dissipativity_threshold,
-    eig_sturm,
-    eigvec_inverse_iteration,
-    quad_form,
-    symmetrize,
-)
+from . import bessel, chebyshev, errors, inequalities, semigroup, tridiagonal
+from .bessel import *  # noqa: F403
+from .chebyshev import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .inequalities import *  # noqa: F403
+from .semigroup import *  # noqa: F403
+from .tridiagonal import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# each module's __all__ is the one list of its public names
 __all__ = [
-    "BlockSign",
-    "CheckReport",
-    "ConsistencyError",
-    "ConvergenceError",
-    "DissipativityReport",
-    "Gftt2ProbeReport",
-    "InequalityKind",
-    "JordanVariant",
-    "NormCurve",
-    "NumericsError",
-    "OverflowFailure",
-    "StrictContractionReport",
-    "SubspaceBasis",
-    "SymTridiagonal",
-    "ThresholdResult",
-    "UpperBidiagonal",
-    "bound1",
-    "bound2",
-    "check_dissipative",
-    "contraction_check",
-    "default_contraction_grid",
-    "det_recurrence",
-    "difference_energy",
-    "dissipativity_threshold",
-    "eig_sturm",
-    "eigvec_inverse_iteration",
-    "exp_jordan_closed",
-    "expm_oracle",
-    "extremal_vector",
-    "gftt2_discrepancy_probe",
-    "gftt2_exact_lhs",
-    "gftt2_toeplitz_lhs",
-    "gftt_check",
-    "gftt_lhs",
-    "i0_partial",
-    "i0_reference",
-    "norm_preserving_subspace",
-    "operator_norm",
-    "quad_form",
-    "sharp_constant",
-    "strict_contraction_check",
-    "symmetrize",
-    "threshold_alpha",
-    "threshold_x0",
-    "u_diff_eval",
-    "u_diff_zeros",
-    "u_eval",
-    "u_zeros",
-    "verify",
+    *bessel.__all__, *chebyshev.__all__, *errors.__all__,
+    *inequalities.__all__, *semigroup.__all__, *tridiagonal.__all__,
 ]

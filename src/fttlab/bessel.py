@@ -46,6 +46,8 @@ __all__ = [
     "threshold_x0",
 ]
 
+_REFERENCE_TOL = 1e-16  # relative size of the last term i0_reference adds
+
 
 def i0_partial(n: int, x: float) -> float:
     """First n terms of I_0(2x): sum_{j=0}^{n-1} x^{2j} / (j!)^2.
@@ -67,10 +69,9 @@ def i0_partial(n: int, x: float) -> float:
     return total
 
 
-def i0_reference(x: float, tol: float = 1e-16) -> float:
-    """I_0(2x) summed to relative tolerance ``tol`` (series converges for all x)."""
+def i0_reference(x: float) -> float:
+    """I_0(2x) summed to relative tolerance 1e-16 (series converges for all x)."""
     x = as_finite(x, "argument", minimum=0.0)
-    check_tol(tol)
     term = 1.0
     total = 1.0
     for j in range(1, 4000):
@@ -78,9 +79,9 @@ def i0_reference(x: float, tol: float = 1e-16) -> float:
         total += term
         if not math.isfinite(total):
             raise OverflowFailure(f"series overflowed at x={x!r}")
-        if term <= tol * total:
+        if term <= _REFERENCE_TOL * total:
             return total
-    raise ConvergenceError(f"series did not reach tol={tol!r} at x={x!r}")
+    raise ConvergenceError(f"series did not reach tol={_REFERENCE_TOL!r} at x={x!r}")
 
 
 def bound1(n: int, x: float) -> float:

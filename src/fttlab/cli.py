@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from ._validate import check_tol
-from .bessel import bound1, bound2, i0_partial, threshold_x0
+from .bessel import ThresholdResult, bound1, bound2, i0_partial, threshold_x0
 from .errors import ConsistencyError, NumericsError
 from .inequalities import (
     InequalityKind,
@@ -82,7 +83,7 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _resolve_ns(args: argparse.Namespace) -> list[int]:
-    if getattr(args, "n_range", None) is not None:
+    if args.n_range is not None:
         return _parse_n_range(args.n_range)
     return [args.n]
 
@@ -100,34 +101,35 @@ def _json_value(value):
         return None
     if isinstance(value, np.ndarray):
         return [float(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
     return value
 
 
-def _write_text(args: argparse.Namespace, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
+def _emit(args: argparse.Namespace, **fields) -> None:
+    """The one writer: the JSON envelope holding ``fields`` in call order, or
+    the ``rows`` field as CSV; to ``--out`` when given, else to stdout.
+
+    A CSV header is the keys of the first row; no table is ever empty.
+    """
+    if args.format == "json":
+        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **fields}
+        text = json.dumps(_json_value(payload), indent=2, allow_nan=False) + "\n"
+    else:
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=list(fields["rows"][0]))
+        writer.writeheader()
+        for row in fields["rows"]:
+            writer.writerow({k: _csv_value(v) for k, v in row.items()})
+        text = buffer.getvalue()
+    if args.out:
         # newline="" keeps the csv module's CRLF endings intact on disk
-        with open(out, "w", encoding="utf-8", newline="") as handle:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_table(args, command: str, fieldnames: list[str], rows: list[dict], extra: dict | None = None) -> None:
-    if getattr(args, "format", "csv") == "json":
-        payload: dict = {"schema_version": SCHEMA_VERSION, "command": command}
-        if extra:
-            payload.update({k: _json_value(v) for k, v in extra.items()})
-        payload["rows"] = [{k: _json_value(v) for k, v in row.items()} for row in rows]
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    else:
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _csv_value(v) for k, v in row.items()})
-        text = buffer.getvalue()
-    _write_text(args, text)
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
@@ -142,7 +144,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         for n in _resolve_ns(args)
         for kind in kinds
     ]
-    _emit_table(args, "constants", ["n", "kind", "sharp_constant", "threshold_alpha"], rows)
+    _emit(args, rows=rows)
     return 0
 
 
@@ -153,7 +155,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     rng = SplitMix64(args.seed)
     rows: list[dict] = []
     witnesses: list[dict] = []
-    violated = False
     for kind in kinds:
         # sample 0 is always the extremal vector, so the sharp edge is on record
         scale = 1.0
@@ -161,30 +162,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             scale = 1.05 if kind.is_lower else 0.95
         vectors = [extremal_vector(kind, args.n)]
         vectors.extend(rng.vector(args.n) for _ in range(args.samples))
-        worst_margin = math.inf
-        worst_index = -1
-        worst_vector = vectors[0]
-        worst_report = None
-        for index, a in enumerate(vectors):
-            report = verify(kind, a, tol=args.tol, constant_scale=scale)
-            directed = report.margin if kind.is_lower else -report.margin
-            if directed < worst_margin:
-                worst_margin = directed
-                worst_index = index
-                worst_vector = a
-                worst_report = report
-        holds = worst_report.holds
-        if not holds:
-            violated = True
+        reports = [verify(kind, a, tol=args.tol, constant_scale=scale) for a in vectors]
+        directed = [r.margin if kind.is_lower else -r.margin for r in reports]
+        worst = directed.index(min(directed))  # the first minimum
+        report = reports[worst]
+        if not report.holds:
             witnesses.append(
                 {
                     "kind": kind.value,
                     "n": args.n,
-                    "sample": worst_index,
-                    "vector": worst_vector,
-                    "lhs": worst_report.lhs,
-                    "rhs": worst_report.rhs,
-                    "margin": worst_report.margin,
+                    "sample": worst,
+                    "vector": vectors[worst],
+                    "lhs": report.lhs,
+                    "rhs": report.rhs,
+                    "margin": report.margin,
                 }
             )
         rows.append(
@@ -192,26 +183,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "kind": kind.value,
                 "n": args.n,
                 "samples": len(vectors),
-                "min_directed_margin": worst_margin,
-                "worst_sample": worst_index,
-                "holds": holds,
+                "min_directed_margin": directed[worst],
+                "worst_sample": worst,
+                "holds": report.holds,
             }
         )
-    extra = {"witnesses": [{k: _json_value(v) for k, v in w.items()} for w in witnesses]}
-    _emit_table(
-        args,
-        "verify",
-        ["kind", "n", "samples", "min_directed_margin", "worst_sample", "holds"],
-        rows,
-        extra=extra if getattr(args, "format", "csv") == "json" else None,
-    )
-    return 1 if violated else 0
+    _emit(args, witnesses=witnesses, rows=rows)
+    return 1 if witnesses else 0
 
 
 def _cmd_semigroup_norm(args: argparse.Namespace) -> int:
     block = UpperBidiagonal(args.n, args.alpha, JordanVariant(args.variant))
     grid = _parse_grid(args.grid) if args.grid else None
-    curve = contraction_check(block.to_dense(), xs=grid, tol=args.tol)
+    curve = contraction_check(block.to_dense(), xs=grid)
     rows = [
         {
             "n": args.n,
@@ -222,7 +206,7 @@ def _cmd_semigroup_norm(args: argparse.Namespace) -> int:
         }
         for x, norm in zip(curve.xs, curve.norms)
     ]
-    _emit_table(args, "semigroup-norm", ["n", "alpha", "variant", "x", "norm"], rows)
+    _emit(args, rows=rows)
     return 0
 
 
@@ -248,67 +232,37 @@ def _cmd_bessel_sweep(args: argparse.Namespace) -> int:
         rows.append(
             {"n": args.n, "x": x, "partial": partial, "bound1": b1, "bound2": b2, "status": status}
         )
-    _emit_table(args, "bessel-sweep", ["n", "x", "partial", "bound1", "bound2", "status"], rows)
+    _emit(args, rows=rows)
     return 1 if dominated_failure else 0
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    sweeping = getattr(args, "n_range", None) is not None
     rows = []
     for n in _resolve_ns(args):
-        if n < 2:
-            if not sweeping:
-                raise ValueError("threshold needs n >= 2; at n = 1 no crossing exists")
-            rows.append(
-                {
-                    "n": n, "found": False, "x0": math.nan,
-                    "bracket_lo": math.nan, "bracket_hi": math.nan,
-                    "sign_changes": 0, "iterations": 0, "status": "rejected",
-                }
+        if n >= 2:
+            result = threshold_x0(
+                n, tol=args.tol, search_hi=args.search_hi, scan_points=args.scan_points
             )
-            continue
-        result = threshold_x0(
-            n, tol=args.tol, search_hi=args.search_hi, scan_points=args.scan_points
-        )
-        rows.append(
-            {
-                "n": result.n,
-                "found": result.found,
-                "x0": result.x0,
-                "bracket_lo": result.bracket_lo,
-                "bracket_hi": result.bracket_hi,
-                "sign_changes": result.sign_changes,
-                "iterations": result.iterations,
-                "status": "ok" if result.found else "not-found",
-            }
-        )
-    fieldnames = [
-        "n", "found", "x0", "bracket_lo", "bracket_hi",
-        "sign_changes", "iterations", "status",
-    ]
-    _emit_table(args, "threshold", fieldnames, rows)
+            status = "ok" if result.found else "not-found"
+        elif args.n_range is None:
+            raise ValueError("threshold needs n >= 2; at n = 1 no crossing exists")
+        else:
+            nan = math.nan
+            result = ThresholdResult(
+                n=n, found=False, x0=nan, bracket_lo=nan, bracket_hi=nan,
+                sign_changes=0, sign_pattern="", iterations=0,
+            )
+            status = "rejected"
+        row = dataclasses.asdict(result)
+        del row["sign_pattern"]
+        rows.append({**row, "status": status})
+    _emit(args, rows=rows)
     return 0
 
 
 def _cmd_probe_gftt2(args: argparse.Namespace) -> int:
     report = gftt2_discrepancy_probe(args.n, args.samples, args.seed)
-
-    def witness(w) -> dict | None:
-        if w is None:
-            return None
-        return {"value": w.value, "x": w.x, "a": [float(v) for v in w.a]}
-
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "probe-gftt2",
-        "n": report.n,
-        "samples": report.samples,
-        "seed": report.seed,
-        "alpha": report.alpha,
-        "bound_excess": witness(report.bound_excess),
-        "exact_discrepancy": witness(report.exact_discrepancy),
-    }
-    _write_text(args, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    _emit(args, **dataclasses.asdict(report))
     return 0
 
 
@@ -357,7 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=JordanVariant.STANDARD.value)
     p.add_argument("--grid", metavar="LO:HI:COUNT[:geom]", default=None,
                    help="default is 0 plus 64 log-spaced points on [0.01, 10]")
-    p.add_argument("--tol", type=float, default=1e-10)
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_semigroup_norm)
 
@@ -381,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="PATH", default=None)
-    p.set_defaults(handler=_cmd_probe_gftt2)
+    p.set_defaults(handler=_cmd_probe_gftt2, format="json")
 
     return parser
 
@@ -397,7 +350,7 @@ def main(argv=None) -> int:
     except (NumericsError, ConsistencyError) as exc:
         print(f"fttlab: numeric failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"fttlab: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,8 @@ that appear only at run time on valid inputs.
 
 from __future__ import annotations
 
+__all__ = ["NumericsError", "ConvergenceError", "OverflowFailure", "ConsistencyError"]
+
 
 class NumericsError(RuntimeError):
     """A numerical procedure could not produce a trustworthy result."""

@@ -62,20 +62,23 @@ __all__ = [
     "strict_contraction_check",
 ]
 
+_TAYLOR_TOL = 1e-18  # expm_oracle sums its series until a term drops below this
 _RESTART_SEED = 0x5EED1E55  # fixed pseudorandom restart for the power iteration
 _POWER_BUDGET = 10000  # power steps per start vector, for the first run and the restart
+_POWER_TOL = 1e-12  # relative change at which a power-iteration estimate counts as settled
+_BOUND_SQUARINGS = 24  # normalized squarings of M^T M behind the operator-norm upper bound
+_BOUND_SLACK = 1e-6  # relative shortfall below that bound at which an estimate is rejected
 
 
-def expm_oracle(Q, x: float, tol: float = 1e-18) -> np.ndarray:
+def expm_oracle(Q, x: float) -> np.ndarray:
     """exp(Qx) by scaling and squaring around a truncated Taylor core.
 
     The argument is halved until its 1-norm is at most 0.5, the series is
-    summed until the additive term drops below ``tol``, and the result is
+    summed until the additive term drops below 1e-18, and the result is
     squared back up.  Intermediate overflow raises ``OverflowFailure``.
     """
     Q = as_square_matrix(Q)
     x = as_finite(x, "x")
-    check_tol(tol)
     A = Q * x
     anorm = float(np.linalg.norm(A, 1))
     squarings = 0 if anorm <= 0.5 else int(math.ceil(math.log2(anorm / 0.5)))
@@ -89,7 +92,7 @@ def expm_oracle(Q, x: float, tol: float = 1e-18) -> np.ndarray:
     for k in range(1, 64):
         term = term @ A / k
         result = result + term
-        if float(np.max(np.abs(term))) < tol:
+        if float(np.max(np.abs(term))) < _TAYLOR_TOL:
             break
     else:
         raise ConvergenceError("Taylor series for the scaled exponential did not settle")
@@ -130,17 +133,35 @@ def exp_jordan_closed(n: int, alpha: float, x: float) -> np.ndarray:
     return out
 
 
-def operator_norm(M, tol: float = 1e-12) -> float:
+def _norm_upper_bound(M: np.ndarray) -> float:
+    """sigma_max(M) <= ||B^(2^k)||_F^(1/2^(k+1)) with B = M^T M, for every k.
+
+    B is squared k times, rescaled to unit Frobenius norm before each
+    squaring; the bound is the product of the removed norms raised to the
+    matching powers, and it falls to sigma_max as k grows.
+    """
+    B = M.T @ M
+    norm = float(np.linalg.norm(B))
+    bound = math.sqrt(norm)
+    for k in range(1, _BOUND_SQUARINGS + 1):
+        B = B / norm
+        B = B @ B
+        norm = float(np.linalg.norm(B))
+        bound *= norm ** (0.5 ** (k + 1))
+    return bound
+
+
+def operator_norm(M) -> float:
     """Largest singular value via power iteration on M^T M.
 
-    Deterministic: the start vector is all ones, and a single restart with a
-    fixed pseudorandom vector is attempted if convergence stalls.  The
-    estimate is accepted once two consecutive relative changes fall below
-    ``tol``; exhausting both budgets raises ``ConvergenceError`` carrying the
-    last estimates.
+    Deterministic: the start vector is all ones.  An estimate is accepted
+    once two consecutive relative changes fall below 1e-12 and it lies
+    within a relative 1e-6 of ``_norm_upper_bound``, which catches a start
+    vector that is an eigenvector of M^T M for a smaller singular value.
+    Otherwise one restart from a fixed pseudorandom vector is made; if that
+    fails too, ``ConvergenceError`` carries both estimates and the bound.
     """
     M = as_square_matrix(M)
-    check_tol(tol)
     largest = float(np.max(np.abs(M)))
     if largest == 0.0:
         return 0.0
@@ -148,43 +169,43 @@ def operator_norm(M, tol: float = 1e-12) -> float:
     scale = 2.0 ** math.frexp(largest)[1]
     M = M / scale
     n = M.shape[0]
+    bound = _norm_upper_bound(M)
 
-    def run(v: np.ndarray) -> tuple[float | None, float]:
-        v = v / float(np.linalg.norm(v))
+    def run(v: np.ndarray) -> tuple[float, bool]:
+        # math.sqrt(w.dot(w)) is what np.linalg.norm computes, without its dispatch
+        v = v / math.sqrt(v.dot(v))
         sigma_prev = -1.0
         settled = 0
         for _ in range(_POWER_BUDGET):
             w = M @ v
-            sigma = float(np.linalg.norm(w))
+            sigma = math.sqrt(w.dot(w))
             g = M.T @ w
-            gn = float(np.linalg.norm(g))
+            gn = math.sqrt(g.dot(g))
             if gn == 0.0:
-                return None, sigma  # landed in the kernel of M^T M; restart
+                return sigma, False  # landed in the kernel of M^T M; restart
             v = g / gn
-            if abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
+            if abs(sigma - sigma_prev) <= _POWER_TOL * max(sigma, 1e-300):
                 settled += 1
                 if settled >= 2:
-                    return sigma, sigma
+                    return sigma, sigma >= bound * (1.0 - _BOUND_SLACK)
             else:
                 settled = 0
             sigma_prev = sigma
-        return None, sigma_prev
+        return sigma_prev, False
 
-    def finish(sigma: float) -> float:
-        value = sigma * scale
-        if not math.isfinite(value):
-            raise OverflowFailure(f"operator norm overflows double precision ({sigma!r} * {scale!r})")
-        return value
-
-    result, last = run(np.ones(n))
-    if result is not None:
-        return finish(result)
-    result, last2 = run(SplitMix64(_RESTART_SEED).vector(n))
-    if result is not None:
-        return finish(result)
-    raise ConvergenceError(
-        f"power iteration stalled; last estimates {last!r} and {last2!r}"
-    )
+    sigma, accepted = run(np.ones(n))
+    if not accepted:
+        first = sigma
+        sigma, accepted = run(SplitMix64(_RESTART_SEED).vector(n))
+        if not accepted:
+            raise ConvergenceError(
+                f"power iteration fell short of the upper bound {bound * scale!r}; "
+                f"estimates {first * scale!r} and {sigma * scale!r}"
+            )
+    value = sigma * scale
+    if not math.isfinite(value):
+        raise OverflowFailure(f"operator norm overflows double precision ({sigma!r} * {scale!r})")
+    return value
 
 
 def default_contraction_grid() -> np.ndarray:
@@ -234,24 +255,34 @@ def _validate_grid(xs, allow_zero: bool) -> np.ndarray:
     return grid
 
 
-def _norm_curve(Q: np.ndarray, grid: np.ndarray, norm_tol: float) -> NormCurve:
-    norms = np.array([operator_norm(expm_oracle(Q, x), tol=norm_tol) for x in grid])
+def _norm_curve(Q: np.ndarray, grid: np.ndarray) -> NormCurve:
+    norms = np.array([operator_norm(expm_oracle(Q, x)) for x in grid])
     return NormCurve(xs=grid, norms=norms)
 
 
-def contraction_check(Q, xs=None, tol: float = 1e-10) -> NormCurve:
-    """Norms of exp(Qx) along the grid; the caller compares against 1 + tol."""
+def contraction_check(Q, xs=None) -> NormCurve:
+    """Norms of exp(Qx) along the grid; judging them is the caller's business."""
     Q = as_square_matrix(Q)
-    check_tol(tol)
     grid = _validate_grid(xs, allow_zero=True)
-    return _norm_curve(Q, grid, norm_tol=min(1e-12, tol / 10.0))
+    return _norm_curve(Q, grid)
 
 
 def _propagator_rows(a: np.ndarray, x: float) -> list[float]:
     """Entries of exp(J_n(0) x) a, last first: row j is sum_{k<=j} x^k/k! a_{n-j+k}."""
     n = a.size
-    coeff = _taylor_coefficients(n, x)
-    return [float(coeff[: j + 1] @ a[n - 1 - j:]) for j in range(n)]
+    with np.errstate(over="ignore", invalid="ignore"):  # _squared_norm checks the total
+        coeff = _taylor_coefficients(n, x)
+        return [float(coeff[: j + 1] @ a[n - 1 - j:]) for j in range(n)]
+
+
+def _squared_norm(total: float, rows: list[float], x: float) -> float:
+    """total plus the squares of rows, raising ``OverflowFailure`` if that is not finite."""
+    # an explicit loop: sum() or a dot product would change the rounding
+    for inner in rows:
+        total += inner * inner
+    if not math.isfinite(total):
+        raise OverflowFailure(f"propagator terms overflow double precision at x={x!r}")
+    return total
 
 
 def gftt_lhs(a, x: float) -> float:
@@ -259,15 +290,11 @@ def gftt_lhs(a, x: float) -> float:
     unit-diagonal Jordan propagator applied to a.
 
     Polynomial in x, hence evaluated for any finite x; the sharp bound it
-    enters is claimed for x >= 0 only.
+    enters is claimed for x >= 0 only.  Overflow raises ``OverflowFailure``.
     """
     a = as_vector(a)
     x = as_finite(x, "x")
-    total = 0.0
-    # an explicit loop: sum() or a dot product would change the rounding
-    for inner in _propagator_rows(a, x):
-        total += inner * inner
-    return total
+    return _squared_norm(0.0, _propagator_rows(a, x), x)
 
 
 def gftt_check(a, x: float, tol: float = 1e-10) -> CheckReport:
@@ -292,14 +319,11 @@ def gftt2_toeplitz_lhs(a, x: float) -> float:
     This is a *hypothesized* closed form: it is NOT the exact semigroup
     quantity for n >= 2 (see ``gftt2_discrepancy_probe``), and the bound it
     suggests fails for n = 2.  Kept because measuring that failure is part
-    of this package's job.
+    of this package's job.  Overflow raises ``OverflowFailure``.
     """
     a = as_vector(a)
     x = as_finite(x, "x")
-    total = checked_exp(-x) * float(a[-1]) ** 2
-    for inner in _propagator_rows(a, x)[1:]:
-        total += inner * inner
-    return total
+    return _squared_norm(checked_exp(-x) * float(a[-1]) ** 2, _propagator_rows(a, x)[1:], x)
 
 
 def gftt2_exact_lhs(a, alpha: float, x: float) -> float:
@@ -315,8 +339,8 @@ class ProbeWitness:
     """An extremum found by the probe together with the sample attaining it."""
 
     value: float
-    a: np.ndarray
     x: float
+    a: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,9 +383,9 @@ def gftt2_discrepancy_probe(n: int, samples: int, seed: int) -> Gftt2ProbeReport
         e_val = toeplitz - bound
         d_val = abs(toeplitz - exact)
         if excess is None or e_val > excess.value:
-            excess = ProbeWitness(value=e_val, a=a, x=x)
+            excess = ProbeWitness(value=e_val, x=x, a=a)
         if discrepancy is None or d_val > discrepancy.value:
-            discrepancy = ProbeWitness(value=d_val, a=a, x=x)
+            discrepancy = ProbeWitness(value=d_val, x=x, a=a)
     return Gftt2ProbeReport(
         n=n, samples=samples, seed=int(seed), alpha=alpha,
         bound_excess=excess, exact_discrepancy=discrepancy,
@@ -450,7 +474,7 @@ def strict_contraction_check(Q, xs=None, tol: float = 1e-6) -> StrictContraction
     grid = _validate_grid(xs, allow_zero=False)
     sym_max = _sym_max_eigenvalue(Q)
     form_strict = sym_max < -tol
-    curve = _norm_curve(Q, grid, norm_tol=1e-12)
+    curve = _norm_curve(Q, grid)
     if form_strict and curve.max_norm >= 1.0 + tol:
         raise ConsistencyError(
             f"strictly dissipative generator produced norm {curve.max_norm!r} >= 1"

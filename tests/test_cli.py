@@ -4,7 +4,9 @@ Everything runs in-process through main() except one subprocess smoke test
 that exercises the installed entry point end to end.
 """
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -118,6 +120,12 @@ class TestSemigroupNorm:
         )
         assert code == 3
         assert "numeric failure" in err
+
+    def test_tol_flag_is_gone(self, capsys):
+        # it only ever set the power-iteration tolerance, to 1e-12 for any tol >= 1e-11
+        code, out, _ = run(capsys, "semigroup-norm", "--n", "2", "--alpha", "0", "--tol", "1e-10")
+        assert code == 2
+        assert out == ""
 
     def test_malformed_grid_exits_two(self, capsys):
         code, _, err = run(
@@ -249,3 +257,26 @@ class TestContract:
         assert result.returncode == 0
         assert result.stdout.startswith("n,kind,sharp_constant,threshold_alpha")
         assert "upper-pinned" in result.stdout
+
+    def test_unwritable_out_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "constants", "--n", "2", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("fttlab: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_output_bytes_match_fixture(capsys):
+    # exit code and stdout SHA-256 of every table command in both formats,
+    # the witness envelope, the rejected and not-found threshold rows, an
+    # empty probe and the default semigroup-norm grid
+    fixture = os.path.join(os.path.dirname(__file__), "fixtures", "cli_bytes.json")
+    assert os.path.exists(fixture), "the committed fixture is missing; it is never regenerated"
+    with open(fixture, encoding="utf-8") as fh:
+        frozen = json.load(fh)
+    for line, want in frozen.items():
+        code, out, _ = run(capsys, *line.split())
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert (code, digest) == (want["exit_code"], want["stdout_sha256"]), line
+    assert len(frozen) == 17

@@ -34,7 +34,8 @@ from fttlab import (
     strict_contraction_check,
     verify,
 )
-from fttlab.errors import ConsistencyError, OverflowFailure
+from fttlab import semigroup
+from fttlab.errors import ConsistencyError, ConvergenceError, OverflowFailure
 from fttlab.rng import SplitMix64
 from fttlab.semigroup import NormCurve
 
@@ -88,8 +89,6 @@ class TestExpmOracle:
             expm_oracle(np.ones((2, 3)), 1.0)
         with pytest.raises(ValueError):
             expm_oracle(np.eye(2), math.nan)
-        with pytest.raises(ValueError):
-            expm_oracle(np.eye(2), 1.0, tol=0.0)
 
 
 class TestJordanClosedForm:
@@ -159,6 +158,16 @@ class TestOperatorNorm:
         # the all-ones start vector lies exactly in the kernel of M^T M
         M = np.array([[1.0, -1.0], [1.0, -1.0]])
         assert operator_norm(M) == pytest.approx(2.0, abs=1e-10)
+
+    def test_start_vector_on_a_smaller_singular_value(self):
+        # all ones is an eigenvector of M^T M for sigma = 1; the norm is 2
+        M = np.array([[1.5, -0.5], [-0.5, 1.5]])
+        assert operator_norm(M) == pytest.approx(2.0, abs=1e-12)
+
+    def test_estimates_short_of_the_bound_raise(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "_norm_upper_bound", lambda M: 4.0)
+        with pytest.raises(ConvergenceError, match="upper bound 4.0; estimates 0.5 and 0.5"):
+            operator_norm(0.5 * np.eye(2))
 
     def test_huge_entries_do_not_overflow(self):
         M = math.exp(300) * np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -255,6 +264,13 @@ class TestGftt:
     def test_overflowing_bound_raises_overflow_failure(self):
         with pytest.raises(OverflowFailure):
             gftt_check(np.ones(2), 1000.0)
+
+    @pytest.mark.parametrize("form", [gftt_lhs, gftt2_toeplitz_lhs])
+    @pytest.mark.parametrize("n, x", [(3, 1e200), (2, 1e160)])
+    def test_overflowing_propagator_raises_overflow_failure(self, form, n, x):
+        # at 1e200 x^2/2 overflows; at 1e160 every coefficient is finite but a square is not
+        with pytest.raises(OverflowFailure):
+            form(np.ones(n), x)
 
     def test_negative_x_rejected_by_check_only(self):
         a = np.array([1.0, 2.0])
