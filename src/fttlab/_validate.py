@@ -55,6 +55,13 @@ def as_square_matrix(m) -> np.ndarray:
     return out
 
 
+def finite(value, what: str):
+    """``value`` unchanged, or ``OverflowFailure`` if any entry is not finite."""
+    if not (np.all(np.isfinite(value)) if isinstance(value, np.ndarray) else math.isfinite(value)):
+        raise OverflowFailure(f"{what} overflows double precision")
+    return value
+
+
 def checked_exp(exponent: float) -> float:
     """math.exp(exponent), raising ``OverflowFailure`` where it would overflow."""
     if exponent >= 709.0:

@@ -33,8 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._validate import as_finite, as_int, check_tol, checked_exp
-from .errors import ConvergenceError, OverflowFailure
+from ._validate import as_finite, as_int, check_tol, checked_exp, finite
+from .errors import ConvergenceError
 from .tridiagonal import JordanVariant, dissipativity_threshold
 
 __all__ = [
@@ -64,9 +64,7 @@ def i0_partial(n: int, x: float) -> float:
     for j in range(1, n):
         term *= (x * x) / (j * j)
         total += term
-    if not math.isfinite(total):
-        raise OverflowFailure(f"partial sum overflowed at n={n}, x={x!r}")
-    return total
+    return finite(total, f"partial sum at n={n}, x={x!r}")
 
 
 def i0_reference(x: float) -> float:
@@ -77,10 +75,8 @@ def i0_reference(x: float) -> float:
     for j in range(1, 4000):
         term *= (x * x) / (j * j)
         total += term
-        if not math.isfinite(total):
-            raise OverflowFailure(f"series overflowed at x={x!r}")
-        if term <= _REFERENCE_TOL * total:
-            return total
+        if term <= _REFERENCE_TOL * total:  # an inf total stops here too
+            return finite(total, f"series at x={x!r}")
     raise ConvergenceError(f"series did not reach tol={_REFERENCE_TOL!r} at x={x!r}")
 
 
@@ -121,12 +117,12 @@ class ThresholdResult:
 
     n: int
     found: bool
-    x0: float
-    bracket_lo: float
-    bracket_hi: float
-    sign_changes: int
-    sign_pattern: str
-    iterations: int
+    x0: float = math.nan
+    bracket_lo: float = math.nan
+    bracket_hi: float = math.nan
+    sign_changes: int = 0
+    sign_pattern: str = ""
+    iterations: int = 0
 
 
 def threshold_x0(
@@ -173,11 +169,7 @@ def threshold_x0(
                 first = (xs[k], xs[k + 1])
 
     if first is None:
-        nan = math.nan
-        return ThresholdResult(
-            n=n, found=False, x0=nan, bracket_lo=nan, bracket_hi=nan,
-            sign_changes=changes, sign_pattern=pattern, iterations=0,
-        )
+        return ThresholdResult(n=n, found=False, sign_changes=changes, sign_pattern=pattern)
 
     lo, hi = first
     flo = gap(lo)

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from ._validate import as_int
+from ._validate import as_int, finite
 
 __all__ = ["u_eval", "u_zeros", "u_diff_eval", "u_diff_zeros"]
 
@@ -30,6 +30,8 @@ __all__ = ["u_eval", "u_zeros", "u_diff_eval", "u_diff_zeros"]
 def _recurrence(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     """(U_{n-1}(x), U_n(x)) by the forward recurrence."""
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
     prev = np.zeros_like(x)          # U_{-1}
     curr = np.ones_like(x)           # U_0
     for _ in range(n):
@@ -42,14 +44,14 @@ def u_eval(n: int, x):
 
     ``x`` may be a float or an ndarray; the result matches its shape.
     """
-    _, curr = _recurrence(as_int(n, "polynomial order", minimum=0), x)
+    curr = finite(_recurrence(as_int(n, "polynomial order", minimum=0), x)[1], "U_n(x)")
     return float(curr) if curr.ndim == 0 else curr
 
 
 def u_diff_eval(n: int, x):
     """Evaluate (U_n - U_{n-1})(x).  Requires n >= 1."""
     prev, curr = _recurrence(as_int(n, "polynomial order", minimum=1), x)
-    out = curr - prev
+    out = finite(curr - prev, "U_n(x) - U_{n-1}(x)")
     return float(out) if out.ndim == 0 else out
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from ._validate import check_tol
 from .bessel import ThresholdResult, bound1, bound2, i0_partial, threshold_x0
-from .errors import ConsistencyError, NumericsError
+from .errors import NumericsError
 from .inequalities import (
     InequalityKind,
     extremal_vector,
@@ -247,11 +247,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         elif args.n_range is None:
             raise ValueError("threshold needs n >= 2; at n = 1 no crossing exists")
         else:
-            nan = math.nan
-            result = ThresholdResult(
-                n=n, found=False, x0=nan, bracket_lo=nan, bracket_hi=nan,
-                sign_changes=0, sign_pattern="", iterations=0,
-            )
+            result = ThresholdResult(n=n, found=False)
             status = "rejected"
         row = dataclasses.asdict(result)
         del row["sign_pattern"]
@@ -347,7 +343,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (NumericsError, ConsistencyError) as exc:
+    except NumericsError as exc:
         print(f"fttlab: numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

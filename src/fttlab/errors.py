@@ -22,5 +22,5 @@ class OverflowFailure(NumericsError):
     """An intermediate quantity left the range of double precision."""
 
 
-class ConsistencyError(RuntimeError):
+class ConsistencyError(NumericsError):
     """Two independent routes to the same quantity disagreed beyond tolerance."""

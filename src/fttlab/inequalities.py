@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._validate import as_int, as_vector, check_tol
+from ._validate import as_int, as_vector, check_tol, finite
 from .tridiagonal import (
     BlockSign,
     JordanVariant,
@@ -107,7 +107,7 @@ def difference_energy(a, kind: InequalityKind) -> float:
         padded = np.concatenate(([0.0], a, [0.0]))
     else:
         padded = np.concatenate(([0.0], a))
-    return float(np.sum(np.diff(padded) ** 2))
+    return finite(float(np.sum(np.diff(padded) ** 2)), "difference energy")
 
 
 def sharp_constant(kind: InequalityKind, n: int) -> float:
@@ -141,7 +141,7 @@ def verify(
     a = as_vector(a)
     lhs = difference_energy(a, kind)
     rhs = constant_scale * sharp_constant(kind, a.size) * float(a @ a)
-    margin = lhs - rhs
+    margin = finite(lhs - rhs, "inequality margin")
     holds = margin >= -tol if kind.is_lower else margin <= tol
     return CheckReport(lhs=lhs, rhs=rhs, margin=margin, holds=holds)
 

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import as_finite, as_int, as_square_matrix, as_vector, check_tol, checked_exp
+from ._validate import as_finite, as_int, as_square_matrix, as_vector, check_tol
+from ._validate import checked_exp, finite
 from .errors import ConsistencyError, ConvergenceError, OverflowFailure
 from .inequalities import CheckReport
 from .rng import SplitMix64
@@ -81,7 +82,7 @@ def expm_oracle(Q, x: float) -> np.ndarray:
     x = as_finite(x, "x")
     A = Q * x
     anorm = float(np.linalg.norm(A, 1))
-    squarings = 0 if anorm <= 0.5 else int(math.ceil(math.log2(anorm / 0.5)))
+    squarings = 0 if anorm <= 0.5 else int(math.ceil(math.log2(finite(anorm / 0.5, "2 ||Qx||_1"))))
     if squarings > 64:
         raise OverflowFailure(f"argument norm {anorm!r} is out of range")
     A = A / (2.0 ** squarings)
@@ -101,9 +102,7 @@ def expm_oracle(Q, x: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(squarings):
             result = result @ result
-    if not np.all(np.isfinite(result)):
-        raise OverflowFailure("matrix exponential overflowed double precision")
-    return result
+    return finite(result, "matrix exponential")
 
 
 def _taylor_coefficients(n: int, x: float) -> np.ndarray:
@@ -128,9 +127,7 @@ def exp_jordan_closed(n: int, alpha: float, x: float) -> np.ndarray:
     out = np.zeros((n, n))
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         out[row, col] = checked_exp(alpha * x) * _taylor_coefficients(n, x)[col - row]
-    if not np.all(np.isfinite(out)):
-        raise OverflowFailure(f"exp(J_n(alpha) x) overflows at n={n}, alpha={alpha!r}, x={x!r}")
-    return out
+    return finite(out, f"exp(J_n(alpha) x) at n={n}, alpha={alpha!r}, x={x!r}")
 
 
 def _norm_upper_bound(M: np.ndarray) -> float:
@@ -165,8 +162,8 @@ def operator_norm(M) -> float:
     largest = float(np.max(np.abs(M)))
     if largest == 0.0:
         return 0.0
-    # power-of-two rescale: keeps M^T M v finite for huge entries, exactly
-    scale = 2.0 ** math.frexp(largest)[1]
+    # power-of-two rescale, capped at 2^1023: keeps M^T M v finite for huge entries, exactly
+    scale = 2.0 ** min(math.frexp(largest)[1], 1023)
     M = M / scale
     n = M.shape[0]
     bound = _norm_upper_bound(M)
@@ -202,10 +199,7 @@ def operator_norm(M) -> float:
                 f"power iteration fell short of the upper bound {bound * scale!r}; "
                 f"estimates {first * scale!r} and {sigma * scale!r}"
             )
-    value = sigma * scale
-    if not math.isfinite(value):
-        raise OverflowFailure(f"operator norm overflows double precision ({sigma!r} * {scale!r})")
-    return value
+    return finite(sigma * scale, f"operator norm ({sigma!r} * {scale!r})")
 
 
 def default_contraction_grid() -> np.ndarray:
@@ -280,9 +274,7 @@ def _squared_norm(total: float, rows: list[float], x: float) -> float:
     # an explicit loop: sum() or a dot product would change the rounding
     for inner in rows:
         total += inner * inner
-    if not math.isfinite(total):
-        raise OverflowFailure(f"propagator terms overflow double precision at x={x!r}")
-    return total
+    return finite(total, f"propagator terms at x={x!r}")
 
 
 def gftt_lhs(a, x: float) -> float:
@@ -307,7 +299,7 @@ def gftt_check(a, x: float, tol: float = 1e-10) -> CheckReport:
     check_tol(tol, positive=False)
     lhs = gftt_lhs(a, x)
     alpha = dissipativity_threshold(a.size, JordanVariant.STANDARD)
-    rhs = checked_exp(-2.0 * x * alpha) * float(a @ a)
+    rhs = finite(checked_exp(-2.0 * x * alpha) * float(a @ a), "gftt bound")
     margin = lhs - rhs
     return CheckReport(lhs=lhs, rhs=rhs, margin=margin, holds=margin <= tol)
 
@@ -323,7 +315,7 @@ def gftt2_toeplitz_lhs(a, x: float) -> float:
     """
     a = as_vector(a)
     x = as_finite(x, "x")
-    return _squared_norm(checked_exp(-x) * float(a[-1]) ** 2, _propagator_rows(a, x)[1:], x)
+    return _squared_norm(checked_exp(-x) * float(a[-1] ** 2), _propagator_rows(a, x)[1:], x)
 
 
 def gftt2_exact_lhs(a, alpha: float, x: float) -> float:
@@ -331,7 +323,7 @@ def gftt2_exact_lhs(a, alpha: float, x: float) -> float:
     a = as_vector(a)
     block = UpperBidiagonal(a.size, alpha, JordanVariant.MODIFIED)
     image = expm_oracle(block.to_dense(), x) @ a
-    return float(image @ image)
+    return finite(float(image @ image), "squared norm of exp(J~_n(alpha) x) a")
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,7 +394,7 @@ class SubspaceBasis:
 
 def _sym_max_eigenvalue(Q: np.ndarray) -> float:
     """Largest eigenvalue of Q + Q^T: the quadratic form's verdict on Q."""
-    return float(np.linalg.eigvalsh(Q + Q.T)[-1])
+    return finite(float(np.linalg.eigvalsh(finite(Q + Q.T, "Q + Q^T"))[-1]), "max eig(Q + Q^T)")
 
 
 def norm_preserving_subspace(Q, x: float, tol: float = 1e-8) -> SubspaceBasis:

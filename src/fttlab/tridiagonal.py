@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._validate import as_finite, as_int, check_tol
+from ._validate import as_finite, as_int, check_tol, finite
 from .errors import ConvergenceError
 
 __all__ = [
@@ -135,7 +135,7 @@ class DissipativityReport:
 
 def symmetrize(block: UpperBidiagonal) -> SymTridiagonal:
     """B = J^T + J: diagonal doubles, off-diagonal is identically one."""
-    return SymTridiagonal(2.0 * block.diagonal(), np.ones(block.n - 1))
+    return SymTridiagonal(finite(2.0 * block.diagonal(), "J^T + J"), np.ones(block.n - 1))
 
 
 def det_recurrence(tri: SymTridiagonal) -> float:
@@ -145,7 +145,7 @@ def det_recurrence(tri: SymTridiagonal) -> float:
     e2 = tri.offdiag * tri.offdiag
     for k in range(tri.n):
         prev, curr = curr, d[k] * curr - (e2[k - 1] * prev if k > 0 else 0.0)
-    return curr
+    return finite(curr, "continuant")
 
 
 def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
@@ -165,7 +165,8 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
     lo = np.full(n, np.min(tri.diag - radius) - 1e-3)
     hi = np.full(n, np.max(tri.diag + radius) + 1e-3)
     pivmin = max(float(np.max(off2, initial=0.0)), 1.0) * 1e-292
-    max_iter = 64 + int(math.ceil(math.log2(max((hi[0] - lo[0]) / tol, 1.0))))
+    max_iter = 64 + int(math.ceil(math.log2(
+        max(finite((hi[0] - lo[0]) / tol, "Gershgorin width / tol"), 1.0))))
 
     k = np.arange(n)  # indices of the open brackets
     it = 0
@@ -185,7 +186,7 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
         if it > max_iter and k.size:
             raise ConvergenceError(f"bisection for eigenvalue {k[0]} stalled on bracket "
                                    f"[{float(lo[k[0]])!r}, {float(hi[k[0]])!r}]")
-    return 0.5 * (lo + hi)
+    return finite(0.5 * (lo + hi), "eigenvalue")
 
 
 def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
@@ -272,8 +273,8 @@ def quad_form(block: UpperBidiagonal, a: np.ndarray) -> float:
     if block.n > 1:
         out += float(a[1:] @ a[:-1])
     if block.variant is JordanVariant.MODIFIED:
-        out -= 0.5 * float(a[-1]) ** 2
-    return out
+        out -= 0.5 * float(a[-1] ** 2)
+    return finite(out, "quadratic form <J a, a>")
 
 
 def dissipativity_threshold(

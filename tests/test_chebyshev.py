@@ -95,6 +95,14 @@ class TestEval:
         with pytest.raises(ValueError):
             u_diff_eval(0, 0.5)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, np.array([0.5, -math.inf])])
+    def test_rejects_non_finite_arguments(self, x):
+        # a non-finite argument is bad input, not an overflow
+        with pytest.raises(ValueError, match="x must be finite"):
+            u_eval(3, x)
+        with pytest.raises(ValueError, match="x must be finite"):
+            u_diff_eval(3, x)
+
 
 class TestZeros:
     def test_zeros_against_bisection_oracle(self):

@@ -121,6 +121,21 @@ class TestSemigroupNorm:
         assert code == 3
         assert "numeric failure" in err
 
+    def test_overflowing_argument_norm_exits_three_without_traceback(self):
+        # at x = 50 the scaled generator's 1-norm is inf; this used to be a
+        # bare OverflowError, a traceback and exit 1 ("bound violated")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "fttlab", "semigroup-norm", "--n", "2",
+             "--alpha", "1e308", "--grid", "0:50:2"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert result.returncode == 3
+        assert result.stderr.splitlines()[-1].startswith("fttlab: numeric failure:")
+        assert "Traceback" not in result.stderr
+
     def test_tol_flag_is_gone(self, capsys):
         # it only ever set the power-iteration tolerance, to 1e-12 for any tol >= 1e-11
         code, out, _ = run(capsys, "semigroup-norm", "--n", "2", "--alpha", "0", "--tol", "1e-10")

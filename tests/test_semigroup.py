@@ -290,6 +290,22 @@ class TestGftt2:
         with pytest.raises(OverflowFailure):
             gftt2_toeplitz_lhs(np.ones(2), -1000.0)
 
+    def test_toeplitz_form_keeps_its_bits(self):
+        # the last entry is squared as numpy's scalar power, which returns inf
+        # where Python's float ** 2 raised; it must round exactly as that did
+        def python_square_form(a, x):
+            head = math.exp(-x) * float(a[-1]) ** 2
+            return semigroup._squared_norm(head, semigroup._propagator_rows(a, x)[1:], x)
+
+        rng = SplitMix64(11)  # the draws of probe-gftt2 --n 2 --samples 40 --seed 11
+        for _ in range(40):
+            a = rng.vector(2)
+            x = 5.0 * rng.uniform()
+            assert gftt2_toeplitz_lhs(a, x).hex() == python_square_form(a, x).hex()
+        draws = SplitMix64(20240).vector(100_000)
+        got = [gftt2_toeplitz_lhs(draws[i:i + 1], 0.0).hex() for i in range(draws.size)]
+        assert got == [(float(v) ** 2).hex() for v in draws]
+
     def test_exact_route_contracts_at_free_threshold(self):
         rng = SplitMix64(191)
         for _ in range(150):
