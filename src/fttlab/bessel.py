@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._validate import as_finite, as_int, check_tol, checked_exp, finite
+from ._validate import as_finite, as_int, checked_exp, finite
 from .errors import ConvergenceError
 from .tridiagonal import JordanVariant, dissipativity_threshold
 
@@ -139,9 +139,8 @@ def threshold_x0(
     identically 1, the gap vanishes everywhere, and no crossing exists.
     """
     n = as_int(n, "term count", minimum=2)
-    check_tol(tol)
-    if not (math.isfinite(search_hi) and search_hi > 1e-3):
-        raise ValueError(f"search_hi must exceed the scan floor 1e-3, got {search_hi!r}")
+    tol = as_finite(tol, "tol", above=0.0)
+    search_hi = as_finite(search_hi, "search_hi", above=1e-3)  # the scan floor
     scan_points = as_int(scan_points, "scan_points", minimum=2)
 
     def gap(x: float) -> float:

@@ -22,16 +22,14 @@ import math
 
 import numpy as np
 
-from ._validate import as_int, finite
+from ._validate import as_int, as_real_array, finite
 
 __all__ = ["u_eval", "u_zeros", "u_diff_eval", "u_diff_zeros"]
 
 
 def _recurrence(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     """(U_{n-1}(x), U_n(x)) by the forward recurrence."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
+    x = as_real_array(x, "x")
     prev = np.zeros_like(x)          # U_{-1}
     curr = np.ones_like(x)           # U_0
     for _ in range(n):

@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._validate import check_tol
+from ._validate import as_finite, as_int
 from .bessel import ThresholdResult, bound1, bound2, i0_partial, threshold_x0
 from .errors import NumericsError
 from .inequalities import (
@@ -65,8 +65,7 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError(f"grid fields must be number:number:integer, got {text!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"grid endpoints must be finite, got {text!r}")
+    lo, hi = as_finite(lo, "grid start"), as_finite(hi, "grid end")
     if count < 1:
         raise ValueError(f"grid needs at least one point, got {count}")
     if count == 1:
@@ -149,8 +148,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {args.samples}")
+    samples = as_int(args.samples, "samples", minimum=0)
     kinds = list(InequalityKind) if args.kind == "all" else [InequalityKind(args.kind)]
     rng = SplitMix64(args.seed)
     rows: list[dict] = []
@@ -161,7 +159,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.tamper:
             scale = 1.05 if kind.is_lower else 0.95
         vectors = [extremal_vector(kind, args.n)]
-        vectors.extend(rng.vector(args.n) for _ in range(args.samples))
+        vectors.extend(rng.vector(args.n) for _ in range(samples))
         reports = [verify(kind, a, tol=args.tol, constant_scale=scale) for a in vectors]
         directed = [r.margin if kind.is_lower else -r.margin for r in reports]
         worst = directed.index(min(directed))  # the first minimum
@@ -211,7 +209,7 @@ def _cmd_semigroup_norm(args: argparse.Namespace) -> int:
 
 
 def _cmd_bessel_sweep(args: argparse.Namespace) -> int:
-    check_tol(args.tol, positive=False)
+    tol = as_finite(args.tol, "tol", minimum=0.0)
     grid = _parse_grid(args.grid)
     if float(np.min(grid)) < 0.0:
         raise ValueError("partial sums are defined for x >= 0 only")
@@ -222,10 +220,10 @@ def _cmd_bessel_sweep(args: argparse.Namespace) -> int:
         partial = i0_partial(args.n, x)
         b1 = bound1(args.n, x)
         b2 = bound2(args.n, x)
-        if partial > b1 + args.tol:
+        if partial > b1 + tol:
             status = "bound1-exceeded"
             dominated_failure = True
-        elif partial > b2 + args.tol:
+        elif partial > b2 + tol:
             status = "bound2-exceeded"
         else:
             status = "ok"
@@ -342,7 +340,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits itself; keep main() returnable
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        # every non-finite result raises through _validate.finite, so numpy's warnings add nothing
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except NumericsError as exc:
         print(f"fttlab: numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._validate import as_int, as_vector, check_tol, finite
+from ._validate import as_finite, as_int, as_vector, finite
 from .tridiagonal import (
     BlockSign,
     JordanVariant,
@@ -102,7 +102,7 @@ class CheckReport:
 
 def difference_energy(a, kind: InequalityKind) -> float:
     """Sum of squared consecutive differences under the kind's padding."""
-    a = as_vector(a)
+    a = as_vector(a, "a")
     if kind.pins_right_end:
         padded = np.concatenate(([0.0], a, [0.0]))
     else:
@@ -137,8 +137,8 @@ def verify(
     can be probed (a perturbed constant must flip the verdict on the
     extremal vector) and defaults to the genuine constant.
     """
-    check_tol(tol, positive=False)
-    a = as_vector(a)
+    tol = as_finite(tol, "tol", minimum=0.0)
+    a = as_vector(a, "a")
     lhs = difference_energy(a, kind)
     rhs = constant_scale * sharp_constant(kind, a.size) * float(a @ a)
     margin = finite(lhs - rhs, "inequality margin")

@@ -56,8 +56,8 @@ class SplitMix64:
 
     def integer(self, lo: int, hi: int) -> int:
         """One integer uniform on the inclusive range [lo, hi] (via rejection)."""
-        if hi < lo:
-            raise ValueError(f"empty range [{lo}, {hi}]")
+        lo = as_int(lo, "lo")
+        hi = as_int(hi, "hi", minimum=lo)
         span = hi - lo + 1
         limit = (_MASK + 1) - (_MASK + 1) % span
         while True:

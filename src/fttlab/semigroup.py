@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import as_finite, as_int, as_square_matrix, as_vector, check_tol
-from ._validate import checked_exp, finite
+from ._validate import as_finite, as_int, as_square_matrix, as_vector, checked_exp, finite
 from .errors import ConsistencyError, ConvergenceError, OverflowFailure
 from .inequalities import CheckReport
 from .rng import SplitMix64
@@ -78,7 +77,7 @@ def expm_oracle(Q, x: float) -> np.ndarray:
     summed until the additive term drops below 1e-18, and the result is
     squared back up.  Intermediate overflow raises ``OverflowFailure``.
     """
-    Q = as_square_matrix(Q)
+    Q = as_square_matrix(Q, "Q")
     x = as_finite(x, "x")
     A = Q * x
     anorm = float(np.linalg.norm(A, 1))
@@ -158,7 +157,7 @@ def operator_norm(M) -> float:
     Otherwise one restart from a fixed pseudorandom vector is made; if that
     fails too, ``ConvergenceError`` carries both estimates and the bound.
     """
-    M = as_square_matrix(M)
+    M = as_square_matrix(M, "M")
     largest = float(np.max(np.abs(M)))
     if largest == 0.0:
         return 0.0
@@ -214,18 +213,6 @@ class NormCurve:
     xs: np.ndarray
     norms: np.ndarray
 
-    def __post_init__(self) -> None:
-        xs = np.asarray(self.xs, dtype=float)
-        norms = np.asarray(self.norms, dtype=float)
-        if xs.ndim != 1 or xs.shape != norms.shape:
-            raise ValueError("xs and norms must be 1-D arrays of equal length")
-        if xs.size > 1 and not np.all(np.diff(xs) > 0):
-            raise ValueError("xs must be strictly increasing")
-        if not np.all(norms >= 0.0):
-            raise ValueError("norms must be nonnegative")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "norms", norms)
-
     @property
     def max_norm(self) -> float:
         return float(np.max(self.norms))
@@ -235,11 +222,7 @@ def _validate_grid(xs, allow_zero: bool) -> np.ndarray:
     if xs is None:
         grid = default_contraction_grid()
         return grid if allow_zero else grid[1:]
-    grid = np.asarray(xs, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("grid must be a nonempty 1-D array")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("grid values must be finite")
+    grid = as_vector(xs, "grid")
     lo = 0.0 if allow_zero else np.nextafter(0.0, 1.0)
     if np.min(grid) < lo or np.max(grid) > 50.0:
         bound = "[0, 50]" if allow_zero else "(0, 50]"
@@ -256,7 +239,7 @@ def _norm_curve(Q: np.ndarray, grid: np.ndarray) -> NormCurve:
 
 def contraction_check(Q, xs=None) -> NormCurve:
     """Norms of exp(Qx) along the grid; judging them is the caller's business."""
-    Q = as_square_matrix(Q)
+    Q = as_square_matrix(Q, "Q")
     grid = _validate_grid(xs, allow_zero=True)
     return _norm_curve(Q, grid)
 
@@ -284,7 +267,7 @@ def gftt_lhs(a, x: float) -> float:
     Polynomial in x, hence evaluated for any finite x; the sharp bound it
     enters is claimed for x >= 0 only.  Overflow raises ``OverflowFailure``.
     """
-    a = as_vector(a)
+    a = as_vector(a, "a")
     x = as_finite(x, "x")
     return _squared_norm(0.0, _propagator_rows(a, x), x)
 
@@ -294,9 +277,9 @@ def gftt_check(a, x: float, tol: float = 1e-10) -> CheckReport:
 
     The rate 2 cos(pi/(n+1)) is -2 dissipativity_threshold(n, STANDARD).
     """
-    a = as_vector(a)
+    a = as_vector(a, "a")
     x = as_finite(x, "x", minimum=0.0)
-    check_tol(tol, positive=False)
+    tol = as_finite(tol, "tol", minimum=0.0)
     lhs = gftt_lhs(a, x)
     alpha = dissipativity_threshold(a.size, JordanVariant.STANDARD)
     rhs = finite(checked_exp(-2.0 * x * alpha) * float(a @ a), "gftt bound")
@@ -313,14 +296,14 @@ def gftt2_toeplitz_lhs(a, x: float) -> float:
     suggests fails for n = 2.  Kept because measuring that failure is part
     of this package's job.  Overflow raises ``OverflowFailure``.
     """
-    a = as_vector(a)
+    a = as_vector(a, "a")
     x = as_finite(x, "x")
     return _squared_norm(checked_exp(-x) * float(a[-1] ** 2), _propagator_rows(a, x)[1:], x)
 
 
 def gftt2_exact_lhs(a, alpha: float, x: float) -> float:
     """||exp(J~_n(alpha) x) a||^2 through the exponential oracle."""
-    a = as_vector(a)
+    a = as_vector(a, "a")
     block = UpperBidiagonal(a.size, alpha, JordanVariant.MODIFIED)
     image = expm_oracle(block.to_dense(), x) @ a
     return finite(float(image @ image), "squared norm of exp(J~_n(alpha) x) a")
@@ -406,11 +389,9 @@ def norm_preserving_subspace(Q, x: float, tol: float = 1e-8) -> SubspaceBasis:
     is re-verified at 2x; a mismatch raises ``ConsistencyError`` (tol too
     loose, or Q not actually dissipative).
     """
-    Q = as_square_matrix(Q)
-    x = as_finite(x, "x")
-    if not (x > 0.0):
-        raise ValueError(f"x must be positive, got {x!r}")
-    check_tol(tol)
+    Q = as_square_matrix(Q, "Q")
+    x = as_finite(x, "x", above=0.0)
+    tol = as_finite(tol, "tol", above=0.0)
     sym_max = _sym_max_eigenvalue(Q)
     if sym_max > tol:
         raise ValueError(
@@ -461,8 +442,8 @@ def strict_contraction_check(Q, xs=None, tol: float = 1e-6) -> StrictContraction
     the provable direction: a strictly negative form with some grid norm at
     or above 1 + tol.
     """
-    Q = as_square_matrix(Q)
-    check_tol(tol)
+    Q = as_square_matrix(Q, "Q")
+    tol = as_finite(tol, "tol", above=0.0)
     grid = _validate_grid(xs, allow_zero=False)
     sym_max = _sym_max_eigenvalue(Q)
     form_strict = sym_max < -tol

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._validate import as_finite, as_int, check_tol, finite
+from ._validate import as_finite, as_int, as_vector, finite
 from .errors import ConvergenceError
 
 __all__ = [
@@ -93,16 +93,9 @@ class SymTridiagonal:
     offdiag: np.ndarray
 
     def __post_init__(self) -> None:
-        diag = np.asarray(self.diag, dtype=float)
-        off = np.asarray(self.offdiag, dtype=float)
-        if diag.ndim != 1 or diag.size < 1:
-            raise ValueError("diag must be a nonempty 1-D array")
-        if off.shape != (diag.size - 1,):
-            raise ValueError(f"offdiag must have length {diag.size - 1}, got {off.shape}")
-        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
-            raise ValueError("matrix entries must be finite")
+        diag = as_vector(self.diag, "diag")
         object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "offdiag", off)
+        object.__setattr__(self, "offdiag", as_vector(self.offdiag, "offdiag", size=diag.size - 1))
 
     @property
     def n(self) -> int:
@@ -158,7 +151,7 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
     scale and tol = 1e-13).  A bracket closes at width <= tol or when its
     midpoint no longer splits it; ``ConvergenceError`` names one that stalls.
     """
-    check_tol(tol)
+    tol = as_finite(tol, "tol", above=0.0)
     n = tri.n
     off2 = tri.offdiag * tri.offdiag
     radius = np.append(np.sqrt(off2), 0.0) + np.append(0.0, np.sqrt(off2))
@@ -172,7 +165,7 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
     it = 0
     while (k := k[hi[k] - lo[k] > tol]).size:
         it += 1
-        mid = 0.5 * (lo[k] + hi[k])
+        mid = 0.5 * lo[k] + 0.5 * hi[k]  # 0.5 * (lo + hi) overflows past ~9e307
         splits = ~((mid <= lo[k]) | (mid >= hi[k]))  # else at float resolution
         k, mid = k[splits], mid[splits]
         pivots = tri.diag[:, None] - mid
@@ -186,7 +179,7 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
         if it > max_iter and k.size:
             raise ConvergenceError(f"bisection for eigenvalue {k[0]} stalled on bracket "
                                    f"[{float(lo[k[0]])!r}, {float(hi[k[0]])!r}]")
-    return finite(0.5 * (lo + hi), "eigenvalue")
+    return finite(0.5 * lo + 0.5 * hi, "eigenvalue")
 
 
 def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
@@ -228,7 +221,7 @@ def eigvec_inverse_iteration(
     satisfies ``|T v - eigenvalue v| <= 10 tol``; only that residual is
     guaranteed, not any particular sign or phase.
     """
-    check_tol(tol)
+    tol = as_finite(tol, "tol", above=0.0)
     n = tri.n
     if n == 1:
         if abs(tri.diag[0] - eigenvalue) > 10.0 * tol:
@@ -264,11 +257,7 @@ def quad_form(block: UpperBidiagonal, a: np.ndarray) -> float:
     Standard: alpha sum a_k^2 + sum_{k=2}^n a_k a_{k-1}; the modified variant
     subtracts a_n^2 / 2.
     """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (block.n,):
-        raise ValueError(f"vector of shape {a.shape} does not match block size {block.n}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("vector entries must be finite")
+    a = as_vector(a, "a", size=block.n)
     out = block.alpha * float(a @ a)
     if block.n > 1:
         out += float(a[1:] @ a[:-1])
@@ -319,7 +308,7 @@ def check_dissipative(block: UpperBidiagonal, tol: float = 1e-10) -> Dissipativi
     is <= tol.  The witness is a unit eigenvector at that eigenvalue; its
     quadratic form equals max_eigenvalue / 2 up to the eigensolver residual.
     """
-    check_tol(tol)
+    tol = as_finite(tol, "tol", above=0.0)
     mu, witness = _extreme_eigenpair(block, top=True, tol=min(1e-13, tol * 1e-2))
     return DissipativityReport(
         threshold=dissipativity_threshold(block.n, block.variant, BlockSign.PLUS),

@@ -31,7 +31,6 @@ ROUTES = {
     "det_recurrence": lambda: F.det_recurrence(F.SymTridiagonal(_HUGE, np.ones(2))),
     "gftt2_exact_lhs": lambda: F.gftt2_exact_lhs(np.array([1e200, 1.0]), -0.3, 0.5),
     "eig_sturm-width": lambda: F.eig_sturm(F.SymTridiagonal(np.zeros(2), np.array([1e200]))),
-    "eig_sturm-midpoint": lambda: F.eig_sturm(F.SymTridiagonal(np.array([1e308]), np.array([]))),
     "gftt2_toeplitz_lhs": lambda: F.gftt2_toeplitz_lhs(np.array([1e200]), 0.0),
     "expm_oracle": lambda: F.expm_oracle(np.array([[1e300]]), 1e10),
     "expm_oracle-norm": lambda: F.expm_oracle(np.array([[1e308]]), 1.0),
@@ -59,6 +58,20 @@ def test_route_raises_overflow_failure(route):
 def test_operator_norm_of_entries_past_two_to_the_1023():
     # the power-of-two rescale used to ask for 2.0 ** 1024
     assert F.operator_norm(np.array([[1e308]])) == 1e308
+
+
+FINITE_ROUTES = {
+    # Sturm midpoints were 0.5 * (lo + hi), whose sum overflows past ~9e307
+    "eig_sturm-midpoint": lambda: F.eig_sturm(
+        F.SymTridiagonal(np.array([1e308]), np.array([]))).tolist(),
+    "check_dissipative": lambda: [
+        F.check_dissipative(F.UpperBidiagonal(1, 5e307)).max_eigenvalue],
+}
+
+
+@pytest.mark.parametrize("route", sorted(FINITE_ROUTES))
+def test_route_keeps_a_finite_result_near_the_overflow_threshold(route):
+    assert FINITE_ROUTES[route]() == [1e308]
 
 
 def _overflow_raises() -> list[tuple[str, str]]:

@@ -37,7 +37,6 @@ from fttlab import (
 from fttlab import semigroup
 from fttlab.errors import ConsistencyError, ConvergenceError, OverflowFailure
 from fttlab.rng import SplitMix64
-from fttlab.semigroup import NormCurve
 
 
 def random_matrix(rng, n, scale=1.0):
@@ -212,14 +211,6 @@ class TestContraction:
             contraction_check(Q, xs=np.array([-1.0, 1.0]))
         with pytest.raises(ValueError):
             contraction_check(Q, xs=np.array([1.0, 60.0]))
-
-    def test_norm_curve_validation(self):
-        with pytest.raises(ValueError):
-            NormCurve(xs=np.array([0.0, 1.0]), norms=np.array([1.0]))
-        with pytest.raises(ValueError):
-            NormCurve(xs=np.array([1.0, 0.5]), norms=np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            NormCurve(xs=np.array([0.0, 1.0]), norms=np.array([1.0, -0.1]))
 
 
 class TestGftt:
