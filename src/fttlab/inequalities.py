@@ -102,7 +102,11 @@ class CheckReport:
 
 def difference_energy(a, kind: InequalityKind) -> float:
     """Sum of squared consecutive differences under the kind's padding."""
-    a = as_vector(a, "a")
+    return _energy(as_vector(a, "a"), kind)
+
+
+def _energy(a: np.ndarray, kind: InequalityKind) -> float:
+    """``difference_energy`` of an already validated vector."""
     if kind.pins_right_end:
         padded = np.concatenate(([0.0], a, [0.0]))
     else:
@@ -139,7 +143,7 @@ def verify(
     """
     tol = as_finite(tol, "tol", minimum=0.0)
     a = as_vector(a, "a")
-    lhs = difference_energy(a, kind)
+    lhs = _energy(a, kind)
     rhs = constant_scale * sharp_constant(kind, a.size) * float(a @ a)
     margin = finite(lhs - rhs, "inequality margin")
     holds = margin >= -tol if kind.is_lower else margin <= tol

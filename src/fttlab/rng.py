@@ -26,6 +26,7 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_GAMMA_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
 
 
 class SplitMix64:
@@ -50,9 +51,22 @@ class SplitMix64:
         return 2.0 * self.uniform() - 1.0
 
     def vector(self, n: int) -> np.ndarray:
-        """n i.i.d. entries uniform on [-1, 1)."""
+        """n i.i.d. entries uniform on [-1, 1): the next n ``symmetric()`` draws, bit for bit.
+
+        One uint64 numpy pass over the states state + k gamma, k = 1..n; array
+        arithmetic wraps modulo 2^64 silently, where numpy scalars would warn.
+        """
         n = as_int(n, "length", minimum=1)
-        return np.array([self.symmetric() for _ in range(n)])
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= _GAMMA_U64
+        z += np.uint64(self._state)
+        self._state = (self._state + n * _GAMMA) & _MASK
+        z ^= z >> 30
+        z *= _MIX1_U64
+        z ^= z >> 27
+        z *= _MIX2_U64
+        z ^= z >> 31
+        return (z >> 11) * 2.0 ** -52 - 1.0  # == 2 (top53 * 2^-53) - 1 exactly
 
     def integer(self, lo: int, hi: int) -> int:
         """One integer uniform on the inclusive range [lo, hi] (via rejection)."""

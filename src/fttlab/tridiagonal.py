@@ -141,6 +141,30 @@ def det_recurrence(tri: SymTridiagonal) -> float:
     return finite(curr, "continuant")
 
 
+def _bisection_setup(
+    tri: SymTridiagonal, tol: float
+) -> tuple[np.ndarray, float, float, float, int]:
+    """Squared off-diagonal, Gershgorin bracket [lo, hi], pivot floor and sweep budget.
+
+    Overflow shows up only as the ``OverflowFailure`` of the width guard, never as
+    a numpy warning first.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        off2 = tri.offdiag * tri.offdiag
+        radius = np.append(np.sqrt(off2), 0.0) + np.append(0.0, np.sqrt(off2))
+        lo = float(np.min(tri.diag - radius)) - 1e-3
+        hi = float(np.max(tri.diag + radius)) + 1e-3
+        width = finite((hi - lo) / tol, "Gershgorin width / tol")
+    pivmin = max(float(np.max(off2, initial=0.0)), 1.0) * 1e-292
+    max_iter = 64 + int(math.ceil(math.log2(max(width, 1.0))))
+    return off2, lo, hi, pivmin, max_iter
+
+
+def _stalled(index: int, lo: float, hi: float) -> ConvergenceError:
+    return ConvergenceError(f"bisection for eigenvalue {index} stalled on bracket "
+                            f"[{float(lo)!r}, {float(hi)!r}]")
+
+
 def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
     """All eigenvalues of ``tri``, ascending, each bracketed to width <= tol.
 
@@ -153,13 +177,8 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
     """
     tol = as_finite(tol, "tol", above=0.0)
     n = tri.n
-    off2 = tri.offdiag * tri.offdiag
-    radius = np.append(np.sqrt(off2), 0.0) + np.append(0.0, np.sqrt(off2))
-    lo = np.full(n, np.min(tri.diag - radius) - 1e-3)
-    hi = np.full(n, np.max(tri.diag + radius) + 1e-3)
-    pivmin = max(float(np.max(off2, initial=0.0)), 1.0) * 1e-292
-    max_iter = 64 + int(math.ceil(math.log2(
-        max(finite((hi[0] - lo[0]) / tol, "Gershgorin width / tol"), 1.0))))
+    off2, lo0, hi0, pivmin, max_iter = _bisection_setup(tri, tol)
+    lo, hi = np.full(n, lo0), np.full(n, hi0)
 
     k = np.arange(n)  # indices of the open brackets
     it = 0
@@ -177,8 +196,38 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
         hi[k[below]] = mid[below]
         lo[k[~below]] = mid[~below]
         if it > max_iter and k.size:
-            raise ConvergenceError(f"bisection for eigenvalue {k[0]} stalled on bracket "
-                                   f"[{float(lo[k[0]])!r}, {float(hi[k[0]])!r}]")
+            raise _stalled(k[0], lo[k[0]], hi[k[0]])
+    return finite(0.5 * lo + 0.5 * hi, "eigenvalue")
+
+
+def _eig_sturm_one(tri: SymTridiagonal, index: int, tol: float) -> float:
+    """Eigenvalue ``index`` (ascending) of ``tri``, bit for bit ``eig_sturm(tri, tol)[index]``.
+
+    The one bracket evolves exactly as in the lockstep sweeps: the same set-up,
+    midpoints, pivot arithmetic, ``pivmin`` clamp, freeze and stall budget, with
+    the Sturm count as a plain loop over Python floats, O(n) per sweep.
+    """
+    off2, lo, hi, pivmin, max_iter = _bisection_setup(tri, tol)
+    pairs = list(zip(tri.diag.tolist(), [0.0] + off2.tolist()))  # x - 0.0 / p == x
+    it = 0
+    while hi - lo > tol:
+        it += 1
+        mid = 0.5 * lo + 0.5 * hi
+        if mid <= lo or mid >= hi:
+            break
+        count, p = 0, 1.0
+        for d, e2 in pairs:
+            p = (d - mid) - e2 / p
+            if abs(p) < pivmin:
+                p = -pivmin
+            if p < 0.0:
+                count += 1
+        if count > index:
+            hi = mid
+        else:
+            lo = mid
+        if it > max_iter:
+            raise _stalled(index, lo, hi)
     return finite(0.5 * lo + 0.5 * hi, "eigenvalue")
 
 
@@ -292,12 +341,11 @@ def _extreme_eigenpair(
 ) -> tuple[float, np.ndarray]:
     """Largest (``top``) or smallest eigenvalue of J^T + J and a unit eigenvector.
 
-    The eigenvalue is bisected to width ``tol`` and the eigenvector has
+    Only the extreme bracket is bisected, to width ``tol``; the eigenvector has
     residual <= 10 tol.
     """
     sym = symmetrize(block)
-    eigenvalues = eig_sturm(sym, tol=tol)
-    mu = float(eigenvalues[-1] if top else eigenvalues[0])
+    mu = _eig_sturm_one(sym, sym.n - 1 if top else 0, tol)
     return mu, eigvec_inverse_iteration(sym, mu, tol=tol)
 
 

@@ -8,6 +8,7 @@ own intermediate; the source check keeps the rule in that one place.
 
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 import fttlab as F
 from fttlab.errors import OverflowFailure
+from fttlab.tridiagonal import _eig_sturm_one
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -53,6 +55,19 @@ ROUTES = {
 def test_route_raises_overflow_failure(route):
     with pytest.raises(OverflowFailure, match="overflows double precision"):
         ROUTES[route]()
+
+
+@pytest.mark.parametrize("bisect", [F.eig_sturm, lambda tri: _eig_sturm_one(tri, tri.n - 1, 1e-13)],
+                         ids=["eig_sturm", "one-bracket"])
+@pytest.mark.parametrize("tri", [
+    F.SymTridiagonal(np.zeros(2), np.array([1e200])),  # the squared off-diagonal overflows
+    F.SymTridiagonal(np.array([1e300, -1e300]), np.ones(1)),  # only width / tol overflows
+], ids=["offdiag", "width"])
+def test_sturm_setup_overflow_raises_without_a_warning(bisect, tri):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowFailure, match="Gershgorin width / tol"):
+            bisect(tri)
 
 
 def test_operator_norm_of_entries_past_two_to_the_1023():

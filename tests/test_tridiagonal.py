@@ -35,7 +35,7 @@ from fttlab import (
 )
 from fttlab.errors import ConvergenceError
 from fttlab.rng import SplitMix64
-from fttlab.tridiagonal import _solve_tridiagonal
+from fttlab.tridiagonal import _eig_sturm_one, _solve_tridiagonal
 
 
 def random_tridiagonal(rng, n):
@@ -162,6 +162,33 @@ class TestEigSturm:
         want = np.linalg.eigvalsh(t.to_dense())
         assert np.all(np.diff(got) >= 0)
         assert np.max(np.abs(got - want)) < 1e-9
+
+
+class TestOneBracketBisection:
+    """The extreme eigenvalue from one bracket is eig_sturm's, bit for bit."""
+
+    @staticmethod
+    def assert_extremes_match(tri, tol):
+        full = eig_sturm(tri, tol)
+        assert _eig_sturm_one(tri, 0, tol).hex() == float(full[0]).hex()
+        assert _eig_sturm_one(tri, tri.n - 1, tol).hex() == float(full[-1]).hex()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 50, 200, 400])
+    def test_symmetrized_blocks(self, n):
+        for variant in JordanVariant:
+            for alpha in (-1.0, dissipativity_threshold(n, variant), 0.35, 1.0):
+                for tol in (1e-15, 1e-13, 1e-12):
+                    self.assert_extremes_match(symmetrize(UpperBidiagonal(n, alpha, variant)), tol)
+
+    def test_random_tridiagonals_over_ten_decades(self):
+        # at scale 1e5 a 1e-13 bracket is below float resolution: the freeze decides
+        rng = SplitMix64(2024)
+        for _ in range(300):
+            t = random_tridiagonal(rng, rng.integer(1, 59))
+            diag_scale, off_scale = 10.0 ** rng.integer(-5, 5), 10.0 ** rng.integer(-5, 5)
+            tol = (1e-15, 1e-13, 1e-9 * diag_scale)[rng.integer(0, 2)]
+            self.assert_extremes_match(
+                SymTridiagonal(diag_scale * t.diag, off_scale * t.offdiag), tol)
 
 
 def test_spectral_core_bit_matches_fixture():
