@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from ._validate import as_finite, as_int, checked_exp, finite
 from .errors import ConvergenceError
-from .tridiagonal import JordanVariant, dissipativity_threshold
+from .tridiagonal import JordanVariant, _bisect, dissipativity_threshold
 
 __all__ = [
     "ThresholdResult",
@@ -160,34 +160,25 @@ def threshold_x0(
     pattern = "".join(pattern_parts)
 
     changes = 0
-    first: tuple[float, float] | None = None
+    first: int | None = None
     for k in range(scan_points - 1):
         if signs[k] != 0 and signs[k + 1] != 0 and signs[k] != signs[k + 1]:
             changes += 1
             if first is None:
-                first = (xs[k], xs[k + 1])
+                first = k
 
     if first is None:
         return ThresholdResult(n=n, found=False, sign_changes=changes, sign_pattern=pattern)
 
-    lo, hi = first
-    flo = gap(lo)
-    iterations = 0
-    while hi - lo > tol:
-        iterations += 1
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # hit float resolution before the requested width
+    positive_below = signs[first] > 0  # the gap's side at the bracket's left end
+
+    def step(lo: float, mid: float, hi: float) -> tuple[float, float]:
         fmid = gap(mid)
         if fmid == 0.0:
-            lo = hi = mid
-            break
-        if (flo > 0) == (fmid > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if iterations > 200:
-            raise ConvergenceError(f"bisection failed to reach width {tol!r}")
+            return mid, mid
+        return (mid, hi) if (fmid > 0) == positive_below else (lo, mid)
+
+    lo, hi, iterations = _bisect(step, xs[first], xs[first + 1], tol, 200, f"x0({n})")
     return ThresholdResult(
         n=n, found=True, x0=0.5 * (lo + hi), bracket_lo=lo, bracket_hi=hi,
         sign_changes=changes, sign_pattern=pattern, iterations=iterations,

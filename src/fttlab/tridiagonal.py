@@ -128,16 +128,15 @@ class DissipativityReport:
 
 def symmetrize(block: UpperBidiagonal) -> SymTridiagonal:
     """B = J^T + J: diagonal doubles, off-diagonal is identically one."""
-    return SymTridiagonal(finite(2.0 * block.diagonal(), "J^T + J"), np.ones(block.n - 1))
+    finite(2.0 * block.alpha, "J^T + J")  # bounds every entry, and a Python float never warns
+    return SymTridiagonal(2.0 * block.diagonal(), np.ones(block.n - 1))
 
 
 def det_recurrence(tri: SymTridiagonal) -> float:
     """Continuant: b_{-1} = 0, b_0 = 1, b_k = d_k b_{k-1} - e_{k-1}^2 b_{k-2}."""
     prev, curr = 0.0, 1.0
-    d = tri.diag
-    e2 = tri.offdiag * tri.offdiag
-    for k in range(tri.n):
-        prev, curr = curr, d[k] * curr - (e2[k - 1] * prev if k > 0 else 0.0)
+    for d, e2 in zip(tri.diag.tolist(), [0.0] + [e * e for e in tri.offdiag.tolist()]):
+        prev, curr = curr, d * curr - e2 * prev  # Python floats overflow to inf silently
     return finite(curr, "continuant")
 
 
@@ -160,9 +159,22 @@ def _bisection_setup(
     return off2, lo, hi, pivmin, max_iter
 
 
-def _stalled(index: int, lo: float, hi: float) -> ConvergenceError:
-    return ConvergenceError(f"bisection for eigenvalue {index} stalled on bracket "
-                            f"[{float(lo)!r}, {float(hi)!r}]")
+def _bisect(step, lo: float, hi: float, tol: float, max_iter: int, what: str):
+    """Halve [lo, hi] to width <= tol, or until its midpoint no longer splits it.
+
+    ``step(lo, mid, hi)`` returns the half to keep, or ``(mid, mid)`` on an exact
+    hit.  Returns ``(lo, hi, halvings)``; ``ConvergenceError`` past ``max_iter``.
+    """
+    halvings = 0
+    while hi - lo > tol:
+        halvings += 1
+        mid = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) overflows past ~9e307
+        if mid <= lo or mid >= hi:
+            break  # float resolution reached before the requested width
+        lo, hi = step(lo, mid, hi)
+        if halvings > max_iter:
+            raise ConvergenceError(f"bisection for {what} stalled on bracket [{lo!r}, {hi!r}]")
+    return lo, hi, halvings
 
 
 def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
@@ -196,7 +208,8 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
         hi[k[below]] = mid[below]
         lo[k[~below]] = mid[~below]
         if it > max_iter and k.size:
-            raise _stalled(k[0], lo[k[0]], hi[k[0]])
+            raise ConvergenceError(f"bisection for eigenvalue {k[0]} stalled on bracket "
+                                   f"[{float(lo[k[0]])!r}, {float(hi[k[0]])!r}]")
     return finite(0.5 * lo + 0.5 * hi, "eigenvalue")
 
 
@@ -209,12 +222,8 @@ def _eig_sturm_one(tri: SymTridiagonal, index: int, tol: float) -> float:
     """
     off2, lo, hi, pivmin, max_iter = _bisection_setup(tri, tol)
     pairs = list(zip(tri.diag.tolist(), [0.0] + off2.tolist()))  # x - 0.0 / p == x
-    it = 0
-    while hi - lo > tol:
-        it += 1
-        mid = 0.5 * lo + 0.5 * hi
-        if mid <= lo or mid >= hi:
-            break
+
+    def step(lo: float, mid: float, hi: float) -> tuple[float, float]:
         count, p = 0, 1.0
         for d, e2 in pairs:
             p = (d - mid) - e2 / p
@@ -222,12 +231,9 @@ def _eig_sturm_one(tri: SymTridiagonal, index: int, tol: float) -> float:
                 p = -pivmin
             if p < 0.0:
                 count += 1
-        if count > index:
-            hi = mid
-        else:
-            lo = mid
-        if it > max_iter:
-            raise _stalled(index, lo, hi)
+        return (lo, mid) if count > index else (mid, hi)
+
+    lo, hi, _ = _bisect(step, lo, hi, tol, max_iter, f"eigenvalue {index}")
     return finite(0.5 * lo + 0.5 * hi, "eigenvalue")
 
 

@@ -150,6 +150,13 @@ class TestThreshold:
             assert bound2(n, x0 - 1e-6) > bound1(n, x0 - 1e-6)
             assert bound2(n, x0 + 1e-6) < bound1(n, x0 + 1e-6)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_exact_zero_of_the_gap_closes_the_bracket(self, n):
+        # at tol = 1e-15 the bisection lands on a midpoint where the gap is exactly 0
+        result = threshold_x0(n, tol=1e-15)
+        assert result.bracket_lo == result.bracket_hi == result.x0
+        assert bound2(n, result.x0) - bound1(n, result.x0) == 0.0
+
     def test_threshold_grows_with_n(self):
         values = [threshold_x0(n).x0 for n in range(2, 11)]
         assert all(b > a for a, b in zip(values, values[1:]))

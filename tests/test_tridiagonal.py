@@ -5,9 +5,11 @@ route throughout, and scipy's solve_banded (LAPACK dgtsv) for the tridiagonal
 solve; the library never calls them for these quantities.
 """
 
+import ast
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from fttlab import (
 )
 from fttlab.errors import ConvergenceError
 from fttlab.rng import SplitMix64
-from fttlab.tridiagonal import _eig_sturm_one, _solve_tridiagonal
+from fttlab.tridiagonal import _bisect, _eig_sturm_one, _solve_tridiagonal
 
 
 def random_tridiagonal(rng, n):
@@ -189,6 +191,31 @@ class TestOneBracketBisection:
             tol = (1e-15, 1e-13, 1e-9 * diag_scale)[rng.integer(0, 2)]
             self.assert_extremes_match(
                 SymTridiagonal(diag_scale * t.diag, off_scale * t.offdiag), tol)
+
+
+class TestScalarBisection:
+    """The one scalar bisection loop: its freeze, its stall budget, and its home."""
+
+    def test_freezes_when_the_midpoint_no_longer_splits(self):
+        # 52 halvings leave [1, 1 + 2^-52]; the 53rd finds its midpoint rounds to 1
+        assert _bisect(lambda lo, mid, hi: (lo, mid), 1.0, 2.0, 0.0, 10_000, "t") == (
+            1.0, math.nextafter(1.0, 2.0), 53)
+
+    def test_stall_names_what_and_the_bracket(self):
+        stalled = r"bisection for t stalled on bracket \[1\.0, 1\.5\]"
+        with pytest.raises(ConvergenceError, match=stalled):
+            _bisect(lambda lo, mid, hi: (lo, mid), 1.0, 2.0, 0.0, 0, "t")
+
+    def test_only_bisect_holds_a_scalar_bisection_loop(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        loops = []
+        for path in sorted(src.rglob("*.py")):
+            for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(func, ast.FunctionDef):
+                    loops += [(path.name, func.name) for node in ast.walk(func)
+                              if isinstance(node, ast.While)
+                              and ast.unparse(node.test) == "hi - lo > tol"]
+        assert loops == [("tridiagonal.py", "_bisect")]
 
 
 def test_spectral_core_bit_matches_fixture():
