@@ -32,8 +32,9 @@ def _recurrence(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     x = as_real_array(x, "x")
     prev = np.zeros_like(x)          # U_{-1}
     curr = np.ones_like(x)           # U_0
-    for _ in range(n):
-        prev, curr = curr, 2.0 * x * curr - prev
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers' finite guard raises
+        for _ in range(n):
+            prev, curr = curr, 2.0 * x * curr - prev
     return prev, curr
 
 
@@ -49,7 +50,8 @@ def u_eval(n: int, x):
 def u_diff_eval(n: int, x):
     """Evaluate (U_n - U_{n-1})(x).  Requires n >= 1."""
     prev, curr = _recurrence(as_int(n, "polynomial order", minimum=1), x)
-    out = finite(curr - prev, "U_n(x) - U_{n-1}(x)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = finite(curr - prev, "U_n(x) - U_{n-1}(x)")
     return float(out) if out.ndim == 0 else out
 
 

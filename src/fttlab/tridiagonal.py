@@ -142,9 +142,10 @@ def det_recurrence(tri: SymTridiagonal) -> float:
 
 def _bisection_setup(
     tri: SymTridiagonal, tol: float
-) -> tuple[np.ndarray, float, float, float, int]:
-    """Squared off-diagonal, Gershgorin bracket [lo, hi], pivot floor and sweep budget.
+) -> tuple[list[tuple[float, float]], float, float, float, int]:
+    """Sturm pairs (d_i, e_{i-1}^2), Gershgorin bracket [lo, hi], pivot floor and sweep budget.
 
+    The first pair carries e_{-1}^2 = 0.0, so its pivot d_0 - mid needs no branch.
     Overflow shows up only as the ``OverflowFailure`` of the width guard, never as
     a numpy warning first.
     """
@@ -156,7 +157,24 @@ def _bisection_setup(
         width = finite((hi - lo) / tol, "Gershgorin width / tol")
     pivmin = max(float(np.max(off2, initial=0.0)), 1.0) * 1e-292
     max_iter = 64 + int(math.ceil(math.log2(max(width, 1.0))))
-    return off2, lo, hi, pivmin, max_iter
+    pairs = list(zip(tri.diag.tolist(), [0.0] + off2.tolist()))  # x - 0.0 / p == x
+    return pairs, lo, hi, pivmin, max_iter
+
+
+def _sturm_count(pairs: list[tuple[float, float]], pivmin: float, mid: float) -> int:
+    """Eigenvalues below ``mid``: the negative LDL^T pivots of T - mid I.
+
+    Kahan's clamp, as in LAPACK ``dstebz``: a pivot of modulus below ``pivmin``
+    becomes -pivmin, so no division by zero happens and it counts as negative.
+    """
+    count, p = 0, 1.0
+    for d, e2 in pairs:
+        p = (d - mid) - e2 / p
+        if abs(p) < pivmin:
+            p = -pivmin
+        if p < 0.0:
+            count += 1
+    return count
 
 
 def _bisect(step, lo: float, hi: float, tol: float, max_iter: int, what: str):
@@ -183,13 +201,20 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
     Sturm bisection of all n Gershgorin brackets in lockstep, as LAPACK
     ``dstebz`` does: each sweep halves every open bracket and counts the
     negative LDL^T pivots of T - mid I for all midpoints in one pass of n
-    numpy row steps, O(n^2) flops; about log2(width / tol) sweeps (46 at unit
-    scale and tol = 1e-13).  A bracket closes at width <= tol or when its
-    midpoint no longer splits it; ``ConvergenceError`` names one that stalls.
+    row steps, O(n^2) flops; about log2(width / tol) sweeps (46 at unit scale
+    and tol = 1e-13).  A bracket closes at width <= tol or when its midpoint
+    no longer splits it; ``ConvergenceError`` names one that stalls.
+
+    A row step is two ufunc calls, ``row -= e2 / prev``, because ``dstebz``'s
+    clamp (a pivot below ``pivmin`` in modulus becomes -pivmin) is deferred.
+    Up to a column's first such pivot its unclamped pivots are the clamped
+    ones bit for bit, so a column without one is counted exactly.  A column
+    with one, where a zero pivot's inf or nan stays, is recounted by
+    ``_sturm_count``, the clamped scalar count.
     """
     tol = as_finite(tol, "tol", above=0.0)
     n = tri.n
-    off2, lo0, hi0, pivmin, max_iter = _bisection_setup(tri, tol)
+    pairs, lo0, hi0, pivmin, max_iter = _bisection_setup(tri, tol)
     lo, hi = np.full(n, lo0), np.full(n, hi0)
 
     k = np.arange(n)  # indices of the open brackets
@@ -200,11 +225,13 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
         splits = ~((mid <= lo[k]) | (mid >= hi[k]))  # else at float resolution
         k, mid = k[splits], mid[splits]
         pivots = tri.diag[:, None] - mid
-        for i in range(n):
-            if i > 0:
-                pivots[i] -= off2[i - 1] / pivots[i - 1]
-            pivots[i, np.abs(pivots[i]) < pivmin] = -pivmin
-        below = np.count_nonzero(pivots < 0.0, axis=0) > k
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for (_, e2), prev, row in zip(pairs[1:], pivots, pivots[1:]):
+                row -= e2 / prev  # a zero pivot's inf or nan only reaches its own column
+        count = np.count_nonzero(pivots < 0.0, axis=0)
+        for j in np.flatnonzero(((pivots > -pivmin) & (pivots < pivmin)).any(axis=0)):
+            count[j] = _sturm_count(pairs, pivmin, float(mid[j]))
+        below = count > k
         hi[k[below]] = mid[below]
         lo[k[~below]] = mid[~below]
         if it > max_iter and k.size:
@@ -217,21 +244,13 @@ def _eig_sturm_one(tri: SymTridiagonal, index: int, tol: float) -> float:
     """Eigenvalue ``index`` (ascending) of ``tri``, bit for bit ``eig_sturm(tri, tol)[index]``.
 
     The one bracket evolves exactly as in the lockstep sweeps: the same set-up,
-    midpoints, pivot arithmetic, ``pivmin`` clamp, freeze and stall budget, with
-    the Sturm count as a plain loop over Python floats, O(n) per sweep.
+    midpoints, freeze and stall budget, and the clamped Sturm count that
+    ``eig_sturm`` falls back on, ``_sturm_count`` over Python floats, O(n) per sweep.
     """
-    off2, lo, hi, pivmin, max_iter = _bisection_setup(tri, tol)
-    pairs = list(zip(tri.diag.tolist(), [0.0] + off2.tolist()))  # x - 0.0 / p == x
+    pairs, lo, hi, pivmin, max_iter = _bisection_setup(tri, tol)
 
     def step(lo: float, mid: float, hi: float) -> tuple[float, float]:
-        count, p = 0, 1.0
-        for d, e2 in pairs:
-            p = (d - mid) - e2 / p
-            if abs(p) < pivmin:
-                p = -pivmin
-            if p < 0.0:
-                count += 1
-        return (lo, mid) if count > index else (mid, hi)
+        return (lo, mid) if _sturm_count(pairs, pivmin, mid) > index else (mid, hi)
 
     lo, hi, _ = _bisect(step, lo, hi, tol, max_iter, f"eigenvalue {index}")
     return finite(0.5 * lo + 0.5 * hi, "eigenvalue")
@@ -313,11 +332,12 @@ def quad_form(block: UpperBidiagonal, a: np.ndarray) -> float:
     subtracts a_n^2 / 2.
     """
     a = as_vector(a, "a", size=block.n)
-    out = block.alpha * float(a @ a)
-    if block.n > 1:
-        out += float(a[1:] @ a[:-1])
-    if block.variant is JordanVariant.MODIFIED:
-        out -= 0.5 * float(a[-1] ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite below raises instead
+        out = block.alpha * float(a @ a)
+        if block.n > 1:
+            out += float(a[1:] @ a[:-1])
+        if block.variant is JordanVariant.MODIFIED:
+            out -= 0.5 * float(a[-1] ** 2)
     return finite(out, "quadratic form <J a, a>")
 
 

@@ -54,9 +54,8 @@ ROUTES = {
 # raises; every other route must raise under warnings.simplefilter("error")
 STILL_WARNS = {
     *(f"verify-{kind.value}" for kind in F.InequalityKind),
-    "difference_energy", "quad_form", "quad_form-modified", "gftt2_exact_lhs",
-    "gftt2_toeplitz_lhs", "gftt_check", "expm_oracle", "norm_preserving_subspace",
-    "strict_contraction_check", "u_eval", "u_diff_eval",
+    "difference_energy", "gftt2_exact_lhs", "gftt2_toeplitz_lhs", "gftt_check",
+    "expm_oracle", "norm_preserving_subspace", "strict_contraction_check",
 }
 
 

@@ -9,6 +9,7 @@ import ast
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +32,19 @@ from fttlab import (
     extremal_vector,
     quad_form,
     symmetrize,
+    tridiagonal,
     u_diff_zeros,
     u_eval,
     u_zeros,
 )
 from fttlab.errors import ConvergenceError
 from fttlab.rng import SplitMix64
-from fttlab.tridiagonal import _bisect, _eig_sturm_one, _solve_tridiagonal
+from fttlab.tridiagonal import (
+    _bisect,
+    _bisection_setup,
+    _eig_sturm_one,
+    _solve_tridiagonal,
+)
 
 
 def random_tridiagonal(rng, n):
@@ -191,6 +198,86 @@ class TestOneBracketBisection:
             tol = (1e-15, 1e-13, 1e-9 * diag_scale)[rng.integer(0, 2)]
             self.assert_extremes_match(
                 SymTridiagonal(diag_scale * t.diag, off_scale * t.offdiag), tol)
+
+
+def clamped_lockstep_sturm(tri, tol=1e-13):
+    """The lockstep sweep with dstebz's pivmin clamp in every row step.
+
+    The reference that eig_sturm's deferred clamp must match bit for bit.
+    """
+    pairs, lo0, hi0, pivmin, _ = _bisection_setup(tri, tol)
+    off2 = [e2 for _, e2 in pairs]
+    lo, hi = np.full(tri.n, lo0), np.full(tri.n, hi0)
+    k = np.arange(tri.n)
+    while (k := k[hi[k] - lo[k] > tol]).size:
+        mid = 0.5 * lo[k] + 0.5 * hi[k]
+        splits = ~((mid <= lo[k]) | (mid >= hi[k]))
+        k, mid = k[splits], mid[splits]
+        pivots = tri.diag[:, None] - mid
+        for i in range(tri.n):
+            if i > 0:
+                pivots[i] -= off2[i] / pivots[i - 1]
+            pivots[i, np.abs(pivots[i]) < pivmin] = -pivmin
+        below = np.count_nonzero(pivots < 0.0, axis=0) > k
+        hi[k[below]] = mid[below]
+        lo[k[~below]] = mid[~below]
+    return 0.5 * lo + 0.5 * hi
+
+
+class TestDeferredClamp:
+    """eig_sturm's unclamped row steps give the clamped sweep's bits."""
+
+    @staticmethod
+    def assert_matches_clamped_sweep(tri, tol=1e-13):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a zero pivot's inf or nan stays silent
+            got = eig_sturm(tri, tol)
+        assert [v.hex() for v in got.tolist()] == [
+            v.hex() for v in clamped_lockstep_sturm(tri, tol).tolist()]
+
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_symmetrized_blocks_up_to_the_benchmark_sizes(self, n):
+        for variant in JordanVariant:
+            for alpha in (0.0, dissipativity_threshold(n, variant), 1.0):
+                self.assert_matches_clamped_sweep(symmetrize(UpperBidiagonal(n, alpha, variant)))
+
+    def test_random_tridiagonals_with_exact_and_signed_zeros(self):
+        rng = SplitMix64(77)
+        for _ in range(200):
+            t = random_tridiagonal(rng, rng.integer(1, 40))
+            diag = 10.0 ** rng.integer(-5, 5) * t.diag
+            off = 10.0 ** rng.integer(-5, 5) * t.offdiag
+            diag[[rng.integer(0, 3) == 0 for _ in diag]] = 0.0
+            diag[[rng.integer(0, 5) == 0 for _ in diag]] = -0.0
+            off[[rng.integer(0, 3) == 0 for _ in off]] = 0.0
+            off[[rng.integer(0, 5) == 0 for _ in off]] = -0.0
+            tol = (1e-15, 1e-13)[rng.integer(0, 1)]
+            self.assert_matches_clamped_sweep(SymTridiagonal(diag, off), tol)
+
+    @pytest.mark.parametrize("n", [3, 5, 50, 51])
+    def test_a_zero_first_pivot_is_recounted_by_the_clamped_count(self, n, monkeypatch):
+        # at alpha = 0 the first midpoint is exactly 0.0 and the first pivot d_0 - 0.0 is 0
+        recounted, count = [], tridiagonal._sturm_count
+
+        def spy(pairs, pivmin, mid):
+            recounted.append(mid)
+            return count(pairs, pivmin, mid)
+
+        monkeypatch.setattr(tridiagonal, "_sturm_count", spy)
+        for variant in JordanVariant:
+            self.assert_matches_clamped_sweep(symmetrize(UpperBidiagonal(n, 0.0, variant)))
+        assert 0.0 in recounted
+
+    def test_the_clamp_is_written_once(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        clamps = []
+        for path in sorted(src.rglob("*.py")):
+            for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(func, ast.FunctionDef):
+                    clamps += [(path.name, func.name) for node in ast.walk(func)
+                               if isinstance(node, ast.Compare)
+                               and "abs(" in ast.unparse(node) and "pivmin" in ast.unparse(node)]
+        assert clamps == [("tridiagonal.py", "_sturm_count")]
 
 
 class TestScalarBisection:
