@@ -9,6 +9,14 @@ that statement and keeps them strictly separate so they can check each other:
 * ``operator_norm``    - deterministic power iteration on M^T M
 * ``contraction_check``- norm curve of exp(Qx) over a grid
 
+A norm curve is two batched passes over the whole grid: one exponential of
+the (k, n, n) stack of Qx, where each slice has its own scale, Taylor length
+and squaring count, and one power iteration run in lockstep over the stack,
+where each slice stops at the step its own iteration would.  Each point
+keeps the bits of ``operator_norm(expm_oracle(Q, x))``; those two public
+functions are the one-point calls of the same cores, and where points fail,
+the error raised is the one of the first failing point.
+
 On top sit the generalized sharp bound for the standard block,
 
     sum_{j=0}^{n-1} ( sum_{k=0}^{j} x^k/k! a_{n-j+k} )^2
@@ -76,31 +84,56 @@ def expm_oracle(Q, x: float) -> np.ndarray:
     The argument is halved until its 1-norm is at most 0.5, the series is
     summed until the additive term drops below 1e-18, and the result is
     squared back up.  Intermediate overflow raises ``OverflowFailure``.
+    This is the one-point call of the grid-batched core behind
+    ``contraction_check``, so a curve holds the bits of this function.
     """
     Q = as_square_matrix(Q, "Q")
-    x = as_finite(x, "x")
-    A = Q * x
-    anorm = float(np.linalg.norm(A, 1))
-    squarings = 0 if anorm <= 0.5 else int(math.ceil(math.log2(finite(anorm / 0.5, "2 ||Qx||_1"))))
-    if squarings > 64:
-        raise OverflowFailure(f"argument norm {anorm!r} is out of range")
-    A = A / (2.0 ** squarings)
+    return _expm_stack(Q, np.array([as_finite(x, "x")]))[0]
 
-    n = A.shape[0]
-    result = np.eye(n)
-    term = np.eye(n)
+
+def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """exp(Qx) for every x in xs as a (k, n, n) stack, each slice as ``expm_oracle``'s recipe.
+
+    Every slice gets its own 2^-s scale, leaves the Taylor sum once its own
+    term drops below 1e-18 and is squared its own s times, all through the
+    same per-matrix products as a single call, so each slice keeps its bits.
+    """
+    with np.errstate(over="ignore"):  # the finite guard on the 1-norm raises right after
+        A = Q * xs[:, None, None]
+    # numpy's matrix 1-norm, column sums then their maximum, per slice
+    squarings = []
+    for anorm in np.abs(A).sum(axis=1).max(axis=1).tolist():
+        s = 0 if anorm <= 0.5 else int(math.ceil(math.log2(finite(anorm / 0.5, "2 ||Qx||_1"))))
+        if s > 64:
+            raise OverflowFailure(f"argument norm {anorm!r} is out of range")
+        squarings.append(s)
+    squarings = np.array(squarings)
+    A /= np.ldexp(1.0, squarings)[:, None, None]
+
+    # Taylor phase on the whole stack: a slice whose term dropped below the
+    # tolerance stops adding terms; four stack-sized arrays at most are alive
+    term = np.broadcast_to(np.eye(Q.shape[0]), A.shape)
+    result = term.copy()
+    adding = np.ones((xs.size, 1, 1), dtype=bool)
     for k in range(1, 64):
-        term = term @ A / k
-        result = result + term
-        if float(np.max(np.abs(term))) < _TAYLOR_TOL:
+        term = term @ A
+        term /= k
+        np.add(result, term, out=result, where=adding)
+        # max |term| < tol without an |term| temporary; a NaN keeps its slice adding, as there
+        adding &= ~((term.max(axis=(1, 2), keepdims=True) < _TAYLOR_TOL)
+                    & (term.min(axis=(1, 2), keepdims=True) > -_TAYLOR_TOL))
+        if not adding.any():
             break
     else:
         raise ConvergenceError("Taylor series for the scaled exponential did not settle")
+    del A, term
 
     # overflow here is an expected, checked outcome, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(squarings):
-            result = result @ result
+        for j in range(int(squarings.max())):
+            live = np.flatnonzero(squarings > j)
+            square = result[live]
+            result[live] = square @ square
     return finite(result, "matrix exponential")
 
 
@@ -129,22 +162,29 @@ def exp_jordan_closed(n: int, alpha: float, x: float) -> np.ndarray:
     return finite(out, f"exp(J_n(alpha) x) at n={n}, alpha={alpha!r}, x={x!r}")
 
 
-def _norm_upper_bound(M: np.ndarray) -> float:
-    """sigma_max(M) <= ||B^(2^k)||_F^(1/2^(k+1)) with B = M^T M, for every k.
+def _frobenius(B: np.ndarray) -> list[float]:
+    """Frobenius norm of each slice of a C-contiguous (k, n, n) stack, as np.linalg.norm sums it."""
+    flat = B.reshape(B.shape[0], 1, -1)
+    return np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel().tolist()
+
+
+def _norm_upper_bound(M: np.ndarray) -> np.ndarray:
+    """sigma_max(M) <= ||B^(2^k)||_F^(1/2^(k+1)) with B = M^T M, for every k; per slice of M.
 
     B is squared k times, rescaled to unit Frobenius norm before each
     squaring; the bound is the product of the removed norms raised to the
     matching powers, and it falls to sigma_max as k grows.
     """
-    B = M.T @ M
-    norm = float(np.linalg.norm(B))
-    bound = math.sqrt(norm)
+    B = M.transpose(0, 2, 1) @ M
+    norms = _frobenius(B)
+    # the scalar factors stay Python floats, so sqrt and ** round as they did for one matrix
+    bounds = [math.sqrt(norm) for norm in norms]
     for k in range(1, _BOUND_SQUARINGS + 1):
-        B = B / norm
+        B /= np.array(norms)[:, None, None]
         B = B @ B
-        norm = float(np.linalg.norm(B))
-        bound *= norm ** (0.5 ** (k + 1))
-    return bound
+        norms = _frobenius(B)
+        bounds = [bound * norm ** (0.5 ** (k + 1)) for bound, norm in zip(bounds, norms)]
+    return np.array(bounds)
 
 
 def operator_norm(M) -> float:
@@ -156,49 +196,82 @@ def operator_norm(M) -> float:
     vector that is an eigenvector of M^T M for a smaller singular value.
     Otherwise one restart from a fixed pseudorandom vector is made; if that
     fails too, ``ConvergenceError`` carries both estimates and the bound.
+    This is the one-matrix call of the lockstep iteration that
+    ``contraction_check`` runs over a whole stack of exponentials.
     """
-    M = as_square_matrix(M, "M")
-    largest = float(np.max(np.abs(M)))
-    if largest == 0.0:
-        return 0.0
+    return _operator_norms(as_square_matrix(M, "M")[None])[0]
+
+
+def _power_run(M: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Power iteration on each M[i]^T M[i] from ``start``, all slices in lockstep.
+
+    Returns (sigma, settled): each slice stops at the step where a loop over
+    that slice alone would stop, with the same products (matmul of a vector
+    with itself is numpy's ddot, as ``w.dot(w)``), so its estimate keeps the
+    bits of such a loop.  ``settled`` is False where the slice fell into the
+    kernel of M^T M or spent the budget.
+    """
+    k, n, _ = M.shape
+    sigma = np.empty(k)
+    settled = np.zeros(k, dtype=bool)
+    live = np.arange(k)
+    MT = M.transpose(0, 2, 1)
+    v = np.broadcast_to((start / math.sqrt(start.dot(start)))[:, None], (k, n, 1))
+    sigma_prev = np.full((k, 1, 1), -1.0)
+    close_prev = np.zeros((k, 1, 1), dtype=bool)
+    for _ in range(_POWER_BUDGET):
+        w = M @ v
+        sig = np.sqrt(w.transpose(0, 2, 1) @ w)
+        g = MT @ w
+        gn = np.sqrt(g.transpose(0, 2, 1) @ g)
+        close = np.abs(sig - sigma_prev) <= _POWER_TOL * np.maximum(sig, 1e-300)
+        stop = close & close_prev  # two relative changes in a row within the tolerance
+        # gn == 0: the iterate fell into the kernel of M^T M, so that slice stops unsettled
+        if np.count_nonzero(stop) or np.count_nonzero(gn) < gn.size:
+            kernel = (gn == 0.0).ravel()
+            done = stop.ravel() | kernel
+            sigma[live[done]] = sig[done].ravel()
+            settled[live[done]] = ~kernel[done]
+            keep = ~done
+            live, M, sig, g, gn, close = live[keep], M[keep], sig[keep], g[keep], gn[keep], close[keep]
+            if not live.size:
+                return sigma, settled
+            MT = M.transpose(0, 2, 1)
+        v = g / gn
+        sigma_prev, close_prev = sig, close
+    sigma[live] = sigma_prev.ravel()
+    return sigma, settled
+
+
+def _operator_norms(M: np.ndarray) -> list[float]:
+    """``operator_norm`` of every slice of a (k, n, n) stack."""
+    largest = np.abs(M).max(axis=(1, 2))
+    norms = [0.0] * largest.size
+    live = np.flatnonzero(largest)
+    if not live.size:
+        return norms
     # power-of-two rescale, capped at 2^1023: keeps M^T M v finite for huge entries, exactly
-    scale = 2.0 ** min(math.frexp(largest)[1], 1023)
-    M = M / scale
-    n = M.shape[0]
-    bound = _norm_upper_bound(M)
+    scale = np.ldexp(1.0, np.minimum(np.frexp(largest[live])[1], 1023))
+    M = M[live] / scale[:, None, None]
+    n = M.shape[1]
+    bound = np.broadcast_to(_norm_upper_bound(M), live.shape)
+    floor = bound * (1.0 - _BOUND_SLACK)
 
-    def run(v: np.ndarray) -> tuple[float, bool]:
-        # math.sqrt(w.dot(w)) is what np.linalg.norm computes, without its dispatch
-        v = v / math.sqrt(v.dot(v))
-        sigma_prev = -1.0
-        settled = 0
-        for _ in range(_POWER_BUDGET):
-            w = M @ v
-            sigma = math.sqrt(w.dot(w))
-            g = M.T @ w
-            gn = math.sqrt(g.dot(g))
-            if gn == 0.0:
-                return sigma, False  # landed in the kernel of M^T M; restart
-            v = g / gn
-            if abs(sigma - sigma_prev) <= _POWER_TOL * max(sigma, 1e-300):
-                settled += 1
-                if settled >= 2:
-                    return sigma, sigma >= bound * (1.0 - _BOUND_SLACK)
-            else:
-                settled = 0
-            sigma_prev = sigma
-        return sigma_prev, False
-
-    sigma, accepted = run(np.ones(n))
-    if not accepted:
-        first = sigma
-        sigma, accepted = run(SplitMix64(_RESTART_SEED).vector(n))
-        if not accepted:
+    first, settled = _power_run(M, np.ones(n))
+    sigma = first.copy()
+    retry = np.flatnonzero(~(settled & (first >= floor)))
+    if retry.size:
+        sigma[retry], settled[retry] = _power_run(M[retry], SplitMix64(_RESTART_SEED).vector(n))
+        failed = retry[~(settled[retry] & (sigma[retry] >= floor[retry]))]
+        if failed.size:
+            i, c = failed[0], float(scale[failed[0]])
             raise ConvergenceError(
-                f"power iteration fell short of the upper bound {bound * scale!r}; "
-                f"estimates {first * scale!r} and {sigma * scale!r}"
+                f"power iteration fell short of the upper bound {float(bound[i]) * c!r}; "
+                f"estimates {float(first[i]) * c!r} and {float(sigma[i]) * c!r}"
             )
-    return finite(sigma * scale, f"operator norm ({sigma!r} * {scale!r})")
+    for i, s, c in zip(live.tolist(), sigma.tolist(), scale.tolist()):
+        norms[i] = finite(s * c, f"operator norm ({s!r} * {c!r})")
+    return norms
 
 
 def default_contraction_grid() -> np.ndarray:
@@ -232,9 +305,23 @@ def _validate_grid(xs, allow_zero: bool) -> np.ndarray:
     return grid
 
 
+def _in_grid_order(batch, Q: np.ndarray, xs: np.ndarray):
+    """batch(Q, xs), or else the failure of the first x that fails on its own.
+
+    A batch meets failures stage by stage, a loop over xs point by point; on
+    failure the points are run alone, in order, so the loop's error is raised.
+    """
+    try:
+        return batch(Q, xs)
+    except (OverflowFailure, ConvergenceError):
+        for i in range(xs.size):
+            batch(Q, xs[i:i + 1])
+        raise
+
+
 def _norm_curve(Q: np.ndarray, grid: np.ndarray) -> NormCurve:
-    norms = np.array([operator_norm(expm_oracle(Q, x)) for x in grid])
-    return NormCurve(xs=grid, norms=norms)
+    norms = _in_grid_order(lambda Q, xs: _operator_norms(_expm_stack(Q, xs)), Q, grid)
+    return NormCurve(xs=grid, norms=np.array(norms))
 
 
 def contraction_check(Q, xs=None) -> NormCurve:
@@ -377,7 +464,9 @@ class SubspaceBasis:
 
 def _sym_max_eigenvalue(Q: np.ndarray) -> float:
     """Largest eigenvalue of Q + Q^T: the quadratic form's verdict on Q."""
-    return finite(float(np.linalg.eigvalsh(finite(Q + Q.T, "Q + Q^T"))[-1]), "max eig(Q + Q^T)")
+    with np.errstate(over="ignore"):  # checked just below
+        form = Q + Q.T
+    return finite(float(np.linalg.eigvalsh(finite(form, "Q + Q^T"))[-1]), "max eig(Q + Q^T)")
 
 
 def norm_preserving_subspace(Q, x: float, tol: float = 1e-8) -> SubspaceBasis:
@@ -399,15 +488,13 @@ def norm_preserving_subspace(Q, x: float, tol: float = 1e-8) -> SubspaceBasis:
         )
     n = Q.shape[0]
 
-    def kernel(at: float) -> np.ndarray:
-        propagator = expm_oracle(Q, at)
+    def kernel(propagator: np.ndarray) -> np.ndarray:
         defect = np.eye(n) - propagator.T @ propagator
         defect = 0.5 * (defect + defect.T)
         eigenvalues, eigenvectors = np.linalg.eigh(defect)
         return eigenvectors[:, np.abs(eigenvalues) <= tol]
 
-    basis = kernel(x)
-    check = kernel(2.0 * x)
+    basis, check = map(kernel, _in_grid_order(_expm_stack, Q, np.array([x, 2.0 * x])))
     if basis.shape[1] != check.shape[1]:
         raise ConsistencyError(
             f"norm-preserving dimension differs between x={x!r} ({basis.shape[1]}) "

@@ -55,7 +55,6 @@ ROUTES = {
 STILL_WARNS = {
     *(f"verify-{kind.value}" for kind in F.InequalityKind),
     "difference_energy", "gftt2_exact_lhs", "gftt2_toeplitz_lhs", "gftt_check",
-    "expm_oracle", "norm_preserving_subspace", "strict_contraction_check",
 }
 
 
@@ -123,5 +122,5 @@ def test_overflow_failure_is_raised_in_one_place():
     assert _overflow_raises() == [
         ("_validate.py", "checked_exp"),
         ("_validate.py", "finite"),
-        ("semigroup.py", "expm_oracle"),
+        ("semigroup.py", "_expm_stack"),
     ]

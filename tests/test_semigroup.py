@@ -8,7 +8,10 @@ functions; the hand-computed 2x2 modified-block exponential
 pins down the non-Toeplitz last column that the discrepancy probe measures.
 """
 
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from fttlab import (
     UpperBidiagonal,
     contraction_check,
     default_contraction_grid,
+    dissipativity_threshold,
     exp_jordan_closed,
     expm_oracle,
     gftt2_discrepancy_probe,
@@ -211,6 +215,68 @@ class TestContraction:
             contraction_check(Q, xs=np.array([-1.0, 1.0]))
         with pytest.raises(ValueError):
             contraction_check(Q, xs=np.array([1.0, 60.0]))
+
+
+class TestBatchedCurve:
+    """A norm curve is one batched exponential and one lockstep power
+    iteration over the grid; every point keeps the bits of a per-x call."""
+
+    def test_curves_keep_the_bits_of_the_per_x_loop(self):
+        fixture = Path(__file__).resolve().parent / "fixtures" / "norm_curve_bits.json"
+        curves = json.loads(fixture.read_text(encoding="utf-8"))["curves"]
+        assert len(curves) == 30
+        for c in curves:
+            block = UpperBidiagonal(c["n"], float.fromhex(c["alpha"]), JordanVariant(c["variant"]))
+            got = [v.hex() for v in contraction_check(block.to_dense()).norms]
+            assert got == c["norms"], (c["n"], c["variant"], c["position"])
+
+    def test_each_slice_of_a_batched_exponential_is_a_single_call(self):
+        rng = SplitMix64(301)
+        xs = np.array([0.0, 1e-3, 0.2, 0.9, 3.0, 11.0, 40.0])
+        for n in (1, 2, 5, 9):
+            Q = random_matrix(rng, n)
+            stack = semigroup._expm_stack(Q, xs)
+            anorms = [float(np.linalg.norm(Q * x, 1)) for x in xs]
+            assert len({math.ceil(math.log2(a / 0.5)) if a > 0.5 else 0 for a in anorms}) >= 4
+            for x, got in zip(xs, stack):
+                assert got.tobytes() == expm_oracle(Q, x).tobytes(), (n, x)
+
+    def test_restart_runs_inside_a_batch(self, monkeypatch):
+        stack = np.array([
+            [[2.0, 0.3], [-0.4, 1.1]],
+            [[1.0, -1.0], [1.0, -1.0]],  # all ones lies in the kernel of M^T M
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[1.5, -0.5], [-0.5, 1.5]],  # all ones is an eigenvector for sigma = 1
+            [[-3.0, 0.5], [0.25, 0.75]],
+        ])
+        runs = []
+        power_run = semigroup._power_run
+
+        def counted(M, start):
+            runs.append(M.shape[0])
+            return power_run(M, start)
+
+        monkeypatch.setattr(semigroup, "_power_run", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a kernel slice stops before g / |g| divides by zero
+            got = semigroup._operator_norms(stack)
+        assert runs == [4, 2]  # the zero slice never iterates; two slices restart together
+        assert got[1] == pytest.approx(2.0, abs=1e-10)
+        assert got[2] == 0.0
+        assert got[3] == pytest.approx(2.0, abs=1e-12)
+        assert [v.hex() for v in got] == [operator_norm(M).hex() for M in stack]
+
+    def test_the_first_failing_point_names_the_error(self):
+        # x = 1 overflows while squaring; x = 50 needs more than 64 squarings
+        with pytest.raises(OverflowFailure, match="matrix exponential overflows"):
+            contraction_check(np.array([[1e18]]), xs=np.array([1.0, 50.0]))
+
+    def test_power_budget_runs_out_for_a_forty_block_at_the_threshold(self):
+        # a known defect, pinned rather than fixed: near x = 0, exp(Qx) is close
+        # to I and sigma_2 / sigma_1 is close to 1, so both runs spend the budget
+        block = UpperBidiagonal(40, dissipativity_threshold(40, JordanVariant.STANDARD))
+        with pytest.raises(ConvergenceError, match="fell short of the upper bound"):
+            contraction_check(block.to_dense())
 
 
 class TestGftt:
