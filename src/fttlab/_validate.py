@@ -1,6 +1,7 @@
 """The input contract, checked here only, and the range guards shared by the modules.
 
 Real input is a finite int or float, never a bool, text or complex: else ``ValueError``.
+An int too large for a double is not finite input either.
 """
 
 from __future__ import annotations
@@ -15,10 +16,24 @@ from .errors import OverflowFailure
 _REAL = (float, int, np.floating, np.integer)
 
 
-def as_int(value, name: str, minimum: int | None = None) -> int:
-    """An integer (bools excluded) that is at least ``minimum`` when given."""
+# float() of an int overflows from here on: the rounding midpoint above the largest double
+_INT_LIMIT = 2**1024 - 2**970
+
+
+def _beyond_double(value: int, name: str) -> ValueError:
+    return ValueError(f"{name} must fit in double precision, got a {value.bit_length()}-bit integer")
+
+
+def as_int(value, name: str, minimum: int | None = None, *, any_size: bool = False) -> int:
+    """An integer (bools excluded) that is at least ``minimum`` when given.
+
+    It must also convert to a double, unless ``any_size`` (for integers that
+    never enter float arithmetic, such as a seed masked to 64 bits).
+    """
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not any_size and abs(value) >= _INT_LIMIT:
+        raise _beyond_double(value, name)
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
     return int(value)
@@ -28,7 +43,10 @@ def as_finite(value, name: str, minimum: float | None = None, above: float | Non
     """A finite real scalar as a float, at least ``minimum`` and above ``above`` when given."""
     if not isinstance(value, _REAL) or isinstance(value, bool):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # "int too large to convert to float"
+        raise _beyond_double(value, name) from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     if minimum is not None and value < minimum:

@@ -146,7 +146,7 @@ def threshold_x0(
     def gap(x: float) -> float:
         return bound2(n, x) - bound1(n, x)
 
-    ratio = (search_hi / 1e-3) ** (1.0 / (scan_points - 1))
+    ratio = finite(search_hi / 1e-3, "scan ratio search_hi / 1e-3") ** (1.0 / (scan_points - 1))
     xs = [1e-3 * ratio ** k for k in range(scan_points)]
     xs[-1] = search_hi
     values = [gap(x) for x in xs]

@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._validate import as_finite, as_int
+from ._validate import as_finite, as_int, finite
 from .bessel import ThresholdResult, bound1, bound2, i0_partial, threshold_x0
 from .errors import NumericsError
 from .inequalities import (
@@ -74,6 +74,7 @@ def _parse_grid(text: str) -> np.ndarray:
         return np.array([lo])
     if hi <= lo:
         raise ValueError(f"grid needs hi > lo, got {text!r}")
+    finite(hi - lo, "grid span")  # numpy's linspace would turn an inf span into nan points
     if len(parts) == 4:
         if lo <= 0.0:
             raise ValueError("a geometric grid needs lo > 0")
@@ -340,9 +341,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits itself; keep main() returnable
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        # every non-finite result raises through _validate.finite, so numpy's warnings add nothing
-        with np.errstate(all="ignore"):
-            return args.handler(args)
+        return args.handler(args)
     except NumericsError as exc:
         print(f"fttlab: numeric failure: {exc}", file=sys.stderr)
         return 3

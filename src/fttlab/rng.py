@@ -33,7 +33,7 @@ class SplitMix64:
     """Deterministic stream of uniforms from a 64-bit seed."""
 
     def __init__(self, seed: int) -> None:
-        self._state = as_int(seed, "seed") & _MASK
+        self._state = as_int(seed, "seed", any_size=True) & _MASK
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
@@ -70,8 +70,8 @@ class SplitMix64:
 
     def integer(self, lo: int, hi: int) -> int:
         """One integer uniform on the inclusive range [lo, hi] (via rejection)."""
-        lo = as_int(lo, "lo")
-        hi = as_int(hi, "hi", minimum=lo)
+        lo = as_int(lo, "lo", any_size=True)
+        hi = as_int(hi, "hi", minimum=lo, any_size=True)
         span = hi - lo + 1
         limit = (_MASK + 1) - (_MASK + 1) % span
         while True:

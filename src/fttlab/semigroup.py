@@ -369,7 +369,9 @@ def gftt_check(a, x: float, tol: float = 1e-10) -> CheckReport:
     tol = as_finite(tol, "tol", minimum=0.0)
     lhs = gftt_lhs(a, x)
     alpha = dissipativity_threshold(a.size, JordanVariant.STANDARD)
-    rhs = finite(checked_exp(-2.0 * x * alpha) * float(a @ a), "gftt bound")
+    with np.errstate(over="ignore"):  # checked just below
+        energy = float(a @ a)
+    rhs = finite(checked_exp(-2.0 * x * alpha) * energy, "gftt bound")
     margin = lhs - rhs
     return CheckReport(lhs=lhs, rhs=rhs, margin=margin, holds=margin <= tol)
 
@@ -385,15 +387,20 @@ def gftt2_toeplitz_lhs(a, x: float) -> float:
     """
     a = as_vector(a, "a")
     x = as_finite(x, "x")
-    return _squared_norm(checked_exp(-x) * float(a[-1] ** 2), _propagator_rows(a, x)[1:], x)
+    with np.errstate(over="ignore"):  # _squared_norm checks the total
+        last = float(a[-1] ** 2)
+    return _squared_norm(checked_exp(-x) * last, _propagator_rows(a, x)[1:], x)
 
 
 def gftt2_exact_lhs(a, alpha: float, x: float) -> float:
     """||exp(J~_n(alpha) x) a||^2 through the exponential oracle."""
     a = as_vector(a, "a")
     block = UpperBidiagonal(a.size, alpha, JordanVariant.MODIFIED)
-    image = expm_oracle(block.to_dense(), x) @ a
-    return finite(float(image @ image), "squared norm of exp(J~_n(alpha) x) a")
+    propagator = expm_oracle(block.to_dense(), x)
+    with np.errstate(over="ignore"):  # checked just below
+        image = propagator @ a
+        energy = float(image @ image)
+    return finite(energy, "squared norm of exp(J~_n(alpha) x) a")
 
 
 @dataclass(frozen=True, eq=False)

@@ -175,6 +175,11 @@ class TestThreshold:
         assert a.bracket_lo == b.bracket_lo
         assert a.iterations == b.iterations
 
+    def test_overflowing_scan_ratio_is_a_numeric_failure(self):
+        # search_hi / 1e-3 used to reach the scan as inf and fail as bad input
+        with pytest.raises(OverflowFailure, match="scan ratio"):
+            threshold_x0(3, search_hi=1e306)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             threshold_x0(1)

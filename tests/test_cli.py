@@ -4,6 +4,7 @@ Everything runs in-process through main() except one subprocess smoke test
 that exercises the installed entry point end to end.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -281,6 +282,42 @@ class TestContract:
         assert out == ""
         assert err.startswith("fttlab: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+_HUGE_N = str(10**400)
+
+# (argv, exit code, what the one stderr line names); each row used to print a
+# numpy warning or a traceback, or to exit with another code
+FAILURES = {
+    # an inf span reached np.linspace, whose nan points failed as bad input (2)
+    "grid-span": ("bessel-sweep --n 2 --grid=-1e308:1e308:3", 3, "grid span"),
+    # a bare OverflowError: a traceback and exit 1
+    **{f"huge-n-{command}": (f"{command} --n {_HUGE_N}", 2, "must fit in double precision")
+       for command in ("constants", "threshold", "verify", "probe-gftt2")},
+    # search_hi / 1e-3 reached the scan as inf and failed as bad input (2)
+    "scan-ratio": ("threshold --n 3 --search-hi 1e306", 3, "scan ratio"),
+    "argument-norm": ("semigroup-norm --n 2 --alpha 1e308 --grid 0:50:2", 3, "2 ||Qx||_1"),
+    "power-budget": ("semigroup-norm --n 40 --alpha -0.997", 3, "power iteration"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_failure_path_prints_one_line(capsys, case):
+    argv, want, names = FAILURES[case]
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (want, "")
+    assert err.startswith("fttlab: ") and err.count("\n") == 1 and names in err
+
+
+def test_main_does_not_silence_numpy():
+    # each route quiets its own overflow and raises through _validate.finite
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "src", "fttlab", "cli.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in ("errstate", "seterr")]
 
 
 def test_output_bytes_match_fixture(capsys):

@@ -32,6 +32,8 @@ ROUTES = {
         F.UpperBidiagonal(3, 0.5, F.JordanVariant.MODIFIED), _HUGE),
     "det_recurrence": lambda: F.det_recurrence(F.SymTridiagonal(_HUGE, np.ones(2))),
     "gftt2_exact_lhs": lambda: F.gftt2_exact_lhs(np.array([1e200, 1.0]), -0.3, 0.5),
+    # the image itself overflows: exp(J~ x) has entries near 1e304
+    "gftt2_exact_lhs-image": lambda: F.gftt2_exact_lhs(np.array([1e200, 1e200]), 700.0, 1.0),
     "eig_sturm-width": lambda: F.eig_sturm(F.SymTridiagonal(np.zeros(2), np.array([1e200]))),
     "gftt2_toeplitz_lhs": lambda: F.gftt2_toeplitz_lhs(np.array([1e200]), 0.0),
     "expm_oracle": lambda: F.expm_oracle(np.array([[1e300]]), 1e10),
@@ -51,10 +53,12 @@ ROUTES = {
 
 
 # routes whose numpy arithmetic still prints a RuntimeWarning before the guard
-# raises; every other route must raise under warnings.simplefilter("error")
+# raises; every other route must raise under warnings.simplefilter("error").
+# These sit on the certify path, where an np.errstate per verify call measured
+# 3-4% slower (see CHANGES.md)
 STILL_WARNS = {
     *(f"verify-{kind.value}" for kind in F.InequalityKind),
-    "difference_energy", "gftt2_exact_lhs", "gftt2_toeplitz_lhs", "gftt_check",
+    "difference_energy",
 }
 
 

@@ -46,3 +46,9 @@ def test_interleaved_calls_follow_one_stream():
 def test_vector_rejects_a_bad_length():
     with pytest.raises(ValueError):
         SplitMix64(0).vector(0)
+
+
+def test_seeds_and_bounds_take_any_integer():
+    # a seed is masked to 64 bits and never becomes a float, so no size limit applies
+    assert SplitMix64(10**400)._state == 10**400 % 2**64
+    assert 10**400 <= SplitMix64(0).integer(10**400, 10**400 + 6) <= 10**400 + 6

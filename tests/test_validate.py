@@ -1,5 +1,6 @@
-"""One input contract: bools, text, complex values, arrays in place of scalars
-and non-finite values raise ``ValueError`` at every public entry point.
+"""One input contract: bools, text, complex values, arrays in place of scalars,
+non-finite values and integers too large for a double raise ``ValueError`` at
+every public entry point.
 
 The contract is written once, in ``_validate``; the source check keeps numpy's
 coercion (``np.asarray``) and its finiteness test (``np.isfinite``) there.
@@ -8,12 +9,14 @@ as a number) or raised ``TypeError`` before the contract was consolidated.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fttlab as F
+from fttlab._validate import as_finite, as_int
 from fttlab.rng import SplitMix64
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -40,6 +43,15 @@ INVALID = {
     "verify-complex-vector": lambda: F.verify(_KIND, [1 + 2j, 3]),
     "SymTridiagonal-complex": lambda: F.SymTridiagonal([1 + 1j, 2.0], [1.0]),
     "alpha-array": lambda: F.UpperBidiagonal(3, np.array([0.5])),
+    # a bare OverflowError ("int too large to convert to float") before
+    "i0_partial-x-huge-int": lambda: F.i0_partial(2, 10**400),
+    "alpha-huge-int": lambda: F.UpperBidiagonal(3, 10**400),
+    "sharp_constant-n-huge-int": lambda: F.sharp_constant(_KIND, 10**400),
+    "dissipativity_threshold-n-huge-int": lambda: F.dissipativity_threshold(
+        10**400, F.JordanVariant.STANDARD),
+    "threshold_x0-n-huge-int": lambda: F.threshold_x0(10**400),
+    "probe-n-huge-int": lambda: F.gftt2_discrepancy_probe(10**400, 1, 0),
+    "bound1-n-huge-int": lambda: F.bound1(10**400, 1.0),
 }
 
 
@@ -47,6 +59,15 @@ INVALID = {
 def test_invalid_input_raises_value_error(case):
     with pytest.raises(ValueError):
         INVALID[case]()
+
+
+@pytest.mark.parametrize("check", [as_int, as_finite])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integers_are_taken_up_to_the_largest_double(check, sign):
+    # 2**1024 - 2**970 is the rounding midpoint above the largest double
+    assert float(check(sign * (2**1024 - 2**970 - 1), "x")) == sign * sys.float_info.max
+    with pytest.raises(ValueError, match="must fit in double precision"):
+        check(sign * (2**1024 - 2**970), "x")
 
 
 def _numpy_checks_outside_validate() -> list[tuple[str, int]]:
