@@ -22,18 +22,37 @@ The package is organized around one chain of ideas:
     A deterministic command line front end (``fttlab --help``).
 """
 
-from . import bessel, chebyshev, errors, inequalities, semigroup, tridiagonal
-from .bessel import *  # noqa: F403
-from .chebyshev import *  # noqa: F403
-from .errors import *  # noqa: F403
-from .inequalities import *  # noqa: F403
-from .semigroup import *  # noqa: F403
-from .tridiagonal import *  # noqa: F403
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# each module's __all__ is the one list of its public names
-__all__ = [
-    *bessel.__all__, *chebyshev.__all__, *errors.__all__,
-    *inequalities.__all__, *semigroup.__all__, *tridiagonal.__all__,
-]
+# the modules whose __all__ lists make up the package's exports
+_MODULES = ("bessel", "chebyshev", "errors", "inequalities", "semigroup", "tridiagonal")
+
+
+def __getattr__(name: str):
+    """Load on first use (PEP 562): ``import fttlab`` imports no module and no numpy.
+
+    A name is a submodule (``fttlab.cli``) or is looked up in the modules'
+    ``__all__`` lists, each the one list of its module's public names.
+    """
+    if name == "__all__":
+        value = [export for module in _MODULES for export in __getattr__(module).__all__]
+    elif name.startswith("__") or not name.isidentifier():  # a probe for __main__ loads nothing
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    else:
+        try:
+            return import_module(f".{name}", __name__)
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+        owner = next((m for m in map(__getattr__, _MODULES) if name in m.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__getattr__("__all__")})

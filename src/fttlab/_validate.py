@@ -2,22 +2,27 @@
 
 Real input is a finite int or float, never a bool, text or complex: else ``ValueError``.
 An int too large for a double is not finite input either.
+
+numpy is not imported here at module level, so the scalar paths run without it.
+A numpy scalar or array exists only once numpy is loaded, so the scalar checks
+look for numpy's types only when ``"numpy" in sys.modules``.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 from .errors import OverflowFailure
 
-# concrete types rather than numbers.Real: bound1 and bound2 check ~1100 times per threshold_x0
-_REAL = (float, int, np.floating, np.integer)
-
-
 # float() of an int overflows from here on: the rounding midpoint above the largest double
 _INT_LIMIT = 2**1024 - 2**970
+
+
+def _is_numpy(value, *kinds: str) -> bool:
+    """Whether ``value`` is an instance of one of numpy's abstract scalar types ``np.<kind>``."""
+    np = sys.modules.get("numpy")  # no numpy scalar exists unless numpy is loaded
+    return np is not None and isinstance(value, tuple(getattr(np, kind) for kind in kinds))
 
 
 def _beyond_double(value: int, name: str) -> ValueError:
@@ -30,7 +35,7 @@ def as_int(value, name: str, minimum: int | None = None, *, any_size: bool = Fal
     It must also convert to a double, unless ``any_size`` (for integers that
     never enter float arithmetic, such as a seed masked to 64 bits).
     """
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+    if isinstance(value, bool) or not (isinstance(value, int) or _is_numpy(value, "integer")):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if not any_size and abs(value) >= _INT_LIMIT:
         raise _beyond_double(value, name)
@@ -41,7 +46,9 @@ def as_int(value, name: str, minimum: int | None = None, *, any_size: bool = Fal
 
 def as_finite(value, name: str, minimum: float | None = None, above: float | None = None) -> float:
     """A finite real scalar as a float, at least ``minimum`` and above ``above`` when given."""
-    if not isinstance(value, _REAL) or isinstance(value, bool):
+    # concrete types rather than numbers.Real: bound1 and bound2 check ~1100 times per threshold_x0
+    if isinstance(value, bool) or not (
+            isinstance(value, (float, int)) or _is_numpy(value, "floating", "integer")):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         value = float(value)
@@ -56,11 +63,13 @@ def as_finite(value, name: str, minimum: float | None = None, above: float | Non
     return value
 
 
-def as_real_array(a, name: str) -> np.ndarray:
+def as_real_array(a, name: str):
     """A float array of finite entries, any shape; a float64 array is not copied.
 
     Integer and float data only: a bool is rejected, also inside a list of numbers.
     """
+    import numpy as np
+
     out = np.asarray(a)
     if out.dtype.kind not in "iuf" or (isinstance(a, (list, tuple)) and any(
             isinstance(v, (bool, np.bool_)) for v in np.asarray(a, dtype=object).flat)):
@@ -71,7 +80,7 @@ def as_real_array(a, name: str) -> np.ndarray:
     return out
 
 
-def as_vector(a, name: str, size: int | None = None) -> np.ndarray:
+def as_vector(a, name: str, size: int | None = None):
     """A finite 1-D float array of length ``size``, or nonempty if no size is given."""
     out = as_real_array(a, name)
     if out.ndim != 1 or (out.size < 1 if size is None else out.size != size):
@@ -80,7 +89,7 @@ def as_vector(a, name: str, size: int | None = None) -> np.ndarray:
     return out
 
 
-def as_square_matrix(m, name: str) -> np.ndarray:
+def as_square_matrix(m, name: str):
     """A finite 2-D square float array."""
     out = as_real_array(m, name)
     if out.ndim != 2 or out.shape[0] != out.shape[1] or out.shape[0] < 1:
@@ -90,7 +99,10 @@ def as_square_matrix(m, name: str) -> np.ndarray:
 
 def finite(value, what: str):
     """``value`` unchanged, or ``OverflowFailure`` if any entry is not finite."""
-    if not (np.all(np.isfinite(value)) if isinstance(value, np.ndarray) else math.isfinite(value)):
+    # a float is the hot case; an ndarray exists only once numpy is loaded
+    np = None if isinstance(value, float) else sys.modules.get("numpy")
+    if not (np.all(np.isfinite(value)) if np is not None and isinstance(value, np.ndarray)
+            else math.isfinite(value)):
         raise OverflowFailure(f"{what} overflows double precision")
     return value
 

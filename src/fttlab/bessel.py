@@ -33,9 +33,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._scalar import JordanVariant, _bisect, dissipativity_threshold
 from ._validate import as_finite, as_int, checked_exp, finite
 from .errors import ConvergenceError
-from .tridiagonal import JordanVariant, _bisect, dissipativity_threshold
 
 __all__ = [
     "ThresholdResult",
@@ -55,7 +55,9 @@ def i0_partial(n: int, x: float) -> float:
     Terms accumulate by the ratio t_j = t_{j-1} (x/j)^2, which avoids
     forming x^{2j} and (j!)^2 separately.  Overflow of the sum raises
     ``OverflowFailure``; that happens near x = 1.3e154 for n = 2, 3.5e22
-    for n = 8 and 1.2e11 for n = 16.
+    for n = 8 and 1.2e11 for n = 16.  The loop ends early once a term is
+    0 (every later one is 0 too, so the bits are those of all n terms) or
+    the sum is inf, so a huge n costs no more than the terms that count.
     """
     n = as_int(n, "term count", minimum=1)
     x = as_finite(x, "argument", minimum=0.0)
@@ -64,6 +66,8 @@ def i0_partial(n: int, x: float) -> float:
     for j in range(1, n):
         term *= (x * x) / (j * j)
         total += term
+        if term == 0.0 or total == math.inf:
+            break
     return finite(total, f"partial sum at n={n}, x={x!r}")
 
 

@@ -8,6 +8,10 @@ contract error, 3 numeric failure (overflow, non-convergence, dual-route
 disagreement).  A numeric failure aborts the run before any violation is
 reported, so 3 takes precedence over 1.
 
+Each handler imports the modules it needs, so ``--version``, ``--help``,
+``constants``, ``threshold`` and ``bessel-sweep`` on a linear grid run
+without importing numpy.
+
 Output is byte-deterministic for fixed arguments: randomness comes only
 from the seeded generator in ``rng``, floats are serialized with their
 shortest round-trip repr, and CSV rows use the csv module's CRLF endings.
@@ -25,22 +29,10 @@ import math
 import re
 import sys
 
-import numpy as np
-
 from . import __version__
+from ._scalar import InequalityKind, JordanVariant
 from ._validate import as_finite, as_int, finite
-from .bessel import ThresholdResult, bound1, bound2, i0_partial, threshold_x0
 from .errors import NumericsError
-from .inequalities import (
-    InequalityKind,
-    extremal_vector,
-    sharp_constant,
-    threshold_alpha,
-    verify,
-)
-from .rng import SplitMix64
-from .semigroup import contraction_check, gftt2_discrepancy_probe
-from .tridiagonal import JordanVariant, UpperBidiagonal
 
 SCHEMA_VERSION = 1
 
@@ -57,7 +49,7 @@ def _parse_n_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "geom"):
         raise ValueError(f"grid must be lo:hi:count or lo:hi:count:geom, got {text!r}")
@@ -71,15 +63,25 @@ def _parse_grid(text: str) -> np.ndarray:
     if count == 1:
         if lo != hi:
             raise ValueError("a one-point grid needs lo == hi")
-        return np.array([lo])
+        return [lo]
     if hi <= lo:
         raise ValueError(f"grid needs hi > lo, got {text!r}")
-    finite(hi - lo, "grid span")  # numpy's linspace would turn an inf span into nan points
+    span = finite(hi - lo, "grid span")  # an inf span would give nan points
     if len(parts) == 4:
         if lo <= 0.0:
             raise ValueError("a geometric grid needs lo > 0")
-        return np.geomspace(lo, hi, count)
-    return np.linspace(lo, hi, count)
+        import numpy as np
+
+        return np.geomspace(lo, hi, count).tolist()
+    # np.linspace's arithmetic, point for point, with the last point set to hi
+    div = count - 1
+    step = span / div
+    if step == 0.0:  # a subnormal span: numpy scales k / div instead
+        grid = [k / div * span + lo for k in range(count)]
+    else:
+        grid = [k * step + lo for k in range(count)]
+    grid[-1] = hi
+    return grid
 
 
 def _resolve_ns(args: argparse.Namespace) -> list[int]:
@@ -99,7 +101,8 @@ def _csv_value(value) -> str:
 def _json_value(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
-    if isinstance(value, np.ndarray):
+    np = sys.modules.get("numpy")  # an ndarray exists only once numpy is loaded
+    if np is not None and isinstance(value, np.ndarray):
         return [float(v) for v in value]
     if isinstance(value, dict):
         return {k: _json_value(v) for k, v in value.items()}
@@ -133,6 +136,8 @@ def _emit(args: argparse.Namespace, **fields) -> None:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
+    from ._scalar import sharp_constant, threshold_alpha
+
     kinds = list(InequalityKind) if args.kind == "all" else [InequalityKind(args.kind)]
     rows = [
         {
@@ -149,6 +154,9 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .inequalities import extremal_vector, verify
+    from .rng import SplitMix64
+
     samples = as_int(args.samples, "samples", minimum=0)
     kinds = list(InequalityKind) if args.kind == "all" else [InequalityKind(args.kind)]
     rng = SplitMix64(args.seed)
@@ -192,6 +200,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_semigroup_norm(args: argparse.Namespace) -> int:
+    from .semigroup import contraction_check
+    from .tridiagonal import UpperBidiagonal
+
     block = UpperBidiagonal(args.n, args.alpha, JordanVariant(args.variant))
     grid = _parse_grid(args.grid) if args.grid else None
     curve = contraction_check(block.to_dense(), xs=grid)
@@ -210,14 +221,15 @@ def _cmd_semigroup_norm(args: argparse.Namespace) -> int:
 
 
 def _cmd_bessel_sweep(args: argparse.Namespace) -> int:
+    from .bessel import bound1, bound2, i0_partial
+
     tol = as_finite(args.tol, "tol", minimum=0.0)
     grid = _parse_grid(args.grid)
-    if float(np.min(grid)) < 0.0:
+    if min(grid) < 0.0:
         raise ValueError("partial sums are defined for x >= 0 only")
     rows = []
     dominated_failure = False
     for x in grid:
-        x = float(x)
         partial = i0_partial(args.n, x)
         b1 = bound1(args.n, x)
         b2 = bound2(args.n, x)
@@ -236,6 +248,8 @@ def _cmd_bessel_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
+    from .bessel import ThresholdResult, threshold_x0
+
     rows = []
     for n in _resolve_ns(args):
         if n >= 2:
@@ -256,6 +270,8 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe_gftt2(args: argparse.Namespace) -> int:
+    from .semigroup import gftt2_discrepancy_probe
+
     report = gftt2_discrepancy_probe(args.n, args.samples, args.seed)
     _emit(args, **dataclasses.asdict(report))
     return 0
@@ -347,6 +363,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"fttlab: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a dimension too large to allocate is an input error
+        print(f"fttlab: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -26,17 +26,14 @@ equality cases are the corresponding kernel eigenvectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from ._validate import as_finite, as_int, as_vector, finite
+from ._scalar import BlockSign, InequalityKind, sharp_constant, threshold_alpha
+from ._validate import as_finite, as_vector, finite
 from .tridiagonal import (
-    BlockSign,
-    JordanVariant,
     UpperBidiagonal,
     _extreme_eigenpair,
-    dissipativity_threshold,
     eig_sturm,  # noqa: F401  unused, but bench/test_bench.py patches it in this namespace
 )
 
@@ -51,38 +48,6 @@ __all__ = [
 ]
 
 _EXTREMAL_TOL = 1e-13  # eigenvalue bracket width and eigenvector residual scale
-
-
-class InequalityKind(Enum):
-    """Direction (lower/upper bound) and boundary convention (pinned/free end)."""
-
-    LOWER_PINNED = "lower-pinned"
-    LOWER_FREE = "lower-free"
-    UPPER_PINNED = "upper-pinned"
-    UPPER_FREE = "upper-free"
-
-    @property
-    def is_lower(self) -> bool:
-        return self in (InequalityKind.LOWER_PINNED, InequalityKind.LOWER_FREE)
-
-    @property
-    def pins_right_end(self) -> bool:
-        return self in (InequalityKind.LOWER_PINNED, InequalityKind.UPPER_PINNED)
-
-    @property
-    def variant(self) -> JordanVariant:
-        return JordanVariant.STANDARD if self.pins_right_end else JordanVariant.MODIFIED
-
-    @property
-    def sign(self) -> BlockSign:
-        """Sign of the block whose dissipativity the kind reduces to.
-
-        Lower bounds on the pinned energy come from +J; the pinned upper
-        bound from -J; the free-end kinds swap because of the alternating flip.
-        """
-        if self in (InequalityKind.LOWER_PINNED, InequalityKind.UPPER_FREE):
-            return BlockSign.PLUS
-        return BlockSign.MINUS
 
 
 @dataclass(frozen=True)
@@ -112,24 +77,6 @@ def _energy(a: np.ndarray, kind: InequalityKind) -> float:
     else:
         padded = np.concatenate(([0.0], a))
     return finite(float(np.sum(np.diff(padded) ** 2)), "difference energy")
-
-
-def sharp_constant(kind: InequalityKind, n: int) -> float:
-    """Best possible constant for the given kind and dimension.
-
-    2 (1 + alpha) for the pinned kinds and 2 (1 - alpha) for the free-end
-    kinds, with alpha = threshold_alpha(kind, n).
-    """
-    alpha = threshold_alpha(kind, n)
-    return 2.0 * (1.0 + alpha) if kind.pins_right_end else 2.0 * (1.0 - alpha)
-
-
-def threshold_alpha(kind: InequalityKind, n: int) -> float:
-    """Boundary alpha of the dissipativity statement underlying the kind.
-
-    It is the threshold of the kind's variant under ``kind.sign``.
-    """
-    return dissipativity_threshold(as_int(n, "dimension", minimum=1), kind.variant, kind.sign)
 
 
 def verify(

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
+from ._scalar import BlockSign, JordanVariant, _bisect, dissipativity_threshold
 from ._validate import as_finite, as_int, as_vector, finite
 from .errors import ConvergenceError
 
@@ -44,20 +44,6 @@ __all__ = [
     "dissipativity_threshold",
     "check_dissipative",
 ]
-
-
-class JordanVariant(Enum):
-    """STANDARD keeps the constant diagonal; MODIFIED lowers the last entry by 1/2."""
-
-    STANDARD = "standard"
-    MODIFIED = "modified"
-
-
-class BlockSign(Enum):
-    """Which signed block a dissipativity statement refers to: +J or -J."""
-
-    PLUS = "plus"
-    MINUS = "minus"
 
 
 @dataclass(frozen=True)
@@ -175,24 +161,6 @@ def _sturm_count(pairs: list[tuple[float, float]], pivmin: float, mid: float) ->
         if p < 0.0:
             count += 1
     return count
-
-
-def _bisect(step, lo: float, hi: float, tol: float, max_iter: int, what: str):
-    """Halve [lo, hi] to width <= tol, or until its midpoint no longer splits it.
-
-    ``step(lo, mid, hi)`` returns the half to keep, or ``(mid, mid)`` on an exact
-    hit.  Returns ``(lo, hi, halvings)``; ``ConvergenceError`` past ``max_iter``.
-    """
-    halvings = 0
-    while hi - lo > tol:
-        halvings += 1
-        mid = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) overflows past ~9e307
-        if mid <= lo or mid >= hi:
-            break  # float resolution reached before the requested width
-        lo, hi = step(lo, mid, hi)
-        if halvings > max_iter:
-            raise ConvergenceError(f"bisection for {what} stalled on bracket [{lo!r}, {hi!r}]")
-    return lo, hi, halvings
 
 
 def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
@@ -339,27 +307,6 @@ def quad_form(block: UpperBidiagonal, a: np.ndarray) -> float:
         if block.variant is JordanVariant.MODIFIED:
             out -= 0.5 * float(a[-1] ** 2)
     return finite(out, "quadratic form <J a, a>")
-
-
-def dissipativity_threshold(
-    n: int, variant: JordanVariant, sign: BlockSign = BlockSign.PLUS
-) -> float:
-    """Boundary alpha for dissipativity of +J (PLUS) or -J (MINUS).
-
-    +J_n(alpha) is dissipative iff alpha <= -cos(pi/(n+1)); -J_n(alpha) iff
-    alpha >= +cos(pi/(n+1)).  The modified block replaces these by
-    -cos(2 pi/(2n+1)) and +cos(pi/(2n+1)); all four are largest/smallest
-    zeros of the matching Chebyshev characteristic polynomial.  Every sharp
-    constant in the package (inequality constants, semigroup and Bessel
-    exponential rates) is derived from this function.
-    """
-    n = as_int(n, "block size", minimum=1)
-    if variant is JordanVariant.STANDARD:
-        boundary = math.cos(math.pi / (n + 1))
-        return -boundary if sign is BlockSign.PLUS else boundary
-    if sign is BlockSign.PLUS:
-        return -math.cos(2.0 * math.pi / (2 * n + 1))
-    return math.cos(math.pi / (2 * n + 1))
 
 
 def _extreme_eigenpair(

@@ -71,6 +71,25 @@ class TestPartialSums:
         with pytest.raises(OverflowFailure):
             i0_partial(4, 1e200)
 
+    def test_early_exit_keeps_the_bits_of_every_term(self):
+        def all_terms(n, x):
+            term = total = 1.0
+            for j in range(1, n):
+                term *= (x * x) / (j * j)
+                total += term
+            return total
+
+        for x in (0.0, 1e-200, 0.5, 3.0, 30.0, 300.0):
+            for n in (1, 2, 5, 50, 200, 1000):
+                assert i0_partial(n, x).hex() == all_terms(n, x).hex(), (n, x)
+
+    def test_huge_term_count_ends_with_the_last_nonzero_term(self):
+        # used to loop over range(1, n) until killed
+        assert i0_partial(10**300, 3.0).hex() == i0_partial(200, 3.0).hex()
+        assert i0_partial(10**300, 0.0) == 1.0
+        with pytest.raises(OverflowFailure, match=r"x=1e\+200 overflows"):
+            i0_partial(10**300, 1e200)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             i0_partial(0, 1.0)

@@ -8,12 +8,16 @@ import ast
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fttlab.cli import main
+from fttlab.cli import _parse_grid, main
 
 
 def run(capsys, *argv):
@@ -333,3 +337,71 @@ def test_output_bytes_match_fixture(capsys):
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert (code, digest) == (want["exit_code"], want["stdout_sha256"]), line
     assert len(frozen) == 17
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+# (lo, hi, count): negative ends, two points, spans near 1e308, subnormal steps
+# (0:5e-324:3 underflows the step to 0, numpy's special case)
+LINEAR_GRIDS = [
+    (0.0, 10.0, 101), (0.0, 8.0, 17), (0.0, 4.0, 9), (0.0, 1.0, 2), (-5.0, 5.0, 2),
+    (-3.0, 7.0, 11), (-1e3, -1e-3, 7), (0.1, 0.7, 6), (-2.5, 1e-9, 1000),
+    (1.0, 1.0000000000000002, 5), (-1e308, 7e307, 5), (-8.9e307, 8.9e307, 33),
+    (1e-300, 1.7e308, 9), (0.0, 5e-324, 3), (0.0, 1e-323, 7), (-5e-324, 5e-324, 4),
+    (0.0, 2.2e-308, 1001),
+]
+
+
+@pytest.mark.parametrize("lo, hi, count", LINEAR_GRIDS)
+def test_linear_grid_is_linspace_bit_for_bit(lo, hi, count):
+    assert _hex(_parse_grid(f"{lo!r}:{hi!r}:{count}")) == _hex(np.linspace(lo, hi, count))
+
+
+@given(lo=st.floats(-1e300, 1e300), width=st.floats(1e-300, 1e300), count=st.integers(2, 300))
+@settings(max_examples=300)
+def test_random_linear_grid_is_linspace_bit_for_bit(lo, width, count):
+    hi = lo + width
+    if hi > lo:
+        assert _hex(_parse_grid(f"{lo!r}:{hi!r}:{count}")) == _hex(np.linspace(lo, hi, count))
+
+
+@pytest.mark.parametrize("text", ["0.01:10:64:geom", "1e-300:1e300:17:geom", "1:2:2:geom",
+                                  "3:3.5:9:geom", "1e-3:1.7e308:100:geom"])
+def test_geometric_grid_is_geomspace(text):
+    lo, hi, count, _ = text.split(":")
+    assert _hex(_parse_grid(text)) == _hex(np.geomspace(float(lo), float(hi), int(count)))
+
+
+def test_one_point_grid():
+    assert _parse_grid("2.5:2.5:1") == [2.5]
+
+
+def _fttlab(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "fttlab", *argv],
+                          capture_output=True, text=True, env=env, **kwargs)
+
+
+def test_huge_term_count_sweeps_at_once():
+    # i0_partial used to loop over all 10**300 terms until killed
+    result = _fttlab("bessel-sweep", "--n", str(10**300), "--grid", "0:1:2", timeout=10)
+    assert result.returncode == 0
+    assert len(result.stdout.splitlines()) == 3
+
+
+def _cap_address_space():
+    # a 7 PiB request then fails at once, so nothing is really allocated
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("command", ["semigroup-norm --alpha -0.7", "verify", "probe-gftt2"])
+def test_unallocatable_dimension_exits_two(command):
+    # used to print numpy's _ArrayMemoryError traceback and exit 1, "a bound was violated"
+    name, *rest = command.split()
+    result = _fttlab(name, "--n", str(10**15), *rest, timeout=60, preexec_fn=_cap_address_space)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("fttlab: out of memory: ") and result.stderr.count("\n") == 1

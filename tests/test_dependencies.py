@@ -1,4 +1,10 @@
-"""The runtime dependency boundary: numpy only, scipy only as a test oracle."""
+"""The runtime dependency boundary: numpy only, scipy only as a test oracle,
+and numpy only where a command needs arrays.
+
+``import fttlab`` loads its modules on first use, and the command line imports
+each subcommand's modules in its handler, so the scalar commands start
+without numpy.
+"""
 
 import ast
 import os
@@ -6,18 +12,65 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the scalar invocations of bench/cli_golden.json, with --help
+SCALAR_COMMANDS = [
+    "--version",
+    "--help",
+    "constants --n-range 1..8",
+    "bessel-sweep --n 2 --grid 0:8:17",
+    "threshold --n-range 2..4 --format json",
+]
+
+# runs python -m fttlab with the given arguments, then reports on stderr whether numpy was loaded
+_REPORT_NUMPY = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr))\n"
+    "sys.argv[0] = 'fttlab'\n"
+    "runpy.run_module('fttlab', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=60, env=env, check=True)
 
 
 def test_import_loads_no_scipy():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import fttlab, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, timeout=60, env=env, check=True,
-    )
+    result = _python(
+        "-c", "import fttlab, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert result.stdout.strip() == "[]"
+
+
+def test_import_loads_no_numpy_and_no_module():
+    result = _python("-c", "import fttlab, sys; print(sorted(m for m in sys.modules "
+                           "if m.split('.')[0] == 'numpy' or m.startswith('fttlab.')))")
+    assert result.stdout.strip() == "[]"
+
+
+def test_dir_lists_every_export_from_a_cold_import():
+    result = _python("-c", "import fttlab; names = set(dir(fttlab)); "
+                           "print(len(fttlab.__all__), sorted(set(fttlab.__all__) - names))")
+    count, missing = result.stdout.split(" ", 1)
+    assert int(count) > 40 and missing.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", SCALAR_COMMANDS)
+def test_scalar_command_runs_without_numpy(command):
+    result = _python("-W", "error", "-c", _REPORT_NUMPY, *command.split())
+    assert result.stdout
+    assert result.stderr.splitlines()[-1] == "numpy loaded: False"
+
+
+def test_array_command_still_loads_numpy():
+    # the report above can tell: verify needs arrays
+    result = _python("-c", _REPORT_NUMPY, "verify", "--n", "3", "--samples", "2")
+    assert result.stderr.splitlines()[-1] == "numpy loaded: True"
 
 
 def test_no_source_file_imports_scipy():

@@ -302,7 +302,7 @@ class TestScalarBisection:
                     loops += [(path.name, func.name) for node in ast.walk(func)
                               if isinstance(node, ast.While)
                               and ast.unparse(node.test) == "hi - lo > tol"]
-        assert loops == [("tridiagonal.py", "_bisect")]
+        assert loops == [("_scalar.py", "_bisect")]
 
 
 def test_spectral_core_bit_matches_fixture():

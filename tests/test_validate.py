@@ -70,6 +70,30 @@ def test_integers_are_taken_up_to_the_largest_double(check, sign):
         check(sign * (2**1024 - 2**970), "x")
 
 
+@pytest.mark.parametrize("value", [np.int64(-7), np.int64(2**62), np.uint8(200), np.int32(5)])
+def test_numpy_integers_keep_their_value(value):
+    # _validate looks for numpy's scalar types only once numpy is loaded, as it is here
+    assert type(as_int(value, "x")) is int and as_int(value, "x") == int(value)
+    assert as_finite(value, "x").hex() == float(value).hex()
+
+
+@pytest.mark.parametrize("value", [np.float32(0.1), np.float32(-3e38), np.float16(1.5),
+                                   np.float64(2.5)])
+def test_numpy_floats_keep_their_value(value):
+    assert type(as_finite(value, "x")) is float
+    assert as_finite(value, "x").hex() == float(value).hex()
+    with pytest.raises(ValueError, match="must be an integer"):
+        as_int(value, "x")
+
+
+@pytest.mark.parametrize("check", [as_int, as_finite])
+@pytest.mark.parametrize("value", [np.bool_(True), np.bool_(False), np.complex128(1.0),
+                                   np.float32("nan")])
+def test_numpy_bools_complex_and_nan_are_rejected(check, value):
+    with pytest.raises(ValueError):
+        check(value, "x")
+
+
 def _numpy_checks_outside_validate() -> list[tuple[str, int]]:
     """(file, line) of every ``np.asarray`` or ``np.isfinite`` call outside _validate.py."""
     sites = []
