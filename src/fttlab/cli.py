@@ -30,7 +30,7 @@ import re
 import sys
 
 from . import __version__
-from ._scalar import InequalityKind, JordanVariant
+from ._scalar import InequalityKind, JordanVariant, sharp_constant, threshold_alpha
 from ._validate import as_finite, as_int, finite
 from .errors import NumericsError
 
@@ -136,8 +136,6 @@ def _emit(args: argparse.Namespace, **fields) -> None:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
-    from ._scalar import sharp_constant, threshold_alpha
-
     kinds = list(InequalityKind) if args.kind == "all" else [InequalityKind(args.kind)]
     rows = [
         {

@@ -378,9 +378,9 @@ def test_one_point_grid():
     assert _parse_grid("2.5:2.5:1") == [2.5]
 
 
-def _fttlab(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+def _fttlab(*argv: str, env_vars: dict[str, str] | None = None, **kwargs) -> subprocess.CompletedProcess:
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
+    env = dict(os.environ, **(env_vars or {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "fttlab", *argv],
                           capture_output=True, text=True, env=env, **kwargs)
@@ -402,6 +402,9 @@ def _cap_address_space():
 def test_unallocatable_dimension_exits_two(command):
     # used to print numpy's _ArrayMemoryError traceback and exit 1, "a bound was violated"
     name, *rest = command.split()
-    result = _fttlab(name, "--n", str(10**15), *rest, timeout=60, preexec_fn=_cap_address_space)
+    # one BLAS thread: each thread's stack counts against the cap, and a many-core host starts one per core
+    one_thread = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    result = _fttlab(name, "--n", str(10**15), *rest, env_vars=one_thread, timeout=60,
+                     preexec_fn=_cap_address_space)
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.startswith("fttlab: out of memory: ") and result.stderr.count("\n") == 1

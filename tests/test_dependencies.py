@@ -42,9 +42,18 @@ def _python(*argv: str) -> subprocess.CompletedProcess:
 
 
 def test_import_loads_no_scipy():
-    result = _python(
-        "-c", "import fttlab, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert result.stdout.strip() == "[]"
+    # every module is loaded first: import fttlab alone now loads none of them
+    result = _python("-c", "import fttlab, importlib, pkgutil, sys\n"
+                           "for info in pkgutil.iter_modules(fttlab.__path__):\n"
+                           "    if info.name != '__main__':\n"
+                           "        importlib.import_module('fttlab.' + info.name)\n"
+                           "fttlab.__all__\n"
+                           "print(sorted(m for m in sys.modules if m.startswith('fttlab.')))\n"
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    loaded, scipy_modules = result.stdout.splitlines()
+    modules = sorted(f"fttlab.{path.stem}" for path in (SRC / "fttlab").glob("*.py")
+                     if path.stem not in ("__init__", "__main__"))
+    assert loaded == repr(modules) and scipy_modules == "[]"
 
 
 def test_import_loads_no_numpy_and_no_module():
