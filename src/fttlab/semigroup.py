@@ -6,16 +6,16 @@ that statement and keeps them strictly separate so they can check each other:
 
 * ``expm_oracle``      - scaling-and-squaring Taylor exponential, the oracle
 * ``exp_jordan_closed``- the closed form for bidiagonal Jordan-type blocks
-* ``operator_norm``    - deterministic power iteration on M^T M
+* ``operator_norm``    - power iteration on M^T M inside a squaring bracket
 * ``contraction_check``- norm curve of exp(Qx) over a grid
 
-A norm curve is two batched passes over the whole grid: one exponential of
-the (k, n, n) stack of Qx, where each slice has its own scale, Taylor length
-and squaring count, and one power iteration run in lockstep over the stack,
-where each slice stops at the step its own iteration would.  Each point
-keeps the bits of ``operator_norm(expm_oracle(Q, x))``; those two public
-functions are the one-point calls of the same cores, and where points fail,
-the error raised is the one of the first failing point.
+A norm curve is batched over the whole grid: one exponential of the
+(k, n, n) stack of Qx, where each slice has its own scale, Taylor length and
+squaring count, then one norm bracket and one power iteration run in
+lockstep over the stack, where each slice stops at the step its own loop
+would.  Each point keeps the bits of ``operator_norm(expm_oracle(Q, x))``;
+those two public functions are the one-point calls of the same cores, and
+where points fail, the error raised is the one of the first failing point.
 
 On top sit the generalized sharp bound for the standard block,
 
@@ -71,11 +71,10 @@ __all__ = [
 ]
 
 _TAYLOR_TOL = 1e-18  # expm_oracle sums its series until a term drops below this
-_RESTART_SEED = 0x5EED1E55  # fixed pseudorandom restart for the power iteration
-_POWER_BUDGET = 10000  # power steps per start vector, for the first run and the restart
+_POWER_BUDGET = 10000  # power steps before an estimate counts as unsettled
 _POWER_TOL = 1e-12  # relative change at which a power-iteration estimate counts as settled
-_BOUND_SQUARINGS = 24  # normalized squarings of M^T M behind the operator-norm upper bound
-_BOUND_SLACK = 1e-6  # relative shortfall below that bound at which an estimate is rejected
+_BOUND_SQUARINGS = 48  # normalized squarings of M^T M behind the operator-norm bracket
+_BOUND_SLACK = 1e-6  # relative shortfall below the upper end at which an estimate is rejected
 
 
 def expm_oracle(Q, x: float) -> np.ndarray:
@@ -168,34 +167,38 @@ def _frobenius(B: np.ndarray) -> list[float]:
     return np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel().tolist()
 
 
-def _norm_upper_bound(M: np.ndarray) -> np.ndarray:
-    """sigma_max(M) <= ||B^(2^k)||_F^(1/2^(k+1)) with B = M^T M, for every k; per slice of M.
+def _norm_bracket(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lower <= sigma_max(M) <= upper per slice of M, each end up to 4 n eps off by rounding.
 
-    B is squared k times, rescaled to unit Frobenius norm before each
-    squaring; the bound is the product of the removed norms raised to the
-    matching powers, and it falls to sigma_max as k grows.
+    B = M^T M is squared k times, rescaled to unit Frobenius norm before each
+    squaring; ``upper`` = ||B^(2^k)||_F^(1/2^(k+1)), the product of the removed
+    norms raised to the matching powers, falls to sigma_max as k grows.  The
+    last B's largest column c is a witness: ``lower`` = ||M c|| / ||c||.
     """
     B = M.transpose(0, 2, 1) @ M
     norms = _frobenius(B)
     # the scalar factors stay Python floats, so sqrt and ** round as they did for one matrix
-    bounds = [math.sqrt(norm) for norm in norms]
+    upper = [math.sqrt(norm) for norm in norms]
     for k in range(1, _BOUND_SQUARINGS + 1):
         B /= np.array(norms)[:, None, None]
         B = B @ B
         norms = _frobenius(B)
-        bounds = [bound * norm ** (0.5 ** (k + 1)) for bound, norm in zip(bounds, norms)]
-    return np.array(bounds)
+        upper = [bound * norm ** (0.5 ** (k + 1)) for bound, norm in zip(upper, norms)]
+    c = np.take_along_axis(B, (B * B).sum(axis=1).argmax(axis=1)[:, None, None], axis=2)
+    w = M @ c
+    lower = np.sqrt((w.transpose(0, 2, 1) @ w) / (c.transpose(0, 2, 1) @ c)).ravel()
+    return lower, np.array(upper)
 
 
 def operator_norm(M) -> float:
-    """Largest singular value via power iteration on M^T M.
+    """Largest singular value: power iteration on M^T M, checked against a bracket.
 
-    Deterministic: the start vector is all ones.  An estimate is accepted
-    once two consecutive relative changes fall below 1e-12 and it lies
-    within a relative 1e-6 of ``_norm_upper_bound``, which catches a start
-    vector that is an eigenvector of M^T M for a smaller singular value.
-    Otherwise one restart from a fixed pseudorandom vector is made; if that
-    fails too, ``ConvergenceError`` carries both estimates and the bound.
+    Deterministic: the power iteration starts from all ones, and its
+    estimate is kept once two consecutive relative changes fall below 1e-12
+    and it lies within a relative 1e-6 of the upper end of ``_norm_bracket``.
+    Any other estimate (the iterate fell into the kernel of M^T M, sat on an
+    eigenvector for a smaller singular value or spent its budget) is replaced
+    by the bracket's lower end, which is within 4 n eps of the norm.
     This is the one-matrix call of the lockstep iteration that
     ``contraction_check`` runs over a whole stack of exponentials.
     """
@@ -253,22 +256,9 @@ def _operator_norms(M: np.ndarray) -> list[float]:
     # power-of-two rescale, capped at 2^1023: keeps M^T M v finite for huge entries, exactly
     scale = np.ldexp(1.0, np.minimum(np.frexp(largest[live])[1], 1023))
     M = M[live] / scale[:, None, None]
-    n = M.shape[1]
-    bound = np.broadcast_to(_norm_upper_bound(M), live.shape)
-    floor = bound * (1.0 - _BOUND_SLACK)
-
-    first, settled = _power_run(M, np.ones(n))
-    sigma = first.copy()
-    retry = np.flatnonzero(~(settled & (first >= floor)))
-    if retry.size:
-        sigma[retry], settled[retry] = _power_run(M[retry], SplitMix64(_RESTART_SEED).vector(n))
-        failed = retry[~(settled[retry] & (sigma[retry] >= floor[retry]))]
-        if failed.size:
-            i, c = failed[0], float(scale[failed[0]])
-            raise ConvergenceError(
-                f"power iteration fell short of the upper bound {float(bound[i]) * c!r}; "
-                f"estimates {float(first[i]) * c!r} and {float(sigma[i]) * c!r}"
-            )
+    lower, upper = _norm_bracket(M)
+    sigma, settled = _power_run(M, np.ones(M.shape[1]))
+    sigma = np.where(settled & (sigma >= upper * (1.0 - _BOUND_SLACK)), sigma, lower)
     for i, s, c in zip(live.tolist(), sigma.tolist(), scale.tolist()):
         norms[i] = finite(s * c, f"operator norm ({s!r} * {c!r})")
     return norms
@@ -308,14 +298,18 @@ def _validate_grid(xs, allow_zero: bool) -> np.ndarray:
 def _in_grid_order(batch, Q: np.ndarray, xs: np.ndarray):
     """batch(Q, xs), or else the failure of the first x that fails on its own.
 
-    A batch meets failures stage by stage, a loop over xs point by point; on
-    failure the points are run alone, in order, so the loop's error is raised.
+    A batch meets failures stage by stage, a loop over xs point by point.  A
+    batch fails exactly when one of its points fails alone, so on failure
+    the first half and then the second are replayed the same way, and the
+    loop's error is raised.
     """
     try:
         return batch(Q, xs)
     except (OverflowFailure, ConvergenceError):
-        for i in range(xs.size):
-            batch(Q, xs[i:i + 1])
+        if xs.size > 1:
+            half = xs.size // 2
+            _in_grid_order(batch, Q, xs[:half])
+            _in_grid_order(batch, Q, xs[half:])
         raise
 
 

@@ -301,7 +301,6 @@ FAILURES = {
     # search_hi / 1e-3 reached the scan as inf and failed as bad input (2)
     "scan-ratio": ("threshold --n 3 --search-hi 1e306", 3, "scan ratio"),
     "argument-norm": ("semigroup-norm --n 2 --alpha 1e308 --grid 0:50:2", 3, "2 ||Qx||_1"),
-    "power-budget": ("semigroup-norm --n 40 --alpha -0.997", 3, "power iteration"),
 }
 
 
@@ -314,6 +313,14 @@ def test_failure_path_prints_one_line(capsys, case):
     assert err.startswith("fttlab: ") and err.count("\n") == 1 and names in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_forty_block_near_the_threshold_gets_every_norm(capsys):
+    # near x = 0 the power iteration does not settle; the norm bracket's lower end stands in
+    code, out, err = run(capsys, *"semigroup-norm --n 40 --alpha -0.997".split())
+    assert (code, err) == (0, "")
+    assert len(out.split("\r\n")[:-1]) == 66  # header + the 65 default grid points
+
+
 def test_main_does_not_silence_numpy():
     # each route quiets its own overflow and raises through _validate.finite
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -324,19 +331,30 @@ def test_main_does_not_silence_numpy():
                 if isinstance(node, ast.Attribute) and node.attr in ("errstate", "seterr")]
 
 
-def test_output_bytes_match_fixture(capsys):
-    # exit code and stdout SHA-256 of every table command in both formats,
-    # the witness envelope, the rejected and not-found threshold rows, an
-    # empty probe and the default semigroup-norm grid
-    fixture = os.path.join(os.path.dirname(__file__), "fixtures", "cli_bytes.json")
-    assert os.path.exists(fixture), "the committed fixture is missing; it is never regenerated"
-    with open(fixture, encoding="utf-8") as fh:
+def _match_recorded_bytes(capsys, path, count):
+    """Run each recorded invocation in-process; compare exit code and stdout SHA-256."""
+    assert os.path.exists(path), "the committed fixture is missing; it is never regenerated"
+    with open(path, encoding="utf-8") as fh:
         frozen = json.load(fh)
     for line, want in frozen.items():
         code, out, _ = run(capsys, *line.split())
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert (code, digest) == (want["exit_code"], want["stdout_sha256"]), line
-    assert len(frozen) == 17
+    assert len(frozen) == count
+
+
+def test_output_bytes_match_fixture(capsys):
+    # every table command in both formats, the witness envelope, the rejected
+    # and not-found threshold rows, an empty probe and the default semigroup-norm grid
+    _match_recorded_bytes(capsys, os.path.join(os.path.dirname(__file__), "fixtures",
+                                               "cli_bytes.json"), 17)
+
+
+@pytest.mark.filterwarnings("error")
+def test_output_bytes_match_bench_golden(capsys):
+    # the benchmark's cli-session invocations, recorded as `python -W error -m fttlab`
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    _match_recorded_bytes(capsys, os.path.join(root, "bench", "cli_golden.json"), 7)
 
 
 def _hex(values) -> list[str]:

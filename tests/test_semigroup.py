@@ -39,7 +39,7 @@ from fttlab import (
     verify,
 )
 from fttlab import semigroup
-from fttlab.errors import ConsistencyError, ConvergenceError, OverflowFailure
+from fttlab.errors import ConsistencyError, OverflowFailure
 from fttlab.rng import SplitMix64
 
 
@@ -167,10 +167,30 @@ class TestOperatorNorm:
         M = np.array([[1.5, -0.5], [-0.5, 1.5]])
         assert operator_norm(M) == pytest.approx(2.0, abs=1e-12)
 
-    def test_estimates_short_of_the_bound_raise(self, monkeypatch):
-        monkeypatch.setattr(semigroup, "_norm_upper_bound", lambda M: 4.0)
-        with pytest.raises(ConvergenceError, match="upper bound 4.0; estimates 0.5 and 0.5"):
-            operator_norm(0.5 * np.eye(2))
+    def test_estimates_short_of_the_bound_take_the_lower_end(self, monkeypatch):
+        # the settled estimate 0.5 lies far below the upper end 4.0, so it is rejected
+        monkeypatch.setattr(semigroup, "_norm_bracket",
+                            lambda M: (np.array([0.375]), np.array([4.0])))
+        assert operator_norm(0.5 * np.eye(2)) == 0.375
+
+    def test_bracket_contains_svd(self):
+        # random dense stacks, and Jordan exponentials up to n = 40 on a grid
+        # reaching down to x = 0.001, where sigma_1 and sigma_2 nearly coincide
+        rng = SplitMix64(311)
+        stacks = [np.array([random_matrix(rng, n, scale=3.0) for _ in range(12)])
+                  for n in (1, 2, 3, 7, 16, 40)]
+        grid = np.concatenate(([0.0, 0.001, 0.003], default_contraction_grid()[1:]))
+        for n in (1, 2, 5, 12, 13, 20, 40):
+            for variant in JordanVariant:
+                block = UpperBidiagonal(n, dissipativity_threshold(n, variant), variant)
+                stacks.append(semigroup._expm_stack(block.to_dense(), grid))
+        for M in stacks:
+            lower, upper = semigroup._norm_bracket(M)
+            sigma = np.linalg.svd(M, compute_uv=False)[:, 0]
+            allowance = 4 * M.shape[1] * np.finfo(float).eps
+            assert np.all(upper >= sigma * (1.0 - allowance)), M.shape
+            assert np.all(lower <= sigma * (1.0 + allowance)), M.shape
+            assert np.all(upper - lower <= 1e-14 * upper), M.shape
 
     def test_huge_entries_do_not_overflow(self):
         M = math.exp(300) * np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -241,7 +261,7 @@ class TestBatchedCurve:
             for x, got in zip(xs, stack):
                 assert got.tobytes() == expm_oracle(Q, x).tobytes(), (n, x)
 
-    def test_restart_runs_inside_a_batch(self, monkeypatch):
+    def test_rejected_slices_take_the_lower_end_inside_a_batch(self, monkeypatch):
         stack = np.array([
             [[2.0, 0.3], [-0.4, 1.1]],
             [[1.0, -1.0], [1.0, -1.0]],  # all ones lies in the kernel of M^T M
@@ -260,7 +280,10 @@ class TestBatchedCurve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a kernel slice stops before g / |g| divides by zero
             got = semigroup._operator_norms(stack)
-        assert runs == [4, 2]  # the zero slice never iterates; two slices restart together
+        assert runs == [4]  # the zero slice never iterates, and nothing restarts
+        # slices 1 and 3 share the power-of-two scale 2 and take the bracket's lower end
+        lower, _ = semigroup._norm_bracket(stack[[1, 3]] / 2.0)
+        assert [got[1], got[3]] == (2.0 * lower).tolist()
         assert got[1] == pytest.approx(2.0, abs=1e-10)
         assert got[2] == 0.0
         assert got[3] == pytest.approx(2.0, abs=1e-12)
@@ -271,12 +294,38 @@ class TestBatchedCurve:
         with pytest.raises(OverflowFailure, match="matrix exponential overflows"):
             contraction_check(np.array([[1e18]]), xs=np.array([1.0, 50.0]))
 
-    def test_power_budget_runs_out_for_a_forty_block_at_the_threshold(self):
-        # a known defect, pinned rather than fixed: near x = 0, exp(Qx) is close
-        # to I and sigma_2 / sigma_1 is close to 1, so both runs spend the budget
-        block = UpperBidiagonal(40, dissipativity_threshold(40, JordanVariant.STANDARD))
-        with pytest.raises(ConvergenceError, match="fell short of the upper bound"):
-            contraction_check(block.to_dense())
+    def test_threshold_blocks_near_zero_match_svd(self):
+        # near x = 0, exp(Qx) is close to I and sigma_2 / sigma_1 is close to 1,
+        # where the power iteration does not settle and the bracket's lower end is used
+        fine = np.concatenate(([0.0, 0.001], default_contraction_grid()[1:]))
+        for n, grid in ((40, None), (12, fine), (13, fine)):
+            Q = UpperBidiagonal(n, dissipativity_threshold(n, JordanVariant.STANDARD)).to_dense()
+            curve = contraction_check(Q, grid)
+            want = [float(np.linalg.svd(scipy.linalg.expm(Q * x), compute_uv=False)[0])
+                    for x in curve.xs]
+            assert curve.norms.tolist() == pytest.approx(want, rel=1e-9, abs=1e-11), n
+            assert curve.max_norm <= 1.0 + 1e-9, n
+
+    def test_a_failing_curve_is_replayed_by_halving(self, monkeypatch):
+        # e^{20x} overflows from x ~ 35.4 on: the batch fails, and the halving
+        # replay finds the per-x loop's first failure in a few batched calls
+        Q = UpperBidiagonal(3, 20.0).to_dense()
+        grid = np.linspace(0.0, 50.0, 1024)
+        with pytest.raises(OverflowFailure) as single:
+            for x in grid:
+                operator_norm(expm_oracle(Q, x))
+        calls = []
+        expm_stack = semigroup._expm_stack
+
+        def counted(Q, xs):
+            calls.append(xs.size)
+            return expm_stack(Q, xs)
+
+        monkeypatch.setattr(semigroup, "_expm_stack", counted)
+        with pytest.raises(OverflowFailure) as batched:
+            contraction_check(Q, grid)
+        assert str(batched.value) == str(single.value)
+        assert len(calls) <= 2 * 10 + 1
 
 
 class TestGftt:
