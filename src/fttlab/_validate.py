@@ -75,7 +75,7 @@ def as_real_array(a, name: str):
             isinstance(v, (bool, np.bool_)) for v in np.asarray(a, dtype=object).flat)):
         raise ValueError(f"{name} must hold integers or floats only, got dtype {out.dtype}")
     out = out.astype(float, copy=False)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} must be finite")
     return out
 
@@ -97,14 +97,23 @@ def as_square_matrix(m, name: str):
     return out
 
 
-def finite(value, what: str):
-    """``value`` unchanged, or ``OverflowFailure`` if any entry is not finite."""
+def finite(value, what: str, index: int | None = None):
+    """``value`` unchanged, or ``OverflowFailure`` if any entry is not finite.
+
+    The error carries ``index``: the caller's for a scalar, and for an array
+    the first position along its first axis that holds a non-finite entry.
+    """
     # a float is the hot case; an ndarray exists only once numpy is loaded
     np = None if isinstance(value, float) else sys.modules.get("numpy")
-    if not (np.all(np.isfinite(value)) if np is not None and isinstance(value, np.ndarray)
-            else math.isfinite(value)):
-        raise OverflowFailure(f"{what} overflows double precision")
-    return value
+    if np is not None and isinstance(value, np.ndarray):
+        ok = np.isfinite(value)
+        if ok.all():
+            return value
+        if value.ndim:
+            index = int(ok.reshape(len(value), -1).all(axis=1).argmin())
+    elif math.isfinite(value):
+        return value
+    raise OverflowFailure(f"{what} overflows double precision", index=index)
 
 
 def checked_exp(exponent: float) -> float:

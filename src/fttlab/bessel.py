@@ -87,10 +87,14 @@ def i0_reference(x: float) -> float:
 def bound1(n: int, x: float) -> float:
     """exp(2 x cos(pi/(n+1))); dominates i0_partial(n, .) on x >= 0.
 
-    The rate is -2 dissipativity_threshold(n, STANDARD).
+    The rate is -2 dissipativity_threshold(n, STANDARD); ``threshold_x0``
+    evaluates the same formula, ``_bound1``, at a rate it computes once.
     """
     alpha = dissipativity_threshold(as_int(n, "term count", minimum=1), JordanVariant.STANDARD)
-    x = as_finite(x, "argument", minimum=0.0)
+    return _bound1(alpha, as_finite(x, "argument", minimum=0.0))
+
+
+def _bound1(alpha: float, x: float) -> float:
     return checked_exp(-2.0 * x * alpha)
 
 
@@ -102,10 +106,14 @@ def bound2(n: int, x: float) -> float:
     of x^2 + e^{-x} = e^{x (sqrt(5) - 1)/2}, about (1.54341, 5.54081); it
     is checked to hold for n <= 20, n != 2, x <= 20.  It is provided to be
     measured, not trusted.  The rate is
-    -2 dissipativity_threshold(n, MODIFIED).
+    -2 dissipativity_threshold(n, MODIFIED); ``threshold_x0`` evaluates the
+    same formula, ``_bound2``, at a rate it computes once.
     """
     alpha = dissipativity_threshold(as_int(n, "term count", minimum=1), JordanVariant.MODIFIED)
-    x = as_finite(x, "argument", minimum=0.0)
+    return _bound2(alpha, as_finite(x, "argument", minimum=0.0))
+
+
+def _bound2(alpha: float, x: float) -> float:
     return 1.0 - math.exp(-x) + checked_exp(-2.0 * x * alpha)
 
 
@@ -141,14 +149,19 @@ def threshold_x0(
     bisection refines the first one to absolute width ``tol``.  n = 1 is
     rejected: there cos(pi/2) = 0 and cos(2 pi/3) = -1/2 make both bounds
     identically 1, the gap vanishes everywhere, and no crossing exists.
+    The two rates are computed once; every gap value has the bits of
+    ``bound2(n, x) - bound1(n, x)``.
     """
     n = as_int(n, "term count", minimum=2)
     tol = as_finite(tol, "tol", above=0.0)
     search_hi = as_finite(search_hi, "search_hi", above=1e-3)  # the scan floor
     scan_points = as_int(scan_points, "scan_points", minimum=2)
 
+    alpha1 = dissipativity_threshold(n, JordanVariant.STANDARD)
+    alpha2 = dissipativity_threshold(n, JordanVariant.MODIFIED)
+
     def gap(x: float) -> float:
-        return bound2(n, x) - bound1(n, x)
+        return _bound2(alpha2, x) - _bound1(alpha1, x)
 
     ratio = finite(search_hi / 1e-3, "scan ratio search_hi / 1e-3") ** (1.0 / (scan_points - 1))
     xs = [1e-3 * ratio ** k for k in range(scan_points)]

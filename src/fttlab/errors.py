@@ -11,7 +11,15 @@ __all__ = ["NumericsError", "ConvergenceError", "OverflowFailure", "ConsistencyE
 
 
 class NumericsError(RuntimeError):
-    """A numerical procedure could not produce a trustworthy result."""
+    """A numerical procedure could not produce a trustworthy result.
+
+    ``index`` names the slice of a batched computation that the failing check
+    rejected first, where the check knows it; else it is None.
+    """
+
+    def __init__(self, *args, index: int | None = None) -> None:
+        super().__init__(*args)
+        self.index = index
 
 
 class ConvergenceError(NumericsError):

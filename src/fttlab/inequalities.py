@@ -26,6 +26,7 @@ equality cases are the corresponding kernel eigenvectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,16 +68,27 @@ class CheckReport:
 
 def difference_energy(a, kind: InequalityKind) -> float:
     """Sum of squared consecutive differences under the kind's padding."""
-    return _energy(as_vector(a, "a"), kind)
+    a = as_vector(a, "a")
+    with np.errstate(over="ignore"):  # _energy's finite guard raises right after
+        return _energy(a, kind.pins_right_end)
 
 
-def _energy(a: np.ndarray, kind: InequalityKind) -> float:
-    """``difference_energy`` of an already validated vector."""
-    if kind.pins_right_end:
-        padded = np.concatenate(([0.0], a, [0.0]))
-    else:
-        padded = np.concatenate(([0.0], a))
-    return finite(float(np.sum(np.diff(padded) ** 2)), "difference energy")
+def _energy(a: np.ndarray, pins_right_end: bool) -> float:
+    """``difference_energy`` of an already validated vector, under the caller's errstate.
+
+    The same elements and the same pairwise sum as ``np.sum(np.diff(padded) ** 2)``.
+    """
+    padded = np.zeros(a.size + 1 + pins_right_end)
+    padded[1:a.size + 1] = a
+    d = padded[1:] - padded[:-1]
+    d *= d
+    return finite(float(d.sum()), "difference energy")
+
+
+@lru_cache(maxsize=1024)
+def _kind_at(kind: InequalityKind, n: int) -> tuple[float, bool, bool]:
+    """(sharp constant, is_lower, pins_right_end): what ``verify`` reads of a kind at size n."""
+    return sharp_constant(kind, n), kind.is_lower, kind.pins_right_end
 
 
 def verify(
@@ -86,14 +98,18 @@ def verify(
 
     ``constant_scale`` multiplies the sharp constant; it exists so sharpness
     can be probed (a perturbed constant must flip the verdict on the
-    extremal vector) and defaults to the genuine constant.
+    extremal vector) and defaults to the genuine constant.  Entries large
+    enough to overflow the energy or the squared norm raise
+    ``OverflowFailure``, without a numpy warning first.
     """
     tol = as_finite(tol, "tol", minimum=0.0)
     a = as_vector(a, "a")
-    lhs = _energy(a, kind)
-    rhs = constant_scale * sharp_constant(kind, a.size) * float(a @ a)
+    constant, is_lower, pins_right_end = _kind_at(kind, a.size)
+    with np.errstate(over="ignore"):  # the finite guards raise right after
+        lhs = _energy(a, pins_right_end)
+        rhs = constant_scale * constant * float(a @ a)
     margin = finite(lhs - rhs, "inequality margin")
-    holds = margin >= -tol if kind.is_lower else margin <= tol
+    holds = margin >= -tol if is_lower else margin <= tol
     return CheckReport(lhs=lhs, rhs=rhs, margin=margin, holds=holds)
 
 

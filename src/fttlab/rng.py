@@ -27,6 +27,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _GAMMA_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
+_AHEAD = 2048  # draws computed in one pass once vector calls follow one another
+_NO_DRAWS = np.empty(0)
 
 
 class SplitMix64:
@@ -34,6 +36,8 @@ class SplitMix64:
 
     def __init__(self, seed: int) -> None:
         self._state = as_int(seed, "seed", any_size=True) & _MASK
+        # draws computed ahead by vector: the ones that follow state _ahead_from
+        self._ahead, self._ahead_from = _NO_DRAWS, None
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
@@ -53,20 +57,22 @@ class SplitMix64:
     def vector(self, n: int) -> np.ndarray:
         """n i.i.d. entries uniform on [-1, 1): the next n ``symmetric()`` draws, bit for bit.
 
-        One uint64 numpy pass over the states state + k gamma, k = 1..n; array
-        arithmetic wraps modulo 2^64 silently, where numpy scalars would warn.
+        A call right after another ``vector`` call takes its entries from a
+        block of 2048 draws computed ahead in one pass, and returns a copy;
+        any other call (the first, one after a scalar draw, or n past the
+        block) computes exactly n draws.  ``_state`` is the state after the
+        last draw returned, either way.
         """
         n = as_int(n, "length", minimum=1)
-        z = np.arange(1, n + 1, dtype=np.uint64)
-        z *= _GAMMA_U64
-        z += np.uint64(self._state)
-        self._state = (self._state + n * _GAMMA) & _MASK
-        z ^= z >> 30
-        z *= _MIX1_U64
-        z ^= z >> 27
-        z *= _MIX2_U64
-        z ^= z >> 31
-        return (z >> 11) * 2.0 ** -52 - 1.0  # == 2 (top53 * 2^-53) - 1 exactly
+        start = self._state
+        if self._ahead_from == start and n <= _AHEAD:
+            if self._ahead.size < n:
+                self._ahead = _draws(start, _AHEAD)
+            out, self._ahead = self._ahead[:n].copy(), self._ahead[n:]
+        else:
+            out, self._ahead = _draws(start, n), _NO_DRAWS
+        self._state = self._ahead_from = (start + n * _GAMMA) & _MASK
+        return out
 
     def integer(self, lo: int, hi: int) -> int:
         """One integer uniform on the inclusive range [lo, hi] (via rejection)."""
@@ -78,3 +84,20 @@ class SplitMix64:
             u = self.next_u64()
             if u < limit:
                 return lo + u % span
+
+
+def _draws(state: int, n: int) -> np.ndarray:
+    """The n ``symmetric()`` draws that follow ``state``, in one uint64 numpy pass.
+
+    The states are state + k gamma, k = 1..n; array arithmetic wraps modulo
+    2^64 silently, where numpy scalars would warn.
+    """
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= _GAMMA_U64
+    z += np.uint64(state)
+    z ^= z >> 30
+    z *= _MIX1_U64
+    z ^= z >> 27
+    z *= _MIX2_U64
+    z ^= z >> 31
+    return (z >> 11) * 2.0 ** -52 - 1.0  # == 2 (top53 * 2^-53) - 1 exactly

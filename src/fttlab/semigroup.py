@@ -87,7 +87,7 @@ def expm_oracle(Q, x: float) -> np.ndarray:
     ``contraction_check``, so a curve holds the bits of this function.
     """
     Q = as_square_matrix(Q, "Q")
-    return _expm_stack(Q, np.array([as_finite(x, "x")]))[0]
+    return finite(_expm_stack(Q, np.array([as_finite(x, "x")]))[0], "matrix exponential")
 
 
 def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -96,15 +96,19 @@ def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> np.ndarray:
     Every slice gets its own 2^-s scale, leaves the Taylor sum once its own
     term drops below 1e-18 and is squared its own s times, all through the
     same per-matrix products as a single call, so each slice keeps its bits.
+    A check that rejects a slice names it in the error's ``index``.  Squaring
+    may leave entries past double range; the caller checks them with ``finite``.
     """
     with np.errstate(over="ignore"):  # the finite guard on the 1-norm raises right after
         A = Q * xs[:, None, None]
     # numpy's matrix 1-norm, column sums then their maximum, per slice
     squarings = []
     for anorm in np.abs(A).sum(axis=1).max(axis=1).tolist():
-        s = 0 if anorm <= 0.5 else int(math.ceil(math.log2(finite(anorm / 0.5, "2 ||Qx||_1"))))
+        i = len(squarings)  # each check below names the slice it rejects
+        s = 0 if anorm <= 0.5 else int(math.ceil(math.log2(
+            finite(anorm / 0.5, "2 ||Qx||_1", index=i))))
         if s > 64:
-            raise OverflowFailure(f"argument norm {anorm!r} is out of range")
+            raise OverflowFailure(f"argument norm {anorm!r} is out of range", index=i)
         squarings.append(s)
     squarings = np.array(squarings)
     A /= np.ldexp(1.0, squarings)[:, None, None]
@@ -124,16 +128,17 @@ def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> np.ndarray:
         if not adding.any():
             break
     else:
-        raise ConvergenceError("Taylor series for the scaled exponential did not settle")
+        raise ConvergenceError("Taylor series for the scaled exponential did not settle",
+                               index=int(adding.argmax()))
     del A, term
 
-    # overflow here is an expected, checked outcome, not a warning
+    # overflow here is an expected outcome that the caller checks, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(int(squarings.max())):
             live = np.flatnonzero(squarings > j)
             square = result[live]
             result[live] = square @ square
-    return finite(result, "matrix exponential")
+    return result
 
 
 def _taylor_coefficients(n: int, x: float) -> np.ndarray:
@@ -295,27 +300,36 @@ def _validate_grid(xs, allow_zero: bool) -> np.ndarray:
     return grid
 
 
-def _in_grid_order(batch, Q: np.ndarray, xs: np.ndarray):
-    """batch(Q, xs), or else the failure of the first x that fails on its own.
+def _in_grid_order(Q: np.ndarray, xs: np.ndarray, norms: bool = False):
+    """exp(Qx) for every x in xs, or with ``norms`` their operator norms, else
+    the failure of the first x that fails on its own.
 
-    A batch meets failures stage by stage, a loop over xs point by point.  A
-    batch fails exactly when one of its points fails alone, so on failure
-    the first half and then the second are replayed the same way, and the
-    loop's error is raised.
+    A batch meets failures check by check, a loop over xs point by point.
+    Each check raises at the first slice it rejects and names it in the
+    error's ``index``.  The points before that slice passed this check and
+    every earlier one, so only a later check can fail them: they go on
+    through the checks that follow (after a check inside ``_expm_stack``,
+    from the start; after the overflow check on the exponentials, through
+    the norms of the finite ones already computed), and the first of them to
+    fail raises.  Else the named slice's error is the loop's.
     """
     try:
-        return batch(Q, xs)
-    except (OverflowFailure, ConvergenceError):
-        if xs.size > 1:
-            half = xs.size // 2
-            _in_grid_order(batch, Q, xs[:half])
-            _in_grid_order(batch, Q, xs[half:])
+        stack = _expm_stack(Q, xs)
+    except (OverflowFailure, ConvergenceError) as error:
+        if error.index:
+            _in_grid_order(Q, xs[:error.index], norms)
         raise
+    try:
+        finite(stack, "matrix exponential")
+    except OverflowFailure as error:
+        if norms and error.index:
+            _operator_norms(stack[:error.index])
+        raise
+    return _operator_norms(stack) if norms else stack
 
 
 def _norm_curve(Q: np.ndarray, grid: np.ndarray) -> NormCurve:
-    norms = _in_grid_order(lambda Q, xs: _operator_norms(_expm_stack(Q, xs)), Q, grid)
-    return NormCurve(xs=grid, norms=np.array(norms))
+    return NormCurve(xs=grid, norms=np.array(_in_grid_order(Q, grid, norms=True)))
 
 
 def contraction_check(Q, xs=None) -> NormCurve:
@@ -495,7 +509,7 @@ def norm_preserving_subspace(Q, x: float, tol: float = 1e-8) -> SubspaceBasis:
         eigenvalues, eigenvectors = np.linalg.eigh(defect)
         return eigenvectors[:, np.abs(eigenvalues) <= tol]
 
-    basis, check = map(kernel, _in_grid_order(_expm_stack, Q, np.array([x, 2.0 * x])))
+    basis, check = map(kernel, _in_grid_order(Q, np.array([x, 2.0 * x])))
     if basis.shape[1] != check.shape[1]:
         raise ConsistencyError(
             f"norm-preserving dimension differs between x={x!r} ({basis.shape[1]}) "

@@ -210,3 +210,40 @@ class TestThreshold:
             threshold_x0(3, scan_points=1)
         with pytest.raises(ValueError):
             threshold_x0(3, scan_points=10.0)
+
+
+def public_scan(n, tol=1e-12, search_hi=100.0, scan_points=512):
+    """threshold_x0's scan and bisection written out on the public bound2 - bound1."""
+    def gap(x):
+        return bound2(n, x) - bound1(n, x)
+
+    ratio = (search_hi / 1e-3) ** (1.0 / (scan_points - 1))
+    xs = [1e-3 * ratio ** k for k in range(scan_points)]
+    xs[-1] = search_hi
+    marks = ["+" if v > 0 else "-" if v < 0 else "0" for v in map(gap, xs)]
+    pattern = "".join(m for k, m in enumerate(marks) if k == 0 or m != marks[k - 1])
+    first = next(k for k in range(scan_points - 1) if {marks[k], marks[k + 1]} == {"+", "-"})
+    lo, hi, iterations = xs[first], xs[first + 1], 0
+    while hi - lo > tol:
+        iterations += 1
+        mid = 0.5 * lo + 0.5 * hi
+        if mid <= lo or mid >= hi:
+            break
+        value = gap(mid)
+        if value == 0.0:
+            lo = hi = mid
+        elif (value > 0) == (marks[first] == "+"):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), lo, hi, pattern, iterations
+
+
+@pytest.mark.parametrize("n, tol", [(n, 1e-12) for n in range(2, 41)]
+                         + [(n, 1e-15) for n in (2, 3, 5, 8)])
+def test_threshold_scan_keeps_the_bits_of_the_public_bounds(n, tol):
+    # the scan computes both rates once; every gap value must still be bound2 - bound1
+    got = threshold_x0(n, tol=tol)
+    want = public_scan(n, tol)
+    assert (got.x0.hex(), got.bracket_lo.hex(), got.bracket_hi.hex(), got.sign_pattern,
+            got.iterations) == (want[0].hex(), want[1].hex(), want[2].hex(), *want[3:])

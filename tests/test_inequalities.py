@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fttlab import (
     CheckReport,
@@ -226,6 +227,28 @@ class TestVerify:
             verify(InequalityKind.LOWER_PINNED, np.array([]))
         with pytest.raises(ValueError):
             verify(InequalityKind.LOWER_PINNED, np.ones((2, 2)))
+
+
+def old_verify(kind, a, constant_scale=1.0):
+    """verify's (lhs, rhs, margin) by the expressions it used before its fast path."""
+    padded = np.concatenate(([0.0], a, [0.0]) if kind.pins_right_end else ([0.0], a))
+    lhs = float(np.sum(np.diff(padded) ** 2))
+    rhs = constant_scale * sharp_constant(kind, a.size) * float(a @ a)
+    return lhs, rhs, lhs - rhs
+
+
+@given(a=hnp.arrays(np.float64, st.integers(1, 300),
+                    elements=st.floats(-1.2e150, 1.2e150) | st.floats(-1.0, 1.0)),
+       constant_scale=st.sampled_from([1.0, 0.95, 1.05]))
+@settings(max_examples=200, deadline=None)
+def test_verify_keeps_the_bits_of_the_old_expressions(a, constant_scale):
+    # entries up to ~1e150 keep every square and the sums finite for n <= 300
+    for kind in ALL_KINDS:
+        r = verify(kind, a, constant_scale=constant_scale)
+        lhs, rhs, margin = old_verify(kind, a, constant_scale)
+        assert (r.lhs.hex(), r.rhs.hex(), r.margin.hex()) == (lhs.hex(), rhs.hex(), margin.hex())
+        assert difference_energy(a, kind).hex() == lhs.hex()
+        assert r.holds == (margin >= -1e-10 if kind.is_lower else margin <= 1e-10)
 
 
 class TestExtremalVectors:

@@ -52,24 +52,13 @@ ROUTES = {
 }
 
 
-# routes whose numpy arithmetic still prints a RuntimeWarning before the guard
-# raises; every other route must raise under warnings.simplefilter("error").
-# These sit on the certify path, where an np.errstate per verify call measured
-# 3-4% slower (see CHANGES.md)
-STILL_WARNS = {
-    *(f"verify-{kind.value}" for kind in F.InequalityKind),
-    "difference_energy",
-}
-
-
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_route_raises_overflow_failure(route):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always" if route in STILL_WARNS else "error")
+    # no route prints a numpy RuntimeWarning before the guard raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(OverflowFailure, match="overflows double precision"):
             ROUTES[route]()
-    # a route that stops warning leaves STILL_WARNS, so the set only shrinks
-    assert any(issubclass(w.category, RuntimeWarning) for w in caught) == (route in STILL_WARNS)
 
 
 @pytest.mark.parametrize("bisect", [F.eig_sturm, lambda tri: _eig_sturm_one(tri, tri.n - 1, 1e-13)],

@@ -1,13 +1,18 @@
 """SplitMix64: the published stream, and ``vector`` as the scalar draws in one pass.
 
 The scalar ``symmetric`` loop is the reference: ``vector(n)`` must return its
-bytes and leave the generator in its state.
+bytes and leave the generator in its state, also when its draws come from a
+block computed ahead.
 """
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fttlab import rng
 
 from fttlab.rng import SplitMix64
 
@@ -52,3 +57,40 @@ def test_seeds_and_bounds_take_any_integer():
     # a seed is masked to 64 bits and never becomes a float, so no size limit applies
     assert SplitMix64(10**400)._state == 10**400 % 2**64
     assert 10**400 <= SplitMix64(0).integer(10**400, 10**400 + 6) <= 10**400 + 6
+
+
+@pytest.mark.parametrize("seed", [2**64 - 3, 0, 12345])
+def test_consecutive_vectors_are_the_scalar_stream(seed):
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    block = rng._AHEAD
+    # lengths on both sides of the block size, and runs that use up a block
+    for n in [1, 7, block - 1, block, block + 1, 3, 2 * block + 5] + [200] * 14:
+        got = fast.vector(n)
+        assert got.tobytes() == np.array([slow.symmetric() for _ in range(n)]).tobytes(), n
+        assert fast._state == slow._state
+        assert got.base is None  # a copy, not a view that keeps a whole block alive
+        got[:] = 9.0  # the caller owns the vector: the next draws must not see this
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("vector"), st.integers(1, 300) | st.sampled_from([2047, 2048, 2049])),
+    st.tuples(st.just("uniform")),
+    st.tuples(st.just("next_u64")),
+    st.tuples(st.just("integer"), st.integers(-5, 5), st.integers(5, 2**63)),
+)
+
+
+@given(seed=st.integers(0, 2**64 - 1) | st.just(2**64 - 3), ops=st.lists(_OPS, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_vector_interleaved_with_scalar_draws(seed, ops):
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    for op, *args in ops:
+        if op == "vector":
+            got = fast.vector(*args)
+            want = np.array([slow.symmetric() for _ in range(*args)])
+            assert got.tobytes() == want.tobytes()
+            got[0] = 9.0
+        else:
+            assert getattr(fast, op)(*args) == getattr(slow, op)(*args)
+        assert fast._state == slow._state
+    assert fast.vector(5).tobytes() == np.array([slow.symmetric() for _ in range(5)]).tobytes()

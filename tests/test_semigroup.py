@@ -307,8 +307,8 @@ class TestBatchedCurve:
             assert curve.max_norm <= 1.0 + 1e-9, n
 
     def test_a_failing_curve_is_replayed_by_halving(self, monkeypatch):
-        # e^{20x} overflows from x ~ 35.4 on: the batch fails, and the halving
-        # replay finds the per-x loop's first failure in a few batched calls
+        # e^{20x} overflows from x ~ 35.4 on: the batch fails, and the replay
+        # finds the per-x loop's first failure in a few batched calls
         Q = UpperBidiagonal(3, 20.0).to_dense()
         grid = np.linspace(0.0, 50.0, 1024)
         with pytest.raises(OverflowFailure) as single:
@@ -326,6 +326,28 @@ class TestBatchedCurve:
             contraction_check(Q, grid)
         assert str(batched.value) == str(single.value)
         assert len(calls) <= 2 * 10 + 1
+
+    def test_a_late_failure_costs_one_batch(self, monkeypatch):
+        # n = 40, alpha = 30: from x ~ 22.91 the norm of exp(Qx) overflows while
+        # its entries stay finite a few points longer, so the loop's error is a
+        # norm's; the norms of the finite exponentials find it with no replay
+        Q = UpperBidiagonal(40, 30.0).to_dense()
+        grid = np.linspace(0.0, 50.0, 5001)[2200:2400]
+        with pytest.raises(OverflowFailure, match="operator norm") as single:
+            for x in grid:
+                operator_norm(expm_oracle(Q, x))
+        slices = []
+        expm_stack = semigroup._expm_stack
+
+        def counted(Q, xs):
+            slices.append(xs.size)
+            return expm_stack(Q, xs)
+
+        monkeypatch.setattr(semigroup, "_expm_stack", counted)
+        with pytest.raises(OverflowFailure) as batched:
+            contraction_check(Q, grid)
+        assert str(batched.value) == str(single.value)
+        assert slices == [grid.size]
 
 
 class TestGftt:
