@@ -97,23 +97,14 @@ def as_square_matrix(m, name: str):
     return out
 
 
-def finite(value, what: str, index: int | None = None):
-    """``value`` unchanged, or ``OverflowFailure`` if any entry is not finite.
-
-    The error carries ``index``: the caller's for a scalar, and for an array
-    the first position along its first axis that holds a non-finite entry.
-    """
+def finite(value, what: str):
+    """``value`` unchanged, or ``OverflowFailure`` if any entry is not finite."""
     # a float is the hot case; an ndarray exists only once numpy is loaded
     np = None if isinstance(value, float) else sys.modules.get("numpy")
-    if np is not None and isinstance(value, np.ndarray):
-        ok = np.isfinite(value)
-        if ok.all():
-            return value
-        if value.ndim:
-            index = int(ok.reshape(len(value), -1).all(axis=1).argmin())
-    elif math.isfinite(value):
+    array = np is not None and isinstance(value, np.ndarray)
+    if np.isfinite(value).all() if array else math.isfinite(value):
         return value
-    raise OverflowFailure(f"{what} overflows double precision", index=index)
+    raise OverflowFailure(f"{what} overflows double precision")
 
 
 def checked_exp(exponent: float) -> float:

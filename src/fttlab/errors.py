@@ -13,8 +13,9 @@ __all__ = ["NumericsError", "ConvergenceError", "OverflowFailure", "ConsistencyE
 class NumericsError(RuntimeError):
     """A numerical procedure could not produce a trustworthy result.
 
-    ``index`` names the slice of a batched computation that the failing check
-    rejected first, where the check knows it; else it is None.
+    ``index`` is the grid position of the first failing point when a norm
+    curve fails (0 for the one point of ``expm_oracle``, the one matrix of
+    ``operator_norm``); else it is None.
     """
 
     def __init__(self, *args, index: int | None = None) -> None:

@@ -75,10 +75,15 @@ class SplitMix64:
         return out
 
     def integer(self, lo: int, hi: int) -> int:
-        """One integer uniform on the inclusive range [lo, hi] (via rejection)."""
+        """One integer uniform on the inclusive range [lo, hi] (via rejection from one draw).
+
+        A range of more than 2^64 integers is a ``ValueError``: one draw cannot cover it.
+        """
         lo = as_int(lo, "lo", any_size=True)
         hi = as_int(hi, "hi", minimum=lo, any_size=True)
         span = hi - lo + 1
+        if span > _MASK + 1:
+            raise ValueError(f"range [lo, hi] must hold at most 2**64 integers, got {span}")
         limit = (_MASK + 1) - (_MASK + 1) % span
         while True:
             u = self.next_u64()

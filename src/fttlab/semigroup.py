@@ -9,13 +9,12 @@ that statement and keeps them strictly separate so they can check each other:
 * ``operator_norm``    - power iteration on M^T M inside a squaring bracket
 * ``contraction_check``- norm curve of exp(Qx) over a grid
 
-A norm curve is batched over the whole grid: one exponential of the
-(k, n, n) stack of Qx, where each slice has its own scale, Taylor length and
-squaring count, then one norm bracket and one power iteration run in
-lockstep over the stack, where each slice stops at the step its own loop
-would.  Each point keeps the bits of ``operator_norm(expm_oracle(Q, x))``;
-those two public functions are the one-point calls of the same cores, and
-where points fail, the error raised is the one of the first failing point.
+A norm curve is one pass over the grid in chunks of a fixed byte budget,
+each one exponential of the (k, n, n) stack of Qx, where a slice has its own
+scale, Taylor length and squaring count, then one norm bracket and one power
+iteration in lockstep, where a slice stops at the step its own loop would.
+Each point keeps the bits of ``operator_norm(expm_oracle(Q, x))``, the
+one-point calls of the same cores; a failing curve raises its first failure.
 
 On top sit the generalized sharp bound for the standard block,
 
@@ -45,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validate import as_finite, as_int, as_square_matrix, as_vector, checked_exp, finite
-from .errors import ConsistencyError, ConvergenceError, OverflowFailure
+from .errors import ConsistencyError, ConvergenceError, NumericsError, OverflowFailure
 from .inequalities import CheckReport
 from .rng import SplitMix64
 from .tridiagonal import JordanVariant, UpperBidiagonal, dissipativity_threshold
@@ -75,6 +74,7 @@ _POWER_BUDGET = 10000  # power steps before an estimate counts as unsettled
 _POWER_TOL = 1e-12  # relative change at which a power-iteration estimate counts as settled
 _BOUND_SQUARINGS = 48  # normalized squarings of M^T M behind the operator-norm bracket
 _BOUND_SLACK = 1e-6  # relative shortfall below the upper end at which an estimate is rejected
+_CHUNK_BYTES = 8 * 2**20  # largest (k, n, n) stack of a norm curve's chunk, in bytes
 
 
 def expm_oracle(Q, x: float) -> np.ndarray:
@@ -83,32 +83,35 @@ def expm_oracle(Q, x: float) -> np.ndarray:
     The argument is halved until its 1-norm is at most 0.5, the series is
     summed until the additive term drops below 1e-18, and the result is
     squared back up.  Intermediate overflow raises ``OverflowFailure``.
-    This is the one-point call of the grid-batched core behind
-    ``contraction_check``, so a curve holds the bits of this function.
+    This is the one-point call of the grid pass behind ``contraction_check``,
+    so a curve holds the bits of this function.
     """
     Q = as_square_matrix(Q, "Q")
-    return finite(_expm_stack(Q, np.array([as_finite(x, "x")]))[0], "matrix exponential")
+    return _in_grid_order(Q, np.array([as_finite(x, "x")]))[0]
 
 
-def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """exp(Qx) for every x in xs as a (k, n, n) stack, each slice as ``expm_oracle``'s recipe.
+def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, list]:
+    """(stack, failures): exp(Qx) for every x in xs as ``expm_oracle``'s recipe, and
+    per slice the error of the first check that rejects it, else None.
 
     Every slice gets its own 2^-s scale, leaves the Taylor sum once its own
     term drops below 1e-18 and is squared its own s times, all through the
     same per-matrix products as a single call, so each slice keeps its bits.
-    A check that rejects a slice names it in the error's ``index``.  Squaring
-    may leave entries past double range; the caller checks them with ``finite``.
+    A slice's argument, once rejected, goes on as the zero matrix.  Squaring
+    may leave entries past double range: the caller checks each slice.
     """
-    with np.errstate(over="ignore"):  # the finite guard on the 1-norm raises right after
+    with np.errstate(over="ignore"):  # an overflowed argument fails its range check below
         A = Q * xs[:, None, None]
-    # numpy's matrix 1-norm, column sums then their maximum, per slice
+    failures = [None] * xs.size
     squarings = []
-    for anorm in np.abs(A).sum(axis=1).max(axis=1).tolist():
-        i = len(squarings)  # each check below names the slice it rejects
-        s = 0 if anorm <= 0.5 else int(math.ceil(math.log2(
-            finite(anorm / 0.5, "2 ||Qx||_1", index=i))))
-        if s > 64:
-            raise OverflowFailure(f"argument norm {anorm!r} is out of range", index=i)
+    # numpy's matrix 1-norm, column sums then their maximum, per slice
+    for i, anorm in enumerate(np.abs(A).sum(axis=1).max(axis=1).tolist()):
+        try:
+            s = 0 if anorm <= 0.5 else int(math.ceil(math.log2(finite(anorm / 0.5, "2 ||Qx||_1"))))
+            if s > 64:
+                raise OverflowFailure(f"argument norm {anorm!r} is out of range")
+        except OverflowFailure as error:
+            failures[i], A[i], s = error, 0.0, 0
         squarings.append(s)
     squarings = np.array(squarings)
     A /= np.ldexp(1.0, squarings)[:, None, None]
@@ -127,9 +130,9 @@ def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> np.ndarray:
                     & (term.min(axis=(1, 2), keepdims=True) > -_TAYLOR_TOL))
         if not adding.any():
             break
-    else:
-        raise ConvergenceError("Taylor series for the scaled exponential did not settle",
-                               index=int(adding.argmax()))
+    for i in np.flatnonzero(adding).tolist():  # still adding after the last term
+        failures[i] = failures[i] or ConvergenceError(
+            "Taylor series for the scaled exponential did not settle")
     del A, term
 
     # overflow here is an expected outcome that the caller checks, not a warning
@@ -138,7 +141,7 @@ def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> np.ndarray:
             live = np.flatnonzero(squarings > j)
             square = result[live]
             result[live] = square @ square
-    return result
+    return result, failures
 
 
 def _taylor_coefficients(n: int, x: float) -> np.ndarray:
@@ -252,7 +255,7 @@ def _power_run(M: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _operator_norms(M: np.ndarray) -> list[float]:
-    """``operator_norm`` of every slice of a (k, n, n) stack."""
+    """``operator_norm`` of each slice of a (k, n, n) stack; an overflow's ``index`` is its slice."""
     largest = np.abs(M).max(axis=(1, 2))
     norms = [0.0] * largest.size
     live = np.flatnonzero(largest)
@@ -265,7 +268,11 @@ def _operator_norms(M: np.ndarray) -> list[float]:
     sigma, settled = _power_run(M, np.ones(M.shape[1]))
     sigma = np.where(settled & (sigma >= upper * (1.0 - _BOUND_SLACK)), sigma, lower)
     for i, s, c in zip(live.tolist(), sigma.tolist(), scale.tolist()):
-        norms[i] = finite(s * c, f"operator norm ({s!r} * {c!r})")
+        try:
+            norms[i] = finite(s * c, f"operator norm ({s!r} * {c!r})")
+        except OverflowFailure as error:
+            error.index = i
+            raise
     return norms
 
 
@@ -300,32 +307,33 @@ def _validate_grid(xs, allow_zero: bool) -> np.ndarray:
     return grid
 
 
-def _in_grid_order(Q: np.ndarray, xs: np.ndarray, norms: bool = False):
-    """exp(Qx) for every x in xs, or with ``norms`` their operator norms, else
-    the failure of the first x that fails on its own.
+def _in_grid_order(Q: np.ndarray, xs: np.ndarray, norms: bool = False) -> list:
+    """exp(Qx) for every x in xs, or with ``norms`` their operator norms, else the
+    error of the first x that fails on its own, with its position in ``index``.
 
-    A batch meets failures check by check, a loop over xs point by point.
-    Each check raises at the first slice it rejects and names it in the
-    error's ``index``.  The points before that slice passed this check and
-    every earlier one, so only a later check can fail them: they go on
-    through the checks that follow (after a check inside ``_expm_stack``,
-    from the start; after the overflow check on the exponentials, through
-    the norms of the finite ones already computed), and the first of them to
-    fail raises.  Else the named slice's error is the loop's.
+    One pass over xs in chunks of at most ``_CHUNK_BYTES`` per (k, n, n) stack.
+    A chunk's first slice that fails in or on its exponential raises after the
+    norms of the slices before it: the per-x loop's error, by construction.
     """
-    try:
-        stack = _expm_stack(Q, xs)
-    except (OverflowFailure, ConvergenceError) as error:
-        if error.index:
-            _in_grid_order(Q, xs[:error.index], norms)
-        raise
-    try:
-        finite(stack, "matrix exponential")
-    except OverflowFailure as error:
-        if norms and error.index:
-            _operator_norms(stack[:error.index])
-        raise
-    return _operator_norms(stack) if norms else stack
+    out = []
+    step = max(1, _CHUNK_BYTES // Q.nbytes)
+    for start in range(0, xs.size, step):
+        stack, failures = _expm_stack(Q, xs[start:start + step])
+        first = 0
+        try:  # the overflow check on each exponential, up to the first failing slice
+            while first < len(stack) and failures[first] is None:
+                finite(stack[first], "matrix exponential")
+                first += 1
+        except OverflowFailure as error:
+            failures[first] = error
+        try:
+            out += _operator_norms(stack[:first]) if norms else list(stack[:first])
+            if first < len(stack):
+                raise failures[first]
+        except NumericsError as error:
+            error.index = start + (first if error.index is None else error.index)
+            raise
+    return out
 
 
 def _norm_curve(Q: np.ndarray, grid: np.ndarray) -> NormCurve:

@@ -8,6 +8,7 @@ import ast
 import hashlib
 import json
 import os
+import platform
 import resource
 import subprocess
 import sys
@@ -357,6 +358,73 @@ def test_output_bytes_match_bench_golden(capsys):
     _match_recorded_bytes(capsys, os.path.join(root, "bench", "cli_golden.json"), 7)
 
 
+# outputs that go through BLAS ddot or gemm, whose rounding depends on the OpenBLAS kernel
+_KERNEL_BOUND = ("verify --n 6 ", "verify --n 16 ", "semigroup-norm ")
+
+# runs each invocation given as JSON in argv[1] in-process; prints {line: [exit code, SHA-256]}
+_DIGESTS = """
+import contextlib, hashlib, io, json, sys
+from fttlab.cli import main
+got = {}
+for line in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(line.split())
+    got[line] = [code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()]
+print(json.dumps(got))
+"""
+
+
+def _has_cpu_flag(flag: str) -> bool:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return any(line.startswith("flags") and flag in line.split() for line in fh)
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+def test_kernel_free_outputs_match_under_other_blas_kernels(kernel):
+    # the pinned entries that reach no BLAS ddot or gemm keep their bytes on any
+    # OpenBLAS kernel; the kernel is forced in a child, as it is read at load time
+    if kernel == "Haswell" and not _has_cpu_flag("avx2"):
+        pytest.skip("the Haswell kernel needs AVX2")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    want = {}
+    for path, count in ((os.path.join(root, "tests", "fixtures", "cli_bytes.json"), 12),
+                        (os.path.join(root, "bench", "cli_golden.json"), 5)):
+        with open(path, encoding="utf-8") as fh:
+            entries = {line: [v["exit_code"], v["stdout_sha256"]]
+                       for line, v in json.load(fh).items() if not line.startswith(_KERNEL_BOUND)}
+        assert len(entries) == count, path
+        want.update(entries)
+    result = _python("-W", "error", "-c", _DIGESTS, json.dumps(list(want)), timeout=120,
+                     env_vars={"OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "1"})
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout) == want
+
+
+def test_a_long_curve_runs_in_flat_memory():
+    # the curve runs in chunks of a fixed byte budget; the whole 2001-point grid
+    # as one stack peaked at 156 MB, the chunked pass at 82 MB
+    code = ("import resource, sys\n"
+            "from fttlab.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "sys.stdout.flush()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    result = _python("-c", code, "semigroup-norm", "--n", "40", "--alpha", "-1",
+                     "--grid", "0:10:2001", timeout=120, env_vars={"OPENBLAS_NUM_THREADS": "1"},
+                     text=False)  # the CSV's CRLF line ends are part of the digest
+    assert result.returncode == 0, result.stderr
+    digest = hashlib.sha256(result.stdout).hexdigest()
+    assert digest == "87af9affca669f7de7eb3666bbd3422bfff92a0c33102b8fc5688088c127237c"
+    peak_mb = int(result.stderr) / (2**20 if sys.platform == "darwin" else 2**10)  # bytes on macOS
+    assert peak_mb < 120, peak_mb
+
+
 def _hex(values) -> list[str]:
     return [float(v).hex() for v in values]
 
@@ -396,12 +464,16 @@ def test_one_point_grid():
     assert _parse_grid("2.5:2.5:1") == [2.5]
 
 
-def _fttlab(*argv: str, env_vars: dict[str, str] | None = None, **kwargs) -> subprocess.CompletedProcess:
+def _python(*args: str, env_vars: dict[str, str] | None = None, **kwargs):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, **(env_vars or {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "fttlab", *argv],
-                          capture_output=True, text=True, env=env, **kwargs)
+    kwargs.setdefault("text", True)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, **kwargs)
+
+
+def _fttlab(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    return _python("-m", "fttlab", *argv, **kwargs)
 
 
 def test_huge_term_count_sweeps_at_once():

@@ -94,3 +94,14 @@ def test_vector_interleaved_with_scalar_draws(seed, ops):
             assert getattr(fast, op)(*args) == getattr(slow, op)(*args)
         assert fast._state == slow._state
     assert fast.vector(5).tobytes() == np.array([slow.symmetric() for _ in range(5)]).tobytes()
+
+
+def test_integer_rejects_a_range_past_one_draw():
+    # limit = 2**64 - 2**64 % span is 0 past 2**64 integers, so no draw was ever accepted
+    with pytest.raises(ValueError, match="at most 2\\*\\*64 integers"):
+        SplitMix64(1).integer(0, 2**64)
+    with pytest.raises(ValueError):
+        SplitMix64(1).integer(-(10**30), 10**30)
+    # the full 64-bit range still takes every draw as it is
+    assert SplitMix64(1).integer(0, 2**64 - 1) == 10451216379200822465
+    assert SplitMix64(1).integer(-2**63, 2**63 - 1) == 1227844342346046657

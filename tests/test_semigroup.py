@@ -8,6 +8,7 @@ functions; the hand-computed 2x2 modified-block exponential
 pins down the non-Toeplitz last column that the discrepancy probe measures.
 """
 
+import functools
 import json
 import math
 import warnings
@@ -183,7 +184,7 @@ class TestOperatorNorm:
         for n in (1, 2, 5, 12, 13, 20, 40):
             for variant in JordanVariant:
                 block = UpperBidiagonal(n, dissipativity_threshold(n, variant), variant)
-                stacks.append(semigroup._expm_stack(block.to_dense(), grid))
+                stacks.append(semigroup._expm_stack(block.to_dense(), grid)[0])
         for M in stacks:
             lower, upper = semigroup._norm_bracket(M)
             sigma = np.linalg.svd(M, compute_uv=False)[:, 0]
@@ -238,8 +239,9 @@ class TestContraction:
 
 
 class TestBatchedCurve:
-    """A norm curve is one batched exponential and one lockstep power
-    iteration over the grid; every point keeps the bits of a per-x call."""
+    """A norm curve is one pass over the grid in chunks, each one batched
+    exponential and one lockstep power iteration; every point keeps the
+    bits of a per-x call."""
 
     def test_curves_keep_the_bits_of_the_per_x_loop(self):
         fixture = Path(__file__).resolve().parent / "fixtures" / "norm_curve_bits.json"
@@ -255,7 +257,7 @@ class TestBatchedCurve:
         xs = np.array([0.0, 1e-3, 0.2, 0.9, 3.0, 11.0, 40.0])
         for n in (1, 2, 5, 9):
             Q = random_matrix(rng, n)
-            stack = semigroup._expm_stack(Q, xs)
+            stack = semigroup._expm_stack(Q, xs)[0]
             anorms = [float(np.linalg.norm(Q * x, 1)) for x in xs]
             assert len({math.ceil(math.log2(a / 0.5)) if a > 0.5 else 0 for a in anorms}) >= 4
             for x, got in zip(xs, stack):
@@ -307,8 +309,8 @@ class TestBatchedCurve:
             assert curve.max_norm <= 1.0 + 1e-9, n
 
     def test_a_failing_curve_is_replayed_by_halving(self, monkeypatch):
-        # e^{20x} overflows from x ~ 35.4 on: the batch fails, and the replay
-        # finds the per-x loop's first failure in a few batched calls
+        # e^{20x} overflows from x ~ 35.4 on: the grid fits in one chunk, whose
+        # first overflowing slice is the per-x loop's first failure
         Q = UpperBidiagonal(3, 20.0).to_dense()
         grid = np.linspace(0.0, 50.0, 1024)
         with pytest.raises(OverflowFailure) as single:
@@ -330,7 +332,7 @@ class TestBatchedCurve:
     def test_a_late_failure_costs_one_batch(self, monkeypatch):
         # n = 40, alpha = 30: from x ~ 22.91 the norm of exp(Qx) overflows while
         # its entries stay finite a few points longer, so the loop's error is a
-        # norm's; the norms of the finite exponentials find it with no replay
+        # norm's; the grid fits in one chunk, and its norms find it
         Q = UpperBidiagonal(40, 30.0).to_dense()
         grid = np.linspace(0.0, 50.0, 5001)[2200:2400]
         with pytest.raises(OverflowFailure, match="operator norm") as single:
@@ -348,6 +350,60 @@ class TestBatchedCurve:
             contraction_check(Q, grid)
         assert str(batched.value) == str(single.value)
         assert slices == [grid.size]
+
+    # (n, alpha, grid, message, index of the per-x loop's first failure)
+    FAILING_CURVES = [
+        (3, 20.0, np.linspace(0.0, 50.0, 1024), "matrix exponential overflows", 720),
+        (40, 30.0, np.linspace(0.0, 50.0, 5001)[2200:2400], "operator norm", 91),
+        (1, 1e18, np.array([1.0, 50.0]), "matrix exponential overflows", 0),
+    ]
+
+    @pytest.mark.parametrize("slices", [1, 7, None])  # None: the whole grid in one chunk
+    def test_chunks_do_not_change_a_curve(self, monkeypatch, slices):
+        sizes = []
+        expm_stack = semigroup._expm_stack
+
+        def counted(Q, xs):
+            sizes.append(xs.size)
+            return expm_stack(Q, xs)
+
+        def chunk_of(n):  # sets the budget to the given number of n x n slices
+            sizes.clear()
+            monkeypatch.setattr(semigroup, "_CHUNK_BYTES", 8 * n * n * (slices or 10**6))
+            return slices or 10**6
+
+        monkeypatch.setattr(semigroup, "_expm_stack", counted)
+        fixture = Path(__file__).resolve().parent / "fixtures" / "norm_curve_bits.json"
+        curves = json.loads(fixture.read_text(encoding="utf-8"))["curves"]
+        if slices is None:  # one chunk, as at the default budget, which the test above checks
+            curves = []
+        elif slices == 1:  # one slice at a time, the n = 30 curves are 9 s of power iterations
+            curves = [c for c in curves if c["n"] < 30]
+        for c in curves:
+            block = UpperBidiagonal(c["n"], float.fromhex(c["alpha"]), JordanVariant(c["variant"]))
+            chunk = chunk_of(c["n"])
+            assert [v.hex() for v in contraction_check(block.to_dense()).norms] == c["norms"]
+            assert max(sizes) == chunk and sum(sizes) == 65
+        for case, (n, alpha, grid, message, index) in enumerate(self.FAILING_CURVES):
+            chunk = chunk_of(n)
+            with pytest.raises(OverflowFailure) as batched:
+                contraction_check(UpperBidiagonal(n, alpha).to_dense(), grid)
+            assert (str(batched.value), batched.value.index) == _per_x_failure(case)
+            assert message in str(batched.value) and batched.value.index == index
+            assert max(sizes) <= chunk
+
+
+@functools.cache
+def _per_x_failure(case: int) -> tuple[str, int]:
+    """(message, grid position) of the first failure of the per-x loop on a failing curve."""
+    n, alpha, grid, _, _ = TestBatchedCurve.FAILING_CURVES[case]
+    Q = UpperBidiagonal(n, alpha).to_dense()
+    for i, x in enumerate(grid):
+        try:
+            operator_norm(expm_oracle(Q, x))
+        except OverflowFailure as error:
+            return str(error), i
+    raise AssertionError("the curve does not fail")
 
 
 class TestGftt:
