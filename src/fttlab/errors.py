@@ -15,7 +15,8 @@ class NumericsError(RuntimeError):
 
     ``index`` is the grid position of the first failing point when a norm
     curve fails (0 for the one point of ``expm_oracle``, the one matrix of
-    ``operator_norm``); else it is None.
+    ``operator_norm``, the one sample of ``gftt2_exact_lhs``), and the sample
+    number when the gftt2 probe fails; else it is None.
     """
 
     def __init__(self, *args, index: int | None = None) -> None:

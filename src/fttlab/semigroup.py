@@ -13,8 +13,10 @@ A norm curve is one pass over the grid in chunks of a fixed byte budget,
 each one exponential of the (k, n, n) stack of Qx, where a slice has its own
 scale, Taylor length and squaring count, then one norm bracket and one power
 iteration in lockstep, where a slice stops at the step its own loop would.
-Each point keeps the bits of ``operator_norm(expm_oracle(Q, x))``, the
-one-point calls of the same cores; a failing curve raises its first failure.
+The power iteration tests convergence once per block of steps, on a record
+of the block's squared norms.  Each point keeps the bits of
+``operator_norm(expm_oracle(Q, x))``, the one-point calls of the same cores;
+a failing curve raises its first failure.
 
 On top sit the generalized sharp bound for the standard block,
 
@@ -29,7 +31,9 @@ e^{-x} tail term differs from the exact quantity for n >= 2 (the exponential
 of the modified block is not Toeplitz: its last column holds terms like
 2(1 - e^{-x/2}) where the polynomial form would put x).  The discrepancy
 probe measures both that gap and whether the polynomial form even stays
-below the bound; it is evidence-gathering, not an assertion.
+below the bound; it is evidence-gathering, not an assertion.  It computes
+its exponentials in the same chunked passes as a curve, each sample keeping
+the bits of ``gftt2_exact_lhs``.
 
 ``norm_preserving_subspace`` computes the subspace on which exp(Qx) acts as
 an isometry, the kernel of I - exp(Q^T x) exp(Qx); for dissipative Q its
@@ -39,6 +43,7 @@ dimension does not depend on x > 0 and it is invariant under the semigroup.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +77,10 @@ __all__ = [
 _TAYLOR_TOL = 1e-18  # expm_oracle sums its series until a term drops below this
 _POWER_BUDGET = 10000  # power steps before an estimate counts as unsettled
 _POWER_TOL = 1e-12  # relative change at which a power-iteration estimate counts as settled
+_POWER_BLOCK = 32  # power steps between two convergence tests of the lockstep run
 _BOUND_SQUARINGS = 48  # normalized squarings of M^T M behind the operator-norm bracket
 _BOUND_SLACK = 1e-6  # relative shortfall below the upper end at which an estimate is rejected
-_CHUNK_BYTES = 8 * 2**20  # largest (k, n, n) stack of a norm curve's chunk, in bytes
+_CHUNK_BYTES = 8 * 2**20  # largest (k, n, n) stack of exponentials taken at once, in bytes
 
 
 def expm_oracle(Q, x: float) -> np.ndarray:
@@ -219,38 +225,51 @@ def _power_run(M: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Returns (sigma, settled): each slice stops at the step where a loop over
     that slice alone would stop, with the same products (matmul of a vector
     with itself is numpy's ddot, as ``w.dot(w)``), so its estimate keeps the
-    bits of such a loop.  ``settled`` is False where the slice fell into the
-    kernel of M^T M or spent the budget.
+    bits of such a loop.  The steps run in blocks of up to ``_POWER_BLOCK``
+    that only record the squared norms of w = M v and g = M^T w; after each
+    block one vectorized pass over the record finds every slice's first stop,
+    and the block's stopped slices leave.  ``settled`` is False where the
+    slice fell into the kernel of M^T M or spent the budget.
     """
     k, n, _ = M.shape
     sigma = np.empty(k)
     settled = np.zeros(k, dtype=bool)
     live = np.arange(k)
-    MT = M.transpose(0, 2, 1)
     v = np.broadcast_to((start / math.sqrt(start.dot(start)))[:, None], (k, n, 1))
-    sigma_prev = np.full((k, 1, 1), -1.0)
-    close_prev = np.zeros((k, 1, 1), dtype=bool)
-    for _ in range(_POWER_BUDGET):
-        w = M @ v
-        sig = np.sqrt(w.transpose(0, 2, 1) @ w)
-        g = MT @ w
-        gn = np.sqrt(g.transpose(0, 2, 1) @ g)
-        close = np.abs(sig - sigma_prev) <= _POWER_TOL * np.maximum(sig, 1e-300)
-        stop = close & close_prev  # two relative changes in a row within the tolerance
-        # gn == 0: the iterate fell into the kernel of M^T M, so that slice stops unsettled
-        if np.count_nonzero(stop) or np.count_nonzero(gn) < gn.size:
-            kernel = (gn == 0.0).ravel()
-            done = stop.ravel() | kernel
-            sigma[live[done]] = sig[done].ravel()
-            settled[live[done]] = ~kernel[done]
-            keep = ~done
-            live, M, sig, g, gn, close = live[keep], M[keep], sig[keep], g[keep], gn[keep], close[keep]
-            if not live.size:
-                return sigma, settled
+    sigma_prev = np.full(k, -1.0)
+    close_prev = np.zeros(k, dtype=bool)
+    taken = 0
+    # a slice that stops inside a block runs on unread to its end, through 0 / 0 past the kernel
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while live.size and taken < _POWER_BUDGET:
+            steps = min(_POWER_BLOCK, _POWER_BUDGET - taken)
+            taken += steps
             MT = M.transpose(0, 2, 1)
-        v = g / gn
-        sigma_prev, close_prev = sig, close
-    sigma[live] = sigma_prev.ravel()
+            ww, gg = np.empty((2, steps, live.size, 1, 1))  # w^T w and g^T g of every step
+            for ww_step, gg_step in zip(ww, gg):
+                w = M @ v
+                np.matmul(w.transpose(0, 2, 1), w, out=ww_step)
+                g = MT @ w
+                np.matmul(g.transpose(0, 2, 1), g, out=gg_step)
+                v = g / np.sqrt(gg_step)
+            sig = np.sqrt(ww.reshape(steps, -1))
+            previous = np.vstack((sigma_prev, sig[:-1]))
+            close = np.abs(sig - previous) <= _POWER_TOL * np.maximum(sig, 1e-300)
+            # two relative changes in a row within the tolerance
+            stop = close & np.vstack((close_prev, close[:-1]))
+            # g^T g == 0: the iterate fell into the kernel of M^T M, so that slice stops unsettled
+            kernel = gg.reshape(steps, -1) == 0.0
+            done = stop | kernel
+            first, slices = done.argmax(axis=0), np.arange(live.size)
+            ended = done[first, slices]
+            if ended.any():
+                at = first[ended], slices[ended]
+                sigma[live[ended]] = sig[at]
+                settled[live[ended]] = ~kernel[at]
+                keep = ~ended
+                live, M, v, sig, close = live[keep], M[keep], v[keep], sig[:, keep], close[:, keep]
+            sigma_prev, close_prev = sig[-1], close[-1]
+    sigma[live] = sigma_prev
     return sigma, settled
 
 
@@ -409,14 +428,30 @@ def gftt2_toeplitz_lhs(a, x: float) -> float:
 
 
 def gftt2_exact_lhs(a, alpha: float, x: float) -> float:
-    """||exp(J~_n(alpha) x) a||^2 through the exponential oracle."""
+    """||exp(J~_n(alpha) x) a||^2 through the exponential oracle.
+
+    The one-sample call of the probe's chunked pass, so the probe holds the
+    bits of this function.  Overflow raises ``OverflowFailure`` with index 0.
+    """
     a = as_vector(a, "a")
     block = UpperBidiagonal(a.size, alpha, JordanVariant.MODIFIED)
-    propagator = expm_oracle(block.to_dense(), x)
+    return _image_energies(block.to_dense(), [a], np.array([as_finite(x, "x")]))[0]
+
+
+def _image_energies(Q: np.ndarray, vectors: Sequence[np.ndarray], xs: np.ndarray) -> list[float]:
+    """||exp(Q x_i) a_i||^2 for each pair, the exponentials in one ``_in_grid_order``
+    pass; a failure's ``index`` is its pair's position."""
+    energies = []
     with np.errstate(over="ignore"):  # checked just below
-        image = propagator @ a
-        energy = float(image @ image)
-    return finite(energy, "squared norm of exp(J~_n(alpha) x) a")
+        for i, (propagator, a) in enumerate(zip(_in_grid_order(Q, xs), vectors)):
+            image = propagator @ a
+            try:
+                energy = finite(float(image @ image), "squared norm of exp(J~_n(alpha) x) a")
+            except OverflowFailure as error:
+                error.index = i
+                raise
+            energies.append(energy)
+    return energies
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,25 +487,39 @@ def gftt2_discrepancy_probe(n: int, samples: int, seed: int) -> Gftt2ProbeReport
     Draws ``samples`` pairs (a, x) with entries uniform on [-1, 1) and x
     uniform on [0, 5), reproducibly from the given seed.  Exit semantics are
     the caller's business: the probe only reports extrema, it never asserts.
+
+    The pairs are drawn in order, in chunks of at most ``_CHUNK_BYTES`` of
+    n x n exponentials, each chunk's exponentials in one ``_in_grid_order``
+    pass; every value keeps the bits of the per-sample ``gftt2_toeplitz_lhs``
+    and ``gftt2_exact_lhs``.  No valid input can fail (|a_i| < 1, x < 5 and
+    alpha in (-1, 0)); a failure's ``index`` would be its sample number.
     """
     n = as_int(n, "dimension", minimum=1)
     samples = as_int(samples, "sample count", minimum=0)
     alpha = dissipativity_threshold(n, JordanVariant.MODIFIED)
+    # an empty probe allocates nothing, whatever n
+    block = UpperBidiagonal(n, alpha, JordanVariant.MODIFIED).to_dense() if samples else None
     rng = SplitMix64(seed)
     excess: ProbeWitness | None = None
     discrepancy: ProbeWitness | None = None
-    for _ in range(samples):
-        a = rng.vector(n)
-        x = 5.0 * rng.uniform()
-        toeplitz = gftt2_toeplitz_lhs(a, x)
-        bound = math.exp(-2.0 * alpha * x) * float(a @ a)
-        exact = math.exp(-2.0 * alpha * x) * gftt2_exact_lhs(a, alpha, x)
-        e_val = toeplitz - bound
-        d_val = abs(toeplitz - exact)
-        if excess is None or e_val > excess.value:
-            excess = ProbeWitness(value=e_val, x=x, a=a)
-        if discrepancy is None or d_val > discrepancy.value:
-            discrepancy = ProbeWitness(value=d_val, x=x, a=a)
+    step = max(1, _CHUNK_BYTES // (8 * n * n))  # the samples whose exponentials fill a chunk
+    for start in range(0, samples, step):
+        draws = [(rng.vector(n), 5.0 * rng.uniform()) for _ in range(min(step, samples - start))]
+        vectors, xs = zip(*draws)
+        try:
+            energies = _image_energies(block, vectors, np.array(xs))
+        except NumericsError as error:
+            error.index += start
+            raise
+        for (a, x), energy in zip(draws, energies):
+            rate = math.exp(-2.0 * alpha * x)
+            toeplitz = gftt2_toeplitz_lhs(a, x)
+            e_val = toeplitz - rate * float(a @ a)
+            d_val = abs(toeplitz - rate * energy)
+            if excess is None or e_val > excess.value:
+                excess = ProbeWitness(value=e_val, x=x, a=a)
+            if discrepancy is None or d_val > discrepancy.value:
+                discrepancy = ProbeWitness(value=d_val, x=x, a=a)
     return Gftt2ProbeReport(
         n=n, samples=samples, seed=int(seed), alpha=alpha,
         bound_excess=excess, exact_discrepancy=discrepancy,

@@ -406,23 +406,50 @@ def test_kernel_free_outputs_match_under_other_blas_kernels(kernel):
     assert json.loads(result.stdout) == want
 
 
+_OWN_PEAK = """\
+import sys
+from fttlab.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+try:  # VmHWM is this process's own peak
+    with open("/proc/self/status", encoding="ascii") as fh:
+        peak_mb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 2**10
+except OSError:  # off Linux; there ru_maxrss is bytes on macOS, KiB elsewhere
+    import resource
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_mb = peak / (2**20 if sys.platform == "darwin" else 2**10)
+print(peak_mb, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _digest_and_own_peak(*argv: str) -> tuple[str, float]:
+    """SHA-256 of the stdout of ``fttlab argv`` run in a child, and that child's own peak RSS in MB.
+
+    On Linux a child's ru_maxrss keeps its spawner's peak across exec, so a
+    pytest process that once held 120 MB would pass that figure on; VmHWM does not.
+    """
+    result = _python("-c", _OWN_PEAK, *argv, timeout=120, env_vars={"OPENBLAS_NUM_THREADS": "1"},
+                     text=False)  # a CSV's CRLF line ends are part of the digest
+    assert result.returncode == 0, result.stderr
+    return hashlib.sha256(result.stdout).hexdigest(), float(result.stderr)
+
+
 def test_a_long_curve_runs_in_flat_memory():
     # the curve runs in chunks of a fixed byte budget; the whole 2001-point grid
     # as one stack peaked at 156 MB, the chunked pass at 82 MB
-    code = ("import resource, sys\n"
-            "from fttlab.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "sys.stdout.flush()\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
-            "sys.exit(code)\n")
-    result = _python("-c", code, "semigroup-norm", "--n", "40", "--alpha", "-1",
-                     "--grid", "0:10:2001", timeout=120, env_vars={"OPENBLAS_NUM_THREADS": "1"},
-                     text=False)  # the CSV's CRLF line ends are part of the digest
-    assert result.returncode == 0, result.stderr
-    digest = hashlib.sha256(result.stdout).hexdigest()
+    digest, peak_mb = _digest_and_own_peak("semigroup-norm", "--n", "40", "--alpha", "-1",
+                                           "--grid", "0:10:2001")
     assert digest == "87af9affca669f7de7eb3666bbd3422bfff92a0c33102b8fc5688088c127237c"
-    peak_mb = int(result.stderr) / (2**20 if sys.platform == "darwin" else 2**10)  # bytes on macOS
     assert peak_mb < 120, peak_mb
+
+
+def test_a_long_probe_runs_in_flat_memory():
+    # the probe's exponentials run in chunks of the same byte budget as a curve's
+    digest, peak_mb = _digest_and_own_peak("probe-gftt2", "--n", "2", "--samples", "20000",
+                                           "--seed", "4")
+    assert digest == "6b699ec4d67a8268cb899237b5532362383083f4630bdedfa28554917fbef4cd"
+    assert peak_mb < 60, peak_mb
 
 
 def _hex(values) -> list[str]:

@@ -263,14 +263,16 @@ class TestBatchedCurve:
             for x, got in zip(xs, stack):
                 assert got.tobytes() == expm_oracle(Q, x).tobytes(), (n, x)
 
+    KERNEL_STACK = np.array([
+        [[2.0, 0.3], [-0.4, 1.1]],
+        [[1.0, -1.0], [1.0, -1.0]],  # all ones lies in the kernel of M^T M
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[1.5, -0.5], [-0.5, 1.5]],  # all ones is an eigenvector for sigma = 1
+        [[-3.0, 0.5], [0.25, 0.75]],
+    ])
+
     def test_rejected_slices_take_the_lower_end_inside_a_batch(self, monkeypatch):
-        stack = np.array([
-            [[2.0, 0.3], [-0.4, 1.1]],
-            [[1.0, -1.0], [1.0, -1.0]],  # all ones lies in the kernel of M^T M
-            [[0.0, 0.0], [0.0, 0.0]],
-            [[1.5, -0.5], [-0.5, 1.5]],  # all ones is an eigenvector for sigma = 1
-            [[-3.0, 0.5], [0.25, 0.75]],
-        ])
+        stack = self.KERNEL_STACK
         runs = []
         power_run = semigroup._power_run
 
@@ -290,6 +292,28 @@ class TestBatchedCurve:
         assert got[2] == 0.0
         assert got[3] == pytest.approx(2.0, abs=1e-12)
         assert [v.hex() for v in got] == [operator_norm(M).hex() for M in stack]
+
+    @pytest.mark.parametrize("budget", [None, 1, 31, 32, 33, 100])  # None: the real budget
+    def test_power_blocks_keep_the_bits_of_the_step_loop(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(semigroup, "_POWER_BUDGET", budget)
+        stacks = [self.KERNEL_STACK]
+        for n in (8, 30):
+            for variant in JordanVariant:
+                Q = UpperBidiagonal(n, dissipativity_threshold(n, variant), variant).to_dense()
+                stacks.append(semigroup._expm_stack(Q, default_contraction_grid())[0])
+        for M in stacks:
+            # the power-of-two rescale of _operator_norms
+            M = M / np.ldexp(1.0, np.frexp(np.abs(M).max(axis=(1, 2)))[1])[:, None, None]
+            want_sigma, want_settled, stops = _step_loop(M, np.ones(M.shape[1]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an unread slice past the kernel divides 0 / 0
+                sigma, settled = semigroup._power_run(M, np.ones(M.shape[1]))
+            assert [v.hex() for v in sigma] == [v.hex() for v in want_sigma], M.shape
+            assert settled.tolist() == want_settled.tolist(), M.shape
+        if budget is None:  # the last stack's stops (n = 30, modified) span many block edges
+            assert min(stops) <= 3 and max(stops) > 6000
+            assert len({s // semigroup._POWER_BLOCK for s in stops}) > 30
 
     def test_the_first_failing_point_names_the_error(self):
         # x = 1 overflows while squaring; x = 50 needs more than 64 squarings
@@ -391,6 +415,43 @@ class TestBatchedCurve:
             assert (str(batched.value), batched.value.index) == _per_x_failure(case)
             assert message in str(batched.value) and batched.value.index == index
             assert max(sizes) <= chunk
+
+
+def _step_loop(M: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(sigma, settled, stop steps): the lockstep power run with its convergence
+    test after every step, the reference for the run that tests once per block."""
+    k, n, _ = M.shape
+    sigma = np.empty(k)
+    settled = np.zeros(k, dtype=bool)
+    stops = [semigroup._POWER_BUDGET] * k
+    live = np.arange(k)
+    MT = M.transpose(0, 2, 1)
+    v = np.broadcast_to((start / math.sqrt(start.dot(start)))[:, None], (k, n, 1))
+    sigma_prev = np.full((k, 1, 1), -1.0)
+    close_prev = np.zeros((k, 1, 1), dtype=bool)
+    for step in range(1, semigroup._POWER_BUDGET + 1):
+        w = M @ v
+        sig = np.sqrt(w.transpose(0, 2, 1) @ w)
+        g = MT @ w
+        gn = np.sqrt(g.transpose(0, 2, 1) @ g)
+        close = np.abs(sig - sigma_prev) <= semigroup._POWER_TOL * np.maximum(sig, 1e-300)
+        stop = close & close_prev
+        if np.count_nonzero(stop) or np.count_nonzero(gn) < gn.size:
+            kernel = (gn == 0.0).ravel()
+            done = stop.ravel() | kernel
+            sigma[live[done]] = sig[done].ravel()
+            settled[live[done]] = ~kernel[done]
+            for i in live[done].tolist():
+                stops[i] = step
+            keep = ~done
+            live, M, sig, g, gn, close = live[keep], M[keep], sig[keep], g[keep], gn[keep], close[keep]
+            if not live.size:
+                return sigma, settled, stops
+            MT = M.transpose(0, 2, 1)
+        v = g / gn
+        sigma_prev, close_prev = sig, close
+    sigma[live] = sigma_prev.ravel()
+    return sigma, settled, stops
 
 
 @functools.cache
@@ -533,15 +594,81 @@ class TestGftt2:
         assert r1.bound_excess.value == r2.bound_excess.value
         assert r1.bound_excess.x == r2.bound_excess.x
         assert np.array_equal(r1.bound_excess.a, r2.bound_excess.a)
-        empty = gftt2_discrepancy_probe(3, 0, 5)
-        assert empty.bound_excess is None
-        assert empty.exact_discrepancy is None
+        for n in (3, 10**15):  # no block is built for no samples
+            empty = gftt2_discrepancy_probe(n, 0, 5)
+            assert empty.bound_excess is None
+            assert empty.exact_discrepancy is None
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_probe_keeps_the_bits_of_the_per_sample_loop(self, monkeypatch, n):
+        events = []  # one "draw" per sample vector, then the size of each batched exponential
+        expm_stack, vector = semigroup._expm_stack, SplitMix64.vector
+
+        def counted(Q, xs):
+            events.append(xs.size)
+            return expm_stack(Q, xs)
+
+        def drawn(rng, size):
+            events.append("draw")
+            return vector(rng, size)
+
+        monkeypatch.setattr(semigroup, "_expm_stack", counted)
+        monkeypatch.setattr(SplitMix64, "vector", drawn)
+        default = semigroup._CHUNK_BYTES
+        for seed in (0, 11):
+            want = _per_sample_probe(n, 300, seed)
+            for chunk in (None, 7):  # None: the default budget, all 300 samples in one chunk
+                monkeypatch.setattr(semigroup, "_CHUNK_BYTES", 8 * n * n * chunk if chunk else default)
+                events.clear()
+                report = gftt2_discrepancy_probe(n, 300, seed)
+                got = [(w.value.hex(), w.x.hex(), w.a.tobytes())
+                       for w in (report.bound_excess, report.exact_discrepancy)]
+                assert got == want, (n, seed, chunk)
+                # a chunk's samples are drawn, then their exponentials taken in one call
+                sizes = [300] if chunk is None else [7] * 42 + [6]
+                assert events == [e for size in sizes for e in ["draw"] * size + [size]]
+
+    def test_a_probe_failure_names_its_sample(self, monkeypatch):
+        # no valid input fails, so the third exponential of the second chunk is made to
+        expm_stack = semigroup._expm_stack
+        calls = []
+
+        def failing(Q, xs):
+            stack, failures = expm_stack(Q, xs)
+            calls.append(xs.size)
+            if len(calls) == 2:
+                failures[2] = OverflowFailure("injected")
+            return stack, failures
+
+        monkeypatch.setattr(semigroup, "_expm_stack", failing)
+        monkeypatch.setattr(semigroup, "_CHUNK_BYTES", 8 * 2 * 2 * 7)
+        with pytest.raises(OverflowFailure, match="injected") as failure:
+            gftt2_discrepancy_probe(2, 30, 1)
+        assert failure.value.index == 7 + 2 and calls == [7, 7]
 
     def test_probe_validation(self):
         with pytest.raises(ValueError):
             gftt2_discrepancy_probe(0, 10, 1)
         with pytest.raises(ValueError):
             gftt2_discrepancy_probe(2, -1, 1)
+
+
+def _per_sample_probe(n: int, samples: int, seed: int) -> list[tuple[str, str, bytes]]:
+    """(value, x, a) of both probe witnesses, as a loop over one sample at a time finds them."""
+    alpha = dissipativity_threshold(n, JordanVariant.MODIFIED)
+    rng = SplitMix64(seed)
+    excess = discrepancy = None
+    for _ in range(samples):
+        a = rng.vector(n)
+        x = 5.0 * rng.uniform()
+        toeplitz = gftt2_toeplitz_lhs(a, x)
+        e_val = toeplitz - math.exp(-2.0 * alpha * x) * float(a @ a)
+        d_val = abs(toeplitz - math.exp(-2.0 * alpha * x) * gftt2_exact_lhs(a, alpha, x))
+        if excess is None or e_val > excess[0]:
+            excess = (e_val, x, a)
+        if discrepancy is None or d_val > discrepancy[0]:
+            discrepancy = (d_val, x, a)
+    return [(value.hex(), x.hex(), a.tobytes()) for value, x, a in (excess, discrepancy)]
 
 
 class TestNormPreservingSubspace:
