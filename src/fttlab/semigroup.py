@@ -11,12 +11,11 @@ that statement and keeps them strictly separate so they can check each other:
 
 A norm curve is one pass over the grid in chunks of a fixed byte budget,
 each one exponential of the (k, n, n) stack of Qx, where a slice has its own
-scale, Taylor length and squaring count, then one norm bracket and one power
-iteration in lockstep, where a slice stops at the step its own loop would.
-The power iteration tests convergence once per block of steps, on a record
-of the block's squared norms.  Each point keeps the bits of
-``operator_norm(expm_oracle(Q, x))``, the one-point calls of the same cores;
-a failing curve raises its first failure.
+scale, Taylor length and squaring count, then one norm bracket and one run of
+32 power steps in lockstep, where a slice that settles stops at the step its
+own loop would; a slice that does not settle takes the bracket's lower end.
+Each point keeps the bits of ``operator_norm(expm_oracle(Q, x))``, the
+one-point calls of the same cores; a failing curve raises its first failure.
 
 On top sit the generalized sharp bound for the standard block,
 
@@ -75,9 +74,8 @@ __all__ = [
 ]
 
 _TAYLOR_TOL = 1e-18  # expm_oracle sums its series until a term drops below this
-_POWER_BUDGET = 10000  # power steps before an estimate counts as unsettled
+_POWER_STEPS = 32  # power steps before an estimate counts as unsettled
 _POWER_TOL = 1e-12  # relative change at which a power-iteration estimate counts as settled
-_POWER_BLOCK = 32  # power steps between two convergence tests of the lockstep run
 _BOUND_SQUARINGS = 48  # normalized squarings of M^T M behind the operator-norm bracket
 _BOUND_SLACK = 1e-6  # relative shortfall below the upper end at which an estimate is rejected
 _CHUNK_BYTES = 8 * 2**20  # largest (k, n, n) stack of exponentials taken at once, in bytes
@@ -207,12 +205,14 @@ def _norm_bracket(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def operator_norm(M) -> float:
     """Largest singular value: power iteration on M^T M, checked against a bracket.
 
-    Deterministic: the power iteration starts from all ones, and its
-    estimate is kept once two consecutive relative changes fall below 1e-12
-    and it lies within a relative 1e-6 of the upper end of ``_norm_bracket``.
-    Any other estimate (the iterate fell into the kernel of M^T M, sat on an
-    eigenvector for a smaller singular value or spent its budget) is replaced
-    by the bracket's lower end, which is within 4 n eps of the norm.
+    Deterministic: the power iteration starts from all ones and runs 32
+    steps; its estimate is kept once two consecutive relative changes fall
+    below 1e-12 within them and it lies within a relative 1e-6 of the upper
+    end of ``_norm_bracket``.  Any other estimate (the iterate fell into the
+    kernel of M^T M, sat on an eigenvector for a smaller singular value or did
+    not settle in 32 steps, as near x = 0 where exp(Qx) has two nearly equal
+    singular values) is replaced by the bracket's lower end, which is within
+    4 n eps of the norm.
     This is the one-matrix call of the lockstep iteration that
     ``contraction_check`` runs over a whole stack of exponentials.
     """
@@ -220,57 +220,40 @@ def operator_norm(M) -> float:
 
 
 def _power_run(M: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Power iteration on each M[i]^T M[i] from ``start``, all slices in lockstep.
+    """``_POWER_STEPS`` steps of power iteration on each M[i]^T M[i] from ``start``,
+    all slices in lockstep.
 
-    Returns (sigma, settled): each slice stops at the step where a loop over
-    that slice alone would stop, with the same products (matmul of a vector
-    with itself is numpy's ddot, as ``w.dot(w)``), so its estimate keeps the
-    bits of such a loop.  The steps run in blocks of up to ``_POWER_BLOCK``
-    that only record the squared norms of w = M v and g = M^T w; after each
-    block one vectorized pass over the record finds every slice's first stop,
-    and the block's stopped slices leave.  ``settled`` is False where the
-    slice fell into the kernel of M^T M or spent the budget.
+    Returns (sigma, settled): a slice that settles stops at the step where a
+    loop over that slice alone would stop, with the same products (matmul of
+    a vector with itself is numpy's ddot, as ``w.dot(w)``), so its estimate
+    keeps the bits of such a loop.  The steps only record the squared norms
+    of w = M v and g = M^T w; one vectorized pass over the record then finds
+    every slice's first stop.  ``settled`` is False where the slice fell into
+    the kernel of M^T M or did not settle within the steps; its ``sigma`` is
+    then not an estimate.
     """
     k, n, _ = M.shape
-    sigma = np.empty(k)
-    settled = np.zeros(k, dtype=bool)
-    live = np.arange(k)
+    MT = M.transpose(0, 2, 1)
     v = np.broadcast_to((start / math.sqrt(start.dot(start)))[:, None], (k, n, 1))
-    sigma_prev = np.full(k, -1.0)
-    close_prev = np.zeros(k, dtype=bool)
-    taken = 0
-    # a slice that stops inside a block runs on unread to its end, through 0 / 0 past the kernel
+    ww, gg = np.empty((2, _POWER_STEPS, k, 1, 1))  # w^T w and g^T g of every step
+    # a slice runs on unread after its stop, through 0 / 0 past the kernel
     with np.errstate(divide="ignore", invalid="ignore"):
-        while live.size and taken < _POWER_BUDGET:
-            steps = min(_POWER_BLOCK, _POWER_BUDGET - taken)
-            taken += steps
-            MT = M.transpose(0, 2, 1)
-            ww, gg = np.empty((2, steps, live.size, 1, 1))  # w^T w and g^T g of every step
-            for ww_step, gg_step in zip(ww, gg):
-                w = M @ v
-                np.matmul(w.transpose(0, 2, 1), w, out=ww_step)
-                g = MT @ w
-                np.matmul(g.transpose(0, 2, 1), g, out=gg_step)
-                v = g / np.sqrt(gg_step)
-            sig = np.sqrt(ww.reshape(steps, -1))
-            previous = np.vstack((sigma_prev, sig[:-1]))
-            close = np.abs(sig - previous) <= _POWER_TOL * np.maximum(sig, 1e-300)
-            # two relative changes in a row within the tolerance
-            stop = close & np.vstack((close_prev, close[:-1]))
-            # g^T g == 0: the iterate fell into the kernel of M^T M, so that slice stops unsettled
-            kernel = gg.reshape(steps, -1) == 0.0
-            done = stop | kernel
-            first, slices = done.argmax(axis=0), np.arange(live.size)
-            ended = done[first, slices]
-            if ended.any():
-                at = first[ended], slices[ended]
-                sigma[live[ended]] = sig[at]
-                settled[live[ended]] = ~kernel[at]
-                keep = ~ended
-                live, M, v, sig, close = live[keep], M[keep], v[keep], sig[:, keep], close[:, keep]
-            sigma_prev, close_prev = sig[-1], close[-1]
-    sigma[live] = sigma_prev
-    return sigma, settled
+        for ww_step, gg_step in zip(ww, gg):
+            w = M @ v
+            np.matmul(w.transpose(0, 2, 1), w, out=ww_step)
+            g = MT @ w
+            np.matmul(g.transpose(0, 2, 1), g, out=gg_step)
+            v = g / np.sqrt(gg_step)
+    sig = np.sqrt(ww.reshape(_POWER_STEPS, k))
+    previous = np.vstack((np.full(k, -1.0), sig[:-1]))
+    close = np.abs(sig - previous) <= _POWER_TOL * np.maximum(sig, 1e-300)
+    # two relative changes in a row within the tolerance
+    stop = close & np.vstack((np.zeros(k, dtype=bool), close[:-1]))
+    # g^T g == 0: the iterate fell into the kernel of M^T M, so that slice stops unsettled
+    kernel = gg.reshape(_POWER_STEPS, k) == 0.0
+    done = stop | kernel
+    at = done.argmax(axis=0), np.arange(k)
+    return sig[at], done[at] & ~kernel[at]
 
 
 def _operator_norms(M: np.ndarray) -> list[float]:
