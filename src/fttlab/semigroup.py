@@ -11,9 +11,11 @@ that statement and keeps them strictly separate so they can check each other:
 
 A norm curve is one pass over the grid in chunks of a fixed byte budget,
 each one exponential of the (k, n, n) stack of Qx, where a slice has its own
-scale, Taylor length and squaring count, then one norm bracket and one run of
-32 power steps in lockstep, where a slice that settles stops at the step its
-own loop would; a slice that does not settle takes the bracket's lower end.
+scale, Taylor length and squaring count, then one run of 32 power steps in
+lockstep, where a slice that settles stops at the step its own loop would,
+then one norm bracket that squares each slice only until its norm is
+decided: by a settled estimate within 1e-6 of the upper end, by a bracket
+4 eps wide (its lower end), or after 48 squarings (its lower end).
 Each point keeps the bits of ``operator_norm(expm_oracle(Q, x))``, the
 one-point calls of the same cores; a failing curve raises its first failure.
 
@@ -78,6 +80,7 @@ _POWER_STEPS = 32  # power steps before an estimate counts as unsettled
 _POWER_TOL = 1e-12  # relative change at which a power-iteration estimate counts as settled
 _BOUND_SQUARINGS = 48  # normalized squarings of M^T M behind the operator-norm bracket
 _BOUND_SLACK = 1e-6  # relative shortfall below the upper end at which an estimate is rejected
+_BOUND_WIDTH = 4 * 2.0**-52  # relative bracket width at which a slice leaves the squaring loop
 _CHUNK_BYTES = 8 * 2**20  # largest (k, n, n) stack of exponentials taken at once, in bytes
 
 
@@ -179,40 +182,86 @@ def _frobenius(B: np.ndarray) -> list[float]:
     return np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel().tolist()
 
 
-def _norm_bracket(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """lower <= sigma_max(M) <= upper per slice of M, each end up to 4 n eps off by rounding.
+def _witness(M: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """||M c|| / ||c|| per slice, c the largest column of B: a lower end of sigma_max(M)."""
+    c = B[np.arange(B.shape[0]), :, (B * B).sum(axis=1).argmax(axis=1), None]
+    w = M @ c
+    return np.sqrt((w.transpose(0, 2, 1) @ w) / (c.transpose(0, 2, 1) @ c)).ravel()
 
-    B = M^T M is squared k times, rescaled to unit Frobenius norm before each
-    squaring; ``upper`` = ||B^(2^k)||_F^(1/2^(k+1)), the product of the removed
-    norms raised to the matching powers, falls to sigma_max as k grows.  The
-    last B's largest column c is a witness: ``lower`` = ||M c|| / ||c||.
+
+def _norm_bracket(M: np.ndarray, estimates: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """lower <= sigma_max(M) <= upper per slice, each end up to 4 n eps off by rounding.
+
+    B = M^T M is squared up to 48 times, rescaled to unit Frobenius norm before
+    each squaring; ``upper`` = ||B^(2^k)||_F^(1/2^(k+1)), the product of the
+    removed norms raised to the matching powers, falls to sigma_max as k grows
+    and, up to rounding, never rises, as ||X^2||_F <= ||X||_F^2.  A largest
+    column c of B is a witness: ||M c|| / ||c|| is a lower end.  A slice
+    leaves the squaring at the first k where its norm is decided, and keeps
+    as ``lower``:
+
+    (a) its entry of ``estimates`` (settled power estimates, NaN where a slice
+        has none), bit for bit, once that lies within a relative 1e-6 of
+        ``upper``: as ``upper`` never rises, the 48th squaring would admit
+        it too.  Its ``upper`` is the one at k, which may be that far off.
+    (b) the witness, once ``upper`` is within 4 eps of it; the witness is
+        formed only once the slice's factor of ``upper`` has reached 1.0.
+    (c) the witness after the 48th squaring.
+
+    Without estimates every slice ends by (b) or (c), so both ends hold the
+    4 n eps above.  A slice's numbers do not depend on the others in M.
     """
+    count = M.shape[0]
+    lower, upper = [0.0] * count, [0.0] * count
+    live = list(range(count))  # the stack's slices, by their place in M
+    value = [math.nan] * count if estimates is None else estimates.tolist()
     B = M.transpose(0, 2, 1) @ M
     norms = _frobenius(B)
     # the scalar factors stay Python floats, so sqrt and ** round as they did for one matrix
-    upper = [math.sqrt(norm) for norm in norms]
-    for k in range(1, _BOUND_SQUARINGS + 1):
-        B /= np.array(norms)[:, None, None]
-        B = B @ B
-        norms = _frobenius(B)
-        upper = [bound * norm ** (0.5 ** (k + 1)) for bound, norm in zip(upper, norms)]
-    c = np.take_along_axis(B, (B * B).sum(axis=1).argmax(axis=1)[:, None, None], axis=2)
-    w = M @ c
-    lower = np.sqrt((w.transpose(0, 2, 1) @ w) / (c.transpose(0, 2, 1) @ c)).ravel()
-    return lower, np.array(upper)
+    bounds = [math.sqrt(norm) for norm in norms]
+    flat = [False] * count  # a factor of exactly 1.0: upper has stopped moving
+    for k in range(_BOUND_SQUARINGS + 1):
+        if k:
+            B /= np.array(norms)[:, None, None]
+            B = B @ B
+            norms = _frobenius(B)
+            factors = [norm ** (0.5 ** (k + 1)) for norm in norms]
+            bounds = [bound * factor for bound, factor in zip(bounds, factors)]
+            flat = [factor == 1.0 for factor in factors]
+        cap = k == _BOUND_SQUARINGS
+        done = [v >= bound * (1.0 - _BOUND_SLACK) for v, bound in zip(value, bounds)]
+        witness = [i for i, d in enumerate(done) if not d and (cap or flat[i])]
+        if witness:
+            for i, low in zip(witness, _witness(M[witness], B[witness]).tolist()):
+                if cap or bounds[i] <= low * (1.0 + _BOUND_WIDTH):
+                    value[i], done[i] = low, True
+        if any(done):
+            keep = []
+            for i, d in enumerate(done):
+                if d:
+                    lower[live[i]], upper[live[i]] = value[i], bounds[i]
+                else:
+                    keep.append(i)
+            if not keep:
+                break
+            M, B = M[keep], B[keep]
+            live, value, norms, bounds = ([x[i] for i in keep] for x in (live, value, norms, bounds))
+    return np.array(lower), np.array(upper)
 
 
 def operator_norm(M) -> float:
     """Largest singular value: power iteration on M^T M, checked against a bracket.
 
     Deterministic: the power iteration starts from all ones and runs 32
-    steps; its estimate is kept once two consecutive relative changes fall
-    below 1e-12 within them and it lies within a relative 1e-6 of the upper
-    end of ``_norm_bracket``.  Any other estimate (the iterate fell into the
-    kernel of M^T M, sat on an eigenvector for a smaller singular value or did
-    not settle in 32 steps, as near x = 0 where exp(Qx) has two nearly equal
-    singular values) is replaced by the bracket's lower end, which is within
-    4 n eps of the norm.
+    steps; its estimate counts as settled once two consecutive relative
+    changes fall below 1e-12 within them.  ``_norm_bracket`` then squares
+    M^T M until the norm is decided: a settled estimate is kept, bit for bit,
+    once it lies within a relative 1e-6 of the bracket's upper end.  Any
+    other estimate (the iterate fell into the kernel of M^T M, sat on an
+    eigenvector for a smaller singular value or did not settle in 32 steps,
+    as near x = 0 where exp(Qx) has two nearly equal singular values) is
+    replaced by the bracket's lower end, taken once the bracket is 4 eps
+    wide or after 48 squarings, which is within 4 n eps of the norm.
     This is the one-matrix call of the lockstep iteration that
     ``contraction_check`` runs over a whole stack of exponentials.
     """
@@ -230,7 +279,8 @@ def _power_run(M: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray
     of w = M v and g = M^T w; one vectorized pass over the record then finds
     every slice's first stop.  ``settled`` is False where the slice fell into
     the kernel of M^T M or did not settle within the steps; its ``sigma`` is
-    then not an estimate.
+    then not an estimate.  The run comes before ``_norm_bracket``, which
+    takes the settled estimates and keeps those that its upper end admits.
     """
     k, n, _ = M.shape
     MT = M.transpose(0, 2, 1)
@@ -266,9 +316,8 @@ def _operator_norms(M: np.ndarray) -> list[float]:
     # power-of-two rescale, capped at 2^1023: keeps M^T M v finite for huge entries, exactly
     scale = np.ldexp(1.0, np.minimum(np.frexp(largest[live])[1], 1023))
     M = M[live] / scale[:, None, None]
-    lower, upper = _norm_bracket(M)
     sigma, settled = _power_run(M, np.ones(M.shape[1]))
-    sigma = np.where(settled & (sigma >= upper * (1.0 - _BOUND_SLACK)), sigma, lower)
+    sigma = _norm_bracket(M, np.where(settled, sigma, np.nan))[0]
     for i, s, c in zip(live.tolist(), sigma.tolist(), scale.tolist()):
         try:
             norms[i] = finite(s * c, f"operator norm ({s!r} * {c!r})")

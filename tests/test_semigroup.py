@@ -169,10 +169,18 @@ class TestOperatorNorm:
         assert operator_norm(M) == pytest.approx(2.0, abs=1e-12)
 
     def test_estimates_short_of_the_bound_take_the_lower_end(self, monkeypatch):
-        # the settled estimate 0.5 lies far below the upper end 4.0, so it is rejected
-        monkeypatch.setattr(semigroup, "_norm_bracket",
-                            lambda M: (np.array([0.375]), np.array([4.0])))
-        assert operator_norm(0.5 * np.eye(2)) == 0.375
+        # the settled estimate 0.375 lies far below the upper end 0.5, so it is rejected
+        M = 0.5 * np.eye(2)
+        lower, upper = semigroup._norm_bracket(M[None])
+        assert semigroup._norm_bracket(M[None], np.array([0.375]))[0].tolist() == lower.tolist()
+        monkeypatch.setattr(semigroup, "_power_run",
+                            lambda M, start: (np.array([0.375]), np.array([True])))
+        assert operator_norm(M) == lower[0] == 0.5
+        # an estimate within the slack of the upper end is kept, bit for bit; twice that short, not
+        close = upper[0] * (1.0 - 0.5 * semigroup._BOUND_SLACK)
+        assert semigroup._norm_bracket(M[None], np.array([close]))[0].tolist() == [close]
+        short = upper[0] * (1.0 - 2.0 * semigroup._BOUND_SLACK)
+        assert semigroup._norm_bracket(M[None], np.array([short]))[0].tolist() == lower.tolist()
 
     def test_bracket_contains_svd(self):
         # random dense stacks, and Jordan exponentials up to n = 40 on a grid
@@ -352,6 +360,56 @@ class TestBatchedCurve:
                 unsettled += np.count_nonzero(~settled)
         assert unsettled > 0
 
+    def test_the_bracket_squares_a_slice_only_until_its_norm_is_decided(self, monkeypatch):
+        # squaring all 65 slices 48 times would be 3120 slice-squarings in 48 rounds
+        sizes = []
+        frobenius = semigroup._frobenius
+
+        def counted(B):
+            sizes.append(B.shape[0])
+            return frobenius(B)
+
+        monkeypatch.setattr(semigroup, "_frobenius", counted)
+        for variant in JordanVariant:
+            Q = UpperBidiagonal(30, dissipativity_threshold(30, variant), variant).to_dense()
+            sizes.clear()
+            contraction_check(Q)
+            assert sizes[0] == 65  # M^T M of every slice, before the first squaring
+            squarings, rounds = sum(sizes[1:]), len(sizes) - 1
+            assert squarings <= 1000 and rounds <= 24, (variant, squarings, rounds)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 13, 30, 40])
+    def test_retiring_slices_early_keeps_each_route(self, monkeypatch, n):
+        grid = np.concatenate(([0.0, 0.001, 0.003], default_contraction_grid()[1:]))
+        cases = []
+        for variant in JordanVariant:
+            for offset in (-0.02, 0.0, 0.02):
+                alpha = dissipativity_threshold(n, variant) + offset
+                stack = semigroup._expm_stack(UpperBidiagonal(n, alpha, variant).to_dense(), grid)[0]
+                # the power-of-two rescale of _operator_norms
+                M = stack / np.ldexp(1.0, np.frexp(np.abs(stack).max(axis=(1, 2)))[1])[:, None, None]
+                sigma, settled = semigroup._power_run(M, np.ones(n))
+                lower, upper = _full_bracket(M)
+                admitted = settled & (sigma >= upper * (1.0 - semigroup._BOUND_SLACK))
+                estimates = np.where(settled, sigma, np.nan)
+                cases.append((M, estimates, lower, upper, admitted))
+                got = semigroup._norm_bracket(M, estimates)[0]
+                # an estimate the 48th squaring admits keeps its bits; any other slice
+                # takes the lower end it gets without estimates
+                assert _hexes(got[admitted]) == _hexes(sigma[admitted]), (variant, offset)
+                own = semigroup._norm_bracket(M)[0]
+                assert _hexes(got[~admitted]) == _hexes(own[~admitted]), (variant, offset)
+        assert any(admitted.any() for *_, admitted in cases)
+        # both routes occur, except at n = 1, where every estimate is admitted
+        assert n == 1 or any((~admitted).any() for *_, admitted in cases)
+        # a width never met: every slice that no estimate decides is squared 48 times
+        monkeypatch.setattr(semigroup, "_BOUND_WIDTH", -1.0)
+        for M, estimates, lower, upper, admitted in cases:
+            got_lower, got_upper = semigroup._norm_bracket(M)
+            assert (_hexes(got_lower), _hexes(got_upper)) == (_hexes(lower), _hexes(upper))
+            want = np.where(admitted, estimates, lower)
+            assert _hexes(semigroup._norm_bracket(M, estimates)[0]) == _hexes(want)
+
     def test_a_failing_curve_is_replayed_by_halving(self, monkeypatch):
         # e^{20x} overflows from x ~ 35.4 on: the grid fits in one chunk, whose
         # first overflowing slice is the per-x loop's first failure
@@ -433,6 +491,27 @@ class TestBatchedCurve:
             assert (str(batched.value), batched.value.index) == _per_x_failure(case)
             assert message in str(batched.value) and batched.value.index == index
             assert max(sizes) <= chunk
+
+
+def _hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _full_bracket(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper): every slice squared 48 times, then its witness, the reference
+    for the bracket that retires each slice once its norm is decided."""
+    B = M.transpose(0, 2, 1) @ M
+    norms = semigroup._frobenius(B)
+    upper = [math.sqrt(norm) for norm in norms]
+    for k in range(1, semigroup._BOUND_SQUARINGS + 1):
+        B /= np.array(norms)[:, None, None]
+        B = B @ B
+        norms = semigroup._frobenius(B)
+        upper = [bound * norm ** (0.5 ** (k + 1)) for bound, norm in zip(upper, norms)]
+    c = np.take_along_axis(B, (B * B).sum(axis=1).argmax(axis=1)[:, None, None], axis=2)
+    w = M @ c
+    lower = np.sqrt((w.transpose(0, 2, 1) @ w) / (c.transpose(0, 2, 1) @ c)).ravel()
+    return lower, np.array(upper)
 
 
 def _step_loop(M: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
