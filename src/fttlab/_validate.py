@@ -98,13 +98,20 @@ def as_square_matrix(m, name: str):
 
 
 def finite(value, what: str):
-    """``value`` unchanged, or ``OverflowFailure`` if any entry is not finite."""
+    """``value`` unchanged, or ``OverflowFailure`` if any entry is not finite.
+
+    For an ndarray of at least one dimension the failure's ``index`` is the
+    position along axis 0 of the first entry that is not finite.
+    """
     # a float is the hot case; an ndarray exists only once numpy is loaded
     np = None if isinstance(value, float) else sys.modules.get("numpy")
     array = np is not None and isinstance(value, np.ndarray)
     if np.isfinite(value).all() if array else math.isfinite(value):
         return value
-    raise OverflowFailure(f"{what} overflows double precision")
+    index = None
+    if array and value.ndim:
+        index = int(np.isfinite(value).reshape(len(value), -1).all(axis=1).argmin())
+    raise OverflowFailure(f"{what} overflows double precision", index=index)
 
 
 def checked_exp(exponent: float) -> float:

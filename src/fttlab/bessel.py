@@ -30,6 +30,7 @@ moderate n >= 2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -169,23 +170,12 @@ def threshold_x0(
     values = [gap(x) for x in xs]
 
     signs = [1 if v > 0 else (-1 if v < 0 else 0) for v in values]
-    pattern_parts: list[str] = []
-    for s in signs:
-        mark = {1: "+", -1: "-", 0: "0"}[s]
-        if not pattern_parts or pattern_parts[-1] != mark:
-            pattern_parts.append(mark)
-    pattern = "".join(pattern_parts)
-
-    changes = 0
-    first: int | None = None
-    for k in range(scan_points - 1):
-        if signs[k] != 0 and signs[k + 1] != 0 and signs[k] != signs[k + 1]:
-            changes += 1
-            if first is None:
-                first = k
-
-    if first is None:
-        return ThresholdResult(n=n, found=False, sign_changes=changes, sign_pattern=pattern)
+    pattern = "".join({1: "+", -1: "-", 0: "0"}[s] for s, _ in itertools.groupby(signs))
+    # a sign change: neighbouring scan points of opposite, nonzero signs
+    changes = [k for k, (s, t) in enumerate(zip(signs, signs[1:])) if s * t < 0]
+    if not changes:
+        return ThresholdResult(n=n, found=False, sign_changes=0, sign_pattern=pattern)
+    first = changes[0]
 
     positive_below = signs[first] > 0  # the gap's side at the bracket's left end
 
@@ -198,5 +188,5 @@ def threshold_x0(
     lo, hi, iterations = _bisect(step, xs[first], xs[first + 1], tol, 200, f"x0({n})")
     return ThresholdResult(
         n=n, found=True, x0=0.5 * (lo + hi), bracket_lo=lo, bracket_hi=hi,
-        sign_changes=changes, sign_pattern=pattern, iterations=iterations,
+        sign_changes=len(changes), sign_pattern=pattern, iterations=iterations,
     )

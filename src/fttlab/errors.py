@@ -16,7 +16,9 @@ class NumericsError(RuntimeError):
     ``index`` is the grid position of the first failing point when a norm
     curve fails (0 for the one point of ``expm_oracle``, the one matrix of
     ``operator_norm``, the one sample of ``gftt2_exact_lhs``), and the sample
-    number when the gftt2 probe fails; else it is None.
+    number when the gftt2 probe fails.  An overflow found in an array of at
+    least one dimension names the position along axis 0 of its first entry
+    that is not finite; else ``index`` is None.
     """
 
     def __init__(self, *args, index: int | None = None) -> None:

@@ -17,7 +17,9 @@ then one norm bracket that squares each slice only until its norm is
 decided: by a settled estimate within 1e-6 of the upper end, by a bracket
 4 eps wide (its lower end), or after 48 squarings (its lower end).
 Each point keeps the bits of ``operator_norm(expm_oracle(Q, x))``, the
-one-point calls of the same cores; a failing curve raises its first failure.
+one-point calls of the same cores.  A chunk's exponentials and its norms are
+each checked for overflow once, as whole arrays; a failing curve computes
+nothing past its first failing point and raises that point's error.
 
 On top sit the generalized sharp bound for the standard block,
 
@@ -94,40 +96,39 @@ def expm_oracle(Q, x: float) -> np.ndarray:
     so a curve holds the bits of this function.
     """
     Q = as_square_matrix(Q, "Q")
-    return _in_grid_order(Q, np.array([as_finite(x, "x")]))[0]
+    stack, error = _expm_stack(Q, np.array([as_finite(x, "x")]))
+    if error is not None:
+        raise error
+    return stack[0]
 
 
-def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, list]:
-    """(stack, failures): exp(Qx) for every x in xs as ``expm_oracle``'s recipe, and
-    per slice the error of the first check that rejects it, else None.
+def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, NumericsError | None]:
+    """(stack, error): exp(Qx) by ``expm_oracle``'s recipe for each x in xs before
+    the first that fails, and that x's error with its position in ``index``, else None.
 
-    Every slice gets its own 2^-s scale, leaves the Taylor sum once its own
-    term drops below 1e-18 and is squared its own s times, all through the
-    same per-matrix products as a single call, so each slice keeps its bits.
-    A slice's argument, once rejected, goes on as the zero matrix.  Squaring
-    may leave entries past double range: the caller checks each slice.
+    An x fails the first check that rejects it: its argument's range, then the
+    convergence of its Taylor sum, then the overflow of its squared result.
+    Each stage runs only on the slices before the previous stage's first
+    failure, so nothing past the first failing x is computed.  Every slice
+    gets its own 2^-s scale, leaves the Taylor sum once its own term drops
+    below 1e-18 and is squared its own s times, all through the same
+    per-matrix products as a single call, so each slice keeps its bits.
     """
     with np.errstate(over="ignore"):  # an overflowed argument fails its range check below
         A = Q * xs[:, None, None]
-    failures = [None] * xs.size
-    squarings = []
     # numpy's matrix 1-norm, column sums then their maximum, per slice
-    for i, anorm in enumerate(np.abs(A).sum(axis=1).max(axis=1).tolist()):
-        try:
-            s = 0 if anorm <= 0.5 else int(math.ceil(math.log2(finite(anorm / 0.5, "2 ||Qx||_1"))))
-            if s > 64:
-                raise OverflowFailure(f"argument norm {anorm!r} is out of range")
-        except OverflowFailure as error:
-            failures[i], A[i], s = error, 0.0, 0
-        squarings.append(s)
-    squarings = np.array(squarings)
-    A /= np.ldexp(1.0, squarings)[:, None, None]
+    anorms = np.abs(A).sum(axis=1).max(axis=1).tolist()
+    # s of the 2^-s scale that takes a 1-norm to at most 0.5; 65 past that range
+    squarings = [0 if a <= 0.5 else math.ceil(math.log2(min(a / 0.5, 2.0**65))) for a in anorms]
+    in_range = next((i for i, s in enumerate(squarings) if s > 64), xs.size)
+    squarings = np.array(squarings[:in_range], dtype=int)
+    A = A[:in_range] / np.ldexp(1.0, squarings)[:, None, None]
 
     # Taylor phase on the whole stack: a slice whose term dropped below the
     # tolerance stops adding terms; four stack-sized arrays at most are alive
     term = np.broadcast_to(np.eye(Q.shape[0]), A.shape)
     result = term.copy()
-    adding = np.ones((xs.size, 1, 1), dtype=bool)
+    adding = np.ones((in_range, 1, 1), dtype=bool)
     for k in range(1, 64):
         term = term @ A
         term /= k
@@ -137,18 +138,28 @@ def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, list]:
                     & (term.min(axis=(1, 2), keepdims=True) > -_TAYLOR_TOL))
         if not adding.any():
             break
-    for i in np.flatnonzero(adding).tolist():  # still adding after the last term
-        failures[i] = failures[i] or ConvergenceError(
-            "Taylor series for the scaled exponential did not settle")
+    settled = int(adding.argmax()) if adding.any() else in_range  # still adding after the last term
+    result, squarings = result[:settled], squarings[:settled]
     del A, term
 
-    # overflow here is an expected outcome that the caller checks, not a warning
+    # overflow here is an expected outcome that the check below reports, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(int(squarings.max())):
+        for j in range(int(squarings.max(initial=0))):
             live = np.flatnonzero(squarings > j)
             square = result[live]
             result[live] = square @ square
-    return result, failures
+    try:  # the checks below cover rising positions: the first to raise names the first failing x
+        finite(result, "matrix exponential")
+        if settled < in_range:
+            raise ConvergenceError("Taylor series for the scaled exponential did not settle")
+        if in_range < xs.size:
+            finite(anorms[in_range] / 0.5, "2 ||Qx||_1")
+            raise OverflowFailure(f"argument norm {anorms[in_range]!r} is out of range")
+    except NumericsError as error:
+        if error.index is None:  # the failing x follows the stack's last slice
+            error.index = len(result)
+        return result[:error.index], error
+    return result, None
 
 
 def _taylor_coefficients(n: int, x: float) -> np.ndarray:
@@ -265,12 +276,12 @@ def operator_norm(M) -> float:
     This is the one-matrix call of the lockstep iteration that
     ``contraction_check`` runs over a whole stack of exponentials.
     """
-    return _operator_norms(as_square_matrix(M, "M")[None])[0]
+    return float(_operator_norms(as_square_matrix(M, "M")[None])[0])
 
 
-def _power_run(M: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_POWER_STEPS`` steps of power iteration on each M[i]^T M[i] from ``start``,
-    all slices in lockstep.
+def _power_run(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_POWER_STEPS`` steps of power iteration on each M[i]^T M[i] from the
+    normalized all-ones vector, all slices in lockstep.
 
     Returns (sigma, settled): a slice that settles stops at the step where a
     loop over that slice alone would stop, with the same products (matmul of
@@ -284,7 +295,7 @@ def _power_run(M: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     k, n, _ = M.shape
     MT = M.transpose(0, 2, 1)
-    v = np.broadcast_to((start / math.sqrt(start.dot(start)))[:, None], (k, n, 1))
+    v = np.broadcast_to(np.full((n, 1), 1.0 / math.sqrt(n)), (k, n, 1))
     ww, gg = np.empty((2, _POWER_STEPS, k, 1, 1))  # w^T w and g^T g of every step
     # a slice runs on unread after its stop, through 0 / 0 past the kernel
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -306,25 +317,20 @@ def _power_run(M: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return sig[at], done[at] & ~kernel[at]
 
 
-def _operator_norms(M: np.ndarray) -> list[float]:
+def _operator_norms(M: np.ndarray) -> np.ndarray:
     """``operator_norm`` of each slice of a (k, n, n) stack; an overflow's ``index`` is its slice."""
     largest = np.abs(M).max(axis=(1, 2))
-    norms = [0.0] * largest.size
+    norms = np.zeros(largest.size)
     live = np.flatnonzero(largest)
-    if not live.size:
-        return norms
-    # power-of-two rescale, capped at 2^1023: keeps M^T M v finite for huge entries, exactly
-    scale = np.ldexp(1.0, np.minimum(np.frexp(largest[live])[1], 1023))
-    M = M[live] / scale[:, None, None]
-    sigma, settled = _power_run(M, np.ones(M.shape[1]))
-    sigma = _norm_bracket(M, np.where(settled, sigma, np.nan))[0]
-    for i, s, c in zip(live.tolist(), sigma.tolist(), scale.tolist()):
-        try:
-            norms[i] = finite(s * c, f"operator norm ({s!r} * {c!r})")
-        except OverflowFailure as error:
-            error.index = i
-            raise
-    return norms
+    if live.size:
+        # power-of-two rescale, capped at 2^1023: keeps M^T M v finite for huge entries, exactly
+        scale = np.ldexp(1.0, np.minimum(np.frexp(largest[live])[1], 1023))
+        M = M[live] / scale[:, None, None]
+        sigma, settled = _power_run(M)
+        lower = _norm_bracket(M, np.where(settled, sigma, np.nan))[0]
+        with np.errstate(over="ignore"):  # checked just below
+            norms[live] = lower * scale
+    return finite(norms, "operator norm")
 
 
 def default_contraction_grid() -> np.ndarray:
@@ -358,37 +364,26 @@ def _validate_grid(xs, allow_zero: bool) -> np.ndarray:
     return grid
 
 
-def _in_grid_order(Q: np.ndarray, xs: np.ndarray, norms: bool = False) -> list:
-    """exp(Qx) for every x in xs, or with ``norms`` their operator norms, else the
-    error of the first x that fails on its own, with its position in ``index``.
-
-    One pass over xs in chunks of at most ``_CHUNK_BYTES`` per (k, n, n) stack.
-    A chunk's first slice that fails in or on its exponential raises after the
-    norms of the slices before it: the per-x loop's error, by construction.
-    """
-    out = []
-    step = max(1, _CHUNK_BYTES // Q.nbytes)
-    for start in range(0, xs.size, step):
-        stack, failures = _expm_stack(Q, xs[start:start + step])
-        first = 0
-        try:  # the overflow check on each exponential, up to the first failing slice
-            while first < len(stack) and failures[first] is None:
-                finite(stack[first], "matrix exponential")
-                first += 1
-        except OverflowFailure as error:
-            failures[first] = error
-        try:
-            out += _operator_norms(stack[:first]) if norms else list(stack[:first])
-            if first < len(stack):
-                raise failures[first]
-        except NumericsError as error:
-            error.index = start + (first if error.index is None else error.index)
-            raise
-    return out
-
-
 def _norm_curve(Q: np.ndarray, grid: np.ndarray) -> NormCurve:
-    return NormCurve(xs=grid, norms=np.array(_in_grid_order(Q, grid, norms=True)))
+    """The norms of exp(Qx) along the grid, in one pass of chunks of at most
+    ``_CHUNK_BYTES`` per (k, n, n) stack.
+
+    A chunk's norms are checked before its exponentials' error is raised, so a
+    failing curve raises the per-x loop's first failure, with its grid position
+    in ``index``.
+    """
+    norms = []
+    step = max(1, _CHUNK_BYTES // Q.nbytes)
+    for start in range(0, grid.size, step):
+        stack, error = _expm_stack(Q, grid[start:start + step])
+        try:
+            norms.append(_operator_norms(stack))
+            if error is not None:
+                raise error
+        except NumericsError as failure:
+            failure.index += start
+            raise
+    return NormCurve(xs=grid, norms=np.concatenate(norms))
 
 
 def contraction_check(Q, xs=None) -> NormCurve:
@@ -471,19 +466,14 @@ def gftt2_exact_lhs(a, alpha: float, x: float) -> float:
 
 
 def _image_energies(Q: np.ndarray, vectors: Sequence[np.ndarray], xs: np.ndarray) -> list[float]:
-    """||exp(Q x_i) a_i||^2 for each pair, the exponentials in one ``_in_grid_order``
-    pass; a failure's ``index`` is its pair's position."""
-    energies = []
+    """||exp(Q x_i) a_i||^2 for each pair, the exponentials in one ``_expm_stack``
+    call; a failure's ``index`` is its pair's position."""
+    stack, error = _expm_stack(Q, xs)
+    if error is not None:
+        raise error
     with np.errstate(over="ignore"):  # checked just below
-        for i, (propagator, a) in enumerate(zip(_in_grid_order(Q, xs), vectors)):
-            image = propagator @ a
-            try:
-                energy = finite(float(image @ image), "squared norm of exp(J~_n(alpha) x) a")
-            except OverflowFailure as error:
-                error.index = i
-                raise
-            energies.append(energy)
-    return energies
+        energies = [float(image @ image) for image in map(np.matmul, stack, vectors)]
+    return finite(np.array(energies), "squared norm of exp(J~_n(alpha) x) a").tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -521,8 +511,8 @@ def gftt2_discrepancy_probe(n: int, samples: int, seed: int) -> Gftt2ProbeReport
     the caller's business: the probe only reports extrema, it never asserts.
 
     The pairs are drawn in order, in chunks of at most ``_CHUNK_BYTES`` of
-    n x n exponentials, each chunk's exponentials in one ``_in_grid_order``
-    pass; every value keeps the bits of the per-sample ``gftt2_toeplitz_lhs``
+    n x n exponentials, each chunk's exponentials in one ``_expm_stack``
+    call; every value keeps the bits of the per-sample ``gftt2_toeplitz_lhs``
     and ``gftt2_exact_lhs``.  No valid input can fail (|a_i| < 1, x < 5 and
     alpha in (-1, 0)); a failure's ``index`` would be its sample number.
     """
@@ -598,7 +588,10 @@ def norm_preserving_subspace(Q, x: float, tol: float = 1e-8) -> SubspaceBasis:
         eigenvalues, eigenvectors = np.linalg.eigh(defect)
         return eigenvectors[:, np.abs(eigenvalues) <= tol]
 
-    basis, check = map(kernel, _in_grid_order(Q, np.array([x, 2.0 * x])))
+    stack, error = _expm_stack(Q, np.array([x, 2.0 * x]))
+    if error is not None:
+        raise error
+    basis, check = map(kernel, stack)
     if basis.shape[1] != check.shape[1]:
         raise ConsistencyError(
             f"norm-preserving dimension differs between x={x!r} ({basis.shape[1]}) "

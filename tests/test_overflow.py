@@ -117,3 +117,30 @@ def test_overflow_failure_is_raised_in_one_place():
         ("_validate.py", "finite"),
         ("semigroup.py", "_expm_stack"),
     ]
+
+
+def _index_assignments() -> list[tuple[str, str]]:
+    """(file, function) of every assignment to an ``.index`` attribute under src/."""
+    sites = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                           else [])
+                if any(isinstance(t, ast.Attribute) and t.attr == "index" for t in targets):
+                    sites.add((path.name, func.name))
+    return sorted(sites)
+
+
+def test_a_failure_is_placed_in_few_places():
+    # finite names the failing slice of an array; a stack names its first failing x,
+    # and a chunked pass adds its chunk's start
+    assert _index_assignments() == [
+        ("errors.py", "__init__"),
+        ("semigroup.py", "_expm_stack"),
+        ("semigroup.py", "_norm_curve"),
+        ("semigroup.py", "gftt2_discrepancy_probe"),
+    ]

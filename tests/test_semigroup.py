@@ -158,7 +158,7 @@ class TestOperatorNorm:
     def test_zero_matrix(self):
         assert operator_norm(np.zeros((4, 4))) == 0.0
 
-    def test_restart_covers_kernel_start(self):
+    def test_start_vector_in_the_kernel(self):
         # the all-ones start vector lies exactly in the kernel of M^T M
         M = np.array([[1.0, -1.0], [1.0, -1.0]])
         assert operator_norm(M) == pytest.approx(2.0, abs=1e-10)
@@ -174,7 +174,7 @@ class TestOperatorNorm:
         lower, upper = semigroup._norm_bracket(M[None])
         assert semigroup._norm_bracket(M[None], np.array([0.375]))[0].tolist() == lower.tolist()
         monkeypatch.setattr(semigroup, "_power_run",
-                            lambda M, start: (np.array([0.375]), np.array([True])))
+                            lambda M: (np.array([0.375]), np.array([True])))
         assert operator_norm(M) == lower[0] == 0.5
         # an estimate within the slack of the upper end is kept, bit for bit; twice that short, not
         close = upper[0] * (1.0 - 0.5 * semigroup._BOUND_SLACK)
@@ -284,9 +284,9 @@ class TestBatchedCurve:
         runs = []
         power_run = semigroup._power_run
 
-        def counted(M, start):
+        def counted(M):
             runs.append(M.shape[0])
-            return power_run(M, start)
+            return power_run(M)
 
         monkeypatch.setattr(semigroup, "_power_run", counted)
         with warnings.catch_warnings():
@@ -316,7 +316,7 @@ class TestBatchedCurve:
             want_sigma, want_settled = _step_loop(M, np.ones(M.shape[1]))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # an unread slice past the kernel divides 0 / 0
-                sigma, settled = semigroup._power_run(M, np.ones(M.shape[1]))
+                sigma, settled = semigroup._power_run(M)
             assert settled.tolist() == want_settled.tolist(), M.shape
             assert [v.hex() for v in sigma[settled]] == [v.hex() for v in want_sigma[settled]], M.shape
             if steps is None and M.shape[1] == 30:  # both routes: a settled estimate, the lower end
@@ -355,7 +355,7 @@ class TestBatchedCurve:
                 scale = np.ldexp(1.0, np.frexp(np.abs(stack).max(axis=(1, 2)))[1])
                 M = stack / scale[:, None, None]
                 lower, _ = semigroup._norm_bracket(M)
-                settled = semigroup._power_run(M, np.ones(n))[1]
+                settled = semigroup._power_run(M)[1]
                 assert norms[~settled].tolist() == (lower * scale)[~settled].tolist(), (n, variant)
                 unsettled += np.count_nonzero(~settled)
         assert unsettled > 0
@@ -388,7 +388,7 @@ class TestBatchedCurve:
                 stack = semigroup._expm_stack(UpperBidiagonal(n, alpha, variant).to_dense(), grid)[0]
                 # the power-of-two rescale of _operator_norms
                 M = stack / np.ldexp(1.0, np.frexp(np.abs(stack).max(axis=(1, 2)))[1])[:, None, None]
-                sigma, settled = semigroup._power_run(M, np.ones(n))
+                sigma, settled = semigroup._power_run(M)
                 lower, upper = _full_bracket(M)
                 admitted = settled & (sigma >= upper * (1.0 - semigroup._BOUND_SLACK))
                 estimates = np.where(settled, sigma, np.nan)
@@ -410,7 +410,7 @@ class TestBatchedCurve:
             want = np.where(admitted, estimates, lower)
             assert _hexes(semigroup._norm_bracket(M, estimates)[0]) == _hexes(want)
 
-    def test_a_failing_curve_is_replayed_by_halving(self, monkeypatch):
+    def test_a_failing_curve_costs_one_chunk(self, monkeypatch):
         # e^{20x} overflows from x ~ 35.4 on: the grid fits in one chunk, whose
         # first overflowing slice is the per-x loop's first failure
         Q = UpperBidiagonal(3, 20.0).to_dense()
@@ -429,7 +429,7 @@ class TestBatchedCurve:
         with pytest.raises(OverflowFailure) as batched:
             contraction_check(Q, grid)
         assert str(batched.value) == str(single.value)
-        assert len(calls) <= 2 * 10 + 1
+        assert calls == [grid.size]
 
     def test_a_late_failure_costs_one_batch(self, monkeypatch):
         # n = 40, alpha = 30: from x ~ 22.91 the norm of exp(Qx) overflows while
@@ -452,6 +452,31 @@ class TestBatchedCurve:
             contraction_check(Q, grid)
         assert str(batched.value) == str(single.value)
         assert slices == [grid.size]
+
+    def test_a_passing_curve_is_checked_once_per_array(self, monkeypatch):
+        # the 65 exponentials and the 65 norms are each one finite check, not one per slice
+        checked = []
+        check = semigroup.finite
+
+        def counted(value, what):
+            checked.append((what, np.shape(value)))
+            return check(value, what)
+
+        monkeypatch.setattr(semigroup, "finite", counted)
+        Q = UpperBidiagonal(8, dissipativity_threshold(8, JordanVariant.STANDARD)).to_dense()
+        contraction_check(Q)
+        assert checked == [("matrix exponential", (65, 8, 8)), ("operator norm", (65,))]
+
+    def test_the_stack_stops_at_its_first_failing_slice(self):
+        # e^{20x} overflows from x ~ 35.4 on: grid point 720 is the first to fail
+        grid = np.linspace(0.0, 50.0, 1024)
+        stack, error = semigroup._expm_stack(UpperBidiagonal(3, 20.0).to_dense(), grid)
+        assert stack.shape == (720, 3, 3) and np.isfinite(stack).all()
+        assert isinstance(error, OverflowFailure) and error.index == 720
+        assert "matrix exponential overflows" in str(error)
+        # a passing stack has no error
+        stack, error = semigroup._expm_stack(UpperBidiagonal(3, 20.0).to_dense(), grid[:720])
+        assert stack.shape == (720, 3, 3) and error is None
 
     # (n, alpha, grid, message, index of the per-x loop's first failure)
     FAILING_CURVES = [
@@ -728,11 +753,11 @@ class TestGftt2:
         calls = []
 
         def failing(Q, xs):
-            stack, failures = expm_stack(Q, xs)
+            stack, error = expm_stack(Q, xs)
             calls.append(xs.size)
             if len(calls) == 2:
-                failures[2] = OverflowFailure("injected")
-            return stack, failures
+                return stack[:2], OverflowFailure("injected", index=2)
+            return stack, error
 
         monkeypatch.setattr(semigroup, "_expm_stack", failing)
         monkeypatch.setattr(semigroup, "_CHUNK_BYTES", 8 * 2 * 2 * 7)

@@ -9,6 +9,7 @@ as a number) or raised ``TypeError`` before the contract was consolidated.
 """
 
 import ast
+import math
 import sys
 from pathlib import Path
 
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 
 import fttlab as F
-from fttlab._validate import as_finite, as_int
+from fttlab._validate import as_finite, as_int, finite
+from fttlab.errors import OverflowFailure
 from fttlab.rng import SplitMix64
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -92,6 +94,19 @@ def test_numpy_floats_keep_their_value(value):
 def test_numpy_bools_complex_and_nan_are_rejected(check, value):
     with pytest.raises(ValueError):
         check(value, "x")
+
+
+@pytest.mark.parametrize("value, index", [
+    (np.array([1.0, 2.0, np.inf, np.nan]), 2),
+    (np.stack([np.eye(2), np.eye(2), np.diag([1.0, -np.inf]), np.full((2, 2), np.nan)]), 2),
+    (np.array([[np.nan, 1.0], [1.0, 1.0]]), 0),
+    (math.inf, None),
+    (np.array(np.nan), None),
+])
+def test_finite_names_the_first_failing_slice(value, index):
+    with pytest.raises(OverflowFailure, match="thing overflows double precision") as failure:
+        finite(value, "thing")
+    assert failure.value.index == index
 
 
 def _numpy_checks_outside_validate() -> list[tuple[str, int]]:
