@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validate import as_finite, as_int, as_square_matrix, as_vector, checked_exp, finite
-from .errors import ConsistencyError, ConvergenceError, NumericsError, OverflowFailure
+from .errors import ConsistencyError, NumericsError, OverflowFailure
 from .inequalities import CheckReport
 from .rng import SplitMix64
 from .tridiagonal import JordanVariant, UpperBidiagonal, dissipativity_threshold
@@ -91,7 +91,9 @@ def expm_oracle(Q, x: float) -> np.ndarray:
 
     The argument is halved until its 1-norm is at most 0.5, the series is
     summed until the additive term drops below 1e-18, and the result is
-    squared back up.  Intermediate overflow raises ``OverflowFailure``.
+    squared back up.  ``OverflowFailure`` is raised in two stages: for an
+    argument whose 1-norm needs more than 64 halvings, then for a squared
+    result that overflows.
     This is the one-point call of the grid pass behind ``contraction_check``,
     so a curve holds the bits of this function.
     """
@@ -107,12 +109,13 @@ def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, NumericsErro
     the first that fails, and that x's error with its position in ``index``, else None.
 
     An x fails the first check that rejects it: its argument's range, then the
-    convergence of its Taylor sum, then the overflow of its squared result.
-    Each stage runs only on the slices before the previous stage's first
-    failure, so nothing past the first failing x is computed.  Every slice
-    gets its own 2^-s scale, leaves the Taylor sum once its own term drops
-    below 1e-18 and is squared its own s times, all through the same
-    per-matrix products as a single call, so each slice keeps its bits.
+    overflow of its squared result.  The second stage runs only on the slices
+    before the first out-of-range x, so nothing past the first failing x is
+    computed.  Every slice gets its own 2^-s scale, leaves the Taylor sum once
+    its own term drops below 1e-18 and is squared its own s times, all through
+    the same per-matrix products as a single call, so each slice keeps its bits.
+    The sum always ends: a scaled slice has ||A||_1 <= 1/2, so its k-th term is
+    at most 2^-k / k!, below 1e-18 from k = 16 on.
     """
     with np.errstate(over="ignore"):  # an overflowed argument fails its range check below
         A = Q * xs[:, None, None]
@@ -133,13 +136,11 @@ def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, NumericsErro
         term = term @ A
         term /= k
         np.add(result, term, out=result, where=adding)
-        # max |term| < tol without an |term| temporary; a NaN keeps its slice adding, as there
+        # max |term| < tol without an |term| temporary
         adding &= ~((term.max(axis=(1, 2), keepdims=True) < _TAYLOR_TOL)
                     & (term.min(axis=(1, 2), keepdims=True) > -_TAYLOR_TOL))
         if not adding.any():
             break
-    settled = int(adding.argmax()) if adding.any() else in_range  # still adding after the last term
-    result, squarings = result[:settled], squarings[:settled]
     del A, term
 
     # overflow here is an expected outcome that the check below reports, not a warning
@@ -150,8 +151,6 @@ def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, NumericsErro
             result[live] = square @ square
     try:  # the checks below cover rising positions: the first to raise names the first failing x
         finite(result, "matrix exponential")
-        if settled < in_range:
-            raise ConvergenceError("Taylor series for the scaled exponential did not settle")
         if in_range < xs.size:
             finite(anorms[in_range] / 0.5, "2 ||Qx||_1")
             raise OverflowFailure(f"argument norm {anorms[in_range]!r} is out of range")
@@ -187,10 +186,10 @@ def exp_jordan_closed(n: int, alpha: float, x: float) -> np.ndarray:
     return finite(out, f"exp(J_n(alpha) x) at n={n}, alpha={alpha!r}, x={x!r}")
 
 
-def _frobenius(B: np.ndarray) -> list[float]:
+def _frobenius(B: np.ndarray) -> np.ndarray:
     """Frobenius norm of each slice of a C-contiguous (k, n, n) stack, as np.linalg.norm sums it."""
     flat = B.reshape(B.shape[0], 1, -1)
-    return np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel().tolist()
+    return np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel()
 
 
 def _witness(M: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -223,41 +222,36 @@ def _norm_bracket(M: np.ndarray, estimates: np.ndarray | None = None) -> tuple[n
     4 n eps above.  A slice's numbers do not depend on the others in M.
     """
     count = M.shape[0]
-    lower, upper = [0.0] * count, [0.0] * count
-    live = list(range(count))  # the stack's slices, by their place in M
-    value = [math.nan] * count if estimates is None else estimates.tolist()
+    lower, upper = np.zeros(count), np.zeros(count)
+    live = np.arange(count)  # the stack's slices, by their place in M
+    value = np.full(count, math.nan) if estimates is None else estimates.copy()
     B = M.transpose(0, 2, 1) @ M
     norms = _frobenius(B)
-    # the scalar factors stay Python floats, so sqrt and ** round as they did for one matrix
-    bounds = [math.sqrt(norm) for norm in norms]
-    flat = [False] * count  # a factor of exactly 1.0: upper has stopped moving
+    bounds = np.sqrt(norms)
+    flat = np.zeros(count, dtype=bool)  # a factor of exactly 1.0: upper has stopped moving
     for k in range(_BOUND_SQUARINGS + 1):
         if k:
-            B /= np.array(norms)[:, None, None]
+            B /= norms[:, None, None]
             B = B @ B
             norms = _frobenius(B)
-            factors = [norm ** (0.5 ** (k + 1)) for norm in norms]
-            bounds = [bound * factor for bound, factor in zip(bounds, factors)]
-            flat = [factor == 1.0 for factor in factors]
+            # Python's ** is libm's pow, as for one matrix; numpy's array power may take a SIMD pow
+            factors = np.array([norm ** (0.5 ** (k + 1)) for norm in norms.tolist()])
+            bounds *= factors
+            flat = factors == 1.0
         cap = k == _BOUND_SQUARINGS
-        done = [v >= bound * (1.0 - _BOUND_SLACK) for v, bound in zip(value, bounds)]
-        witness = [i for i, d in enumerate(done) if not d and (cap or flat[i])]
-        if witness:
-            for i, low in zip(witness, _witness(M[witness], B[witness]).tolist()):
-                if cap or bounds[i] <= low * (1.0 + _BOUND_WIDTH):
-                    value[i], done[i] = low, True
-        if any(done):
-            keep = []
-            for i, d in enumerate(done):
-                if d:
-                    lower[live[i]], upper[live[i]] = value[i], bounds[i]
-                else:
-                    keep.append(i)
-            if not keep:
+        done = value >= bounds * (1.0 - _BOUND_SLACK)
+        witness = ~done & (cap | flat)
+        if witness.any():
+            low = _witness(M[witness], B[witness])
+            done[witness] = cap | (bounds[witness] <= low * (1.0 + _BOUND_WIDTH))
+            value[witness] = np.where(done[witness], low, value[witness])
+        if done.any():
+            lower[live[done]], upper[live[done]] = value[done], bounds[done]
+            keep = ~done
+            if not keep.any():
                 break
-            M, B = M[keep], B[keep]
-            live, value, norms, bounds = ([x[i] for i in keep] for x in (live, value, norms, bounds))
-    return np.array(lower), np.array(upper)
+            M, B, live, value, norms, bounds = (x[keep] for x in (M, B, live, value, norms, bounds))
+    return lower, upper
 
 
 def operator_norm(M) -> float:
@@ -526,7 +520,9 @@ def gftt2_discrepancy_probe(n: int, samples: int, seed: int) -> Gftt2ProbeReport
     discrepancy: ProbeWitness | None = None
     step = max(1, _CHUNK_BYTES // (8 * n * n))  # the samples whose exponentials fill a chunk
     for start in range(0, samples, step):
-        draws = [(rng.vector(n), 5.0 * rng.uniform()) for _ in range(min(step, samples - start))]
+        # row[n] = m 2^-52 - 1 exactly, so (row[n] + 1) / 2 is uniform()'s m 2^-53, bit for bit
+        rows = [rng.vector(n + 1) for _ in range(min(step, samples - start))]
+        draws = [(row[:n], 5.0 * (0.5 * (float(row[n]) + 1.0))) for row in rows]
         vectors, xs = zip(*draws)
         try:
             energies = _image_energies(block, vectors, np.array(xs))

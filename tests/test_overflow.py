@@ -93,8 +93,8 @@ def test_route_keeps_a_finite_result_near_the_overflow_threshold(route):
     assert FINITE_ROUTES[route]() == [1e308]
 
 
-def _overflow_raises() -> list[tuple[str, str]]:
-    """(file, function) of every ``raise OverflowFailure`` under src/."""
+def _raise_sites(error: str) -> list[tuple[str, str]]:
+    """(file, function) of every ``raise <error>`` under src/."""
     sites = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -104,7 +104,7 @@ def _overflow_raises() -> list[tuple[str, str]]:
             for node in ast.walk(func):
                 if isinstance(node, ast.Raise) and node.exc is not None:
                     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                    if getattr(exc, "id", getattr(exc, "attr", None)) == "OverflowFailure":
+                    if getattr(exc, "id", getattr(exc, "attr", None)) == error:
                         sites.append((path.name, func.name))
     return sorted(sites)
 
@@ -112,10 +112,22 @@ def _overflow_raises() -> list[tuple[str, str]]:
 def test_overflow_failure_is_raised_in_one_place():
     # every non-finite result goes through _validate.finite; checked_exp raises
     # before math.exp would, and expm_oracle refuses more than 64 squarings
-    assert _overflow_raises() == [
+    assert _raise_sites("OverflowFailure") == [
         ("_validate.py", "checked_exp"),
         ("_validate.py", "finite"),
         ("semigroup.py", "_expm_stack"),
+    ]
+
+
+def test_convergence_failure_is_raised_only_where_a_loop_has_a_budget():
+    # a loop that always ends by its own arithmetic, as the Taylor sum of a
+    # scaled exponential does, has no convergence failure to report
+    assert _raise_sites("ConvergenceError") == [
+        ("_scalar.py", "_bisect"),
+        ("bessel.py", "i0_reference"),
+        ("tridiagonal.py", "eig_sturm"),
+        ("tridiagonal.py", "eigvec_inverse_iteration"),
+        ("tridiagonal.py", "eigvec_inverse_iteration"),
     ]
 
 

@@ -84,6 +84,27 @@ class TestExpmOracle:
                 1.0, float(np.max(np.abs(lhs)))
             )
 
+    def test_taylor_sum_ends_by_its_sixteenth_term(self):
+        # a slice scaled to ||A||_1 <= 1/2 has k-th term at most 2^-k / k!
+        assert 0.5**16 / math.factorial(16) < semigroup._TAYLOR_TOL
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    @pytest.mark.parametrize("n", [1, 2, 8, 40])
+    def test_argument_at_the_scaling_boundary(self, n, seed):
+        # positive integers over a power of two, one column summing to exactly
+        # that power: ||A||_1 = 1/2 exactly, so no squaring and the longest Taylor sum
+        rng = SplitMix64(seed)
+        K = np.array([[float(rng.integer(1, 1000)) for _ in range(n)] for _ in range(n)])
+        sums = K.sum(axis=0)
+        top = 2.0 ** math.ceil(math.log2(sums.max()))
+        j = int(sums.argmax())
+        K[j, j] += top - sums[j]
+        A = K / (2.0 * top)
+        assert np.abs(A).sum(axis=0).max() == 0.5
+        got = expm_oracle(A, 1.0)
+        want = scipy.linalg.expm(A)
+        assert np.max(np.abs(got - want) / want) < 1e-13
+
     def test_overflow_raises(self):
         with pytest.raises(OverflowFailure):
             expm_oracle(np.diag([1000.0, 1000.0]), 1.0)
@@ -526,12 +547,12 @@ def _full_bracket(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper): every slice squared 48 times, then its witness, the reference
     for the bracket that retires each slice once its norm is decided."""
     B = M.transpose(0, 2, 1) @ M
-    norms = semigroup._frobenius(B)
+    norms = semigroup._frobenius(B).tolist()  # Python floats: ** below is libm's pow
     upper = [math.sqrt(norm) for norm in norms]
     for k in range(1, semigroup._BOUND_SQUARINGS + 1):
         B /= np.array(norms)[:, None, None]
         B = B @ B
-        norms = semigroup._frobenius(B)
+        norms = semigroup._frobenius(B).tolist()
         upper = [bound * norm ** (0.5 ** (k + 1)) for bound, norm in zip(upper, norms)]
     c = np.take_along_axis(B, (B * B).sum(axis=1).argmax(axis=1)[:, None, None], axis=2)
     w = M @ c
