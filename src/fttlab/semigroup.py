@@ -36,7 +36,8 @@ of the modified block is not Toeplitz: its last column holds terms like
 probe measures both that gap and whether the polynomial form even stays
 below the bound; it is evidence-gathering, not an assertion.  It computes
 its exponentials in the same chunked passes as a curve, each sample keeping
-the bits of ``gftt2_exact_lhs``.
+the bits of ``gftt2_exact_lhs``, and draws a chunk's samples in one
+``vector`` call.
 
 ``norm_preserving_subspace`` computes the subspace on which exp(Qx) acts as
 an isometry, the kernel of I - exp(Q^T x) exp(Qx); for dissipative Q its
@@ -125,7 +126,8 @@ def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, NumericsErro
     squarings = [0 if a <= 0.5 else math.ceil(math.log2(min(a / 0.5, 2.0**65))) for a in anorms]
     in_range = next((i for i, s in enumerate(squarings) if s > 64), xs.size)
     squarings = np.array(squarings[:in_range], dtype=int)
-    A = A[:in_range] / np.ldexp(1.0, squarings)[:, None, None]
+    A = A[:in_range]
+    A /= np.ldexp(1.0, squarings)[:, None, None]
 
     # Taylor phase on the whole stack: a slice whose term dropped below the
     # tolerance stops adding terms; four stack-sized arrays at most are alive
@@ -220,6 +222,8 @@ def _norm_bracket(M: np.ndarray, estimates: np.ndarray | None = None) -> tuple[n
 
     Without estimates every slice ends by (b) or (c), so both ends hold the
     4 n eps above.  A slice's numbers do not depend on the others in M.
+    M is read by a slice's position and never copied: a round that retires a
+    slice compacts only B and the per-slice state.
     """
     count = M.shape[0]
     lower, upper = np.zeros(count), np.zeros(count)
@@ -234,15 +238,16 @@ def _norm_bracket(M: np.ndarray, estimates: np.ndarray | None = None) -> tuple[n
             B /= norms[:, None, None]
             B = B @ B
             norms = _frobenius(B)
+            power = 0.5 ** (k + 1)
             # Python's ** is libm's pow, as for one matrix; numpy's array power may take a SIMD pow
-            factors = np.array([norm ** (0.5 ** (k + 1)) for norm in norms.tolist()])
+            factors = np.array([norm ** power for norm in norms.tolist()])
             bounds *= factors
             flat = factors == 1.0
         cap = k == _BOUND_SQUARINGS
         done = value >= bounds * (1.0 - _BOUND_SLACK)
         witness = ~done & (cap | flat)
         if witness.any():
-            low = _witness(M[witness], B[witness])
+            low = _witness(M[live[witness]], B[witness])
             done[witness] = cap | (bounds[witness] <= low * (1.0 + _BOUND_WIDTH))
             value[witness] = np.where(done[witness], low, value[witness])
         if done.any():
@@ -250,7 +255,7 @@ def _norm_bracket(M: np.ndarray, estimates: np.ndarray | None = None) -> tuple[n
             keep = ~done
             if not keep.any():
                 break
-            M, B, live, value, norms, bounds = (x[keep] for x in (M, B, live, value, norms, bounds))
+            B, live, value, norms, bounds = (x[keep] for x in (B, live, value, norms, bounds))
     return lower, upper
 
 
@@ -313,7 +318,7 @@ def _power_run(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _operator_norms(M: np.ndarray) -> np.ndarray:
     """``operator_norm`` of each slice of a (k, n, n) stack; an overflow's ``index`` is its slice."""
-    largest = np.abs(M).max(axis=(1, 2))
+    largest = np.maximum(M.max(axis=(1, 2)), -M.min(axis=(1, 2)))  # max |M| without an |M| temporary
     norms = np.zeros(largest.size)
     live = np.flatnonzero(largest)
     if live.size:
@@ -388,11 +393,13 @@ def contraction_check(Q, xs=None) -> NormCurve:
 
 
 def _propagator_rows(a: np.ndarray, x: float) -> list[float]:
-    """Entries of exp(J_n(0) x) a, last first: row j is sum_{k<=j} x^k/k! a_{n-j+k}."""
+    """Entries of exp(J_n(0) x) a, last first: row j is sum_{k<=j} x^k/k! a_{n-j+k}.
+
+    Overflow is left to the caller's ``np.errstate``; ``_squared_norm`` checks the total.
+    """
     n = a.size
-    with np.errstate(over="ignore", invalid="ignore"):  # _squared_norm checks the total
-        coeff = _taylor_coefficients(n, x)
-        return [float(coeff[: j + 1] @ a[n - 1 - j:]) for j in range(n)]
+    coeff = _taylor_coefficients(n, x)
+    return [float(coeff[: j + 1] @ a[n - 1 - j:]) for j in range(n)]
 
 
 def _squared_norm(total: float, rows: list[float], x: float) -> float:
@@ -412,7 +419,8 @@ def gftt_lhs(a, x: float) -> float:
     """
     a = as_vector(a, "a")
     x = as_finite(x, "x")
-    return _squared_norm(0.0, _propagator_rows(a, x), x)
+    with np.errstate(over="ignore", invalid="ignore"):  # _squared_norm checks the total
+        return _squared_norm(0.0, _propagator_rows(a, x), x)
 
 
 def gftt_check(a, x: float, tol: float = 1e-10) -> CheckReport:
@@ -423,10 +431,10 @@ def gftt_check(a, x: float, tol: float = 1e-10) -> CheckReport:
     a = as_vector(a, "a")
     x = as_finite(x, "x", minimum=0.0)
     tol = as_finite(tol, "tol", minimum=0.0)
-    lhs = gftt_lhs(a, x)
-    alpha = dissipativity_threshold(a.size, JordanVariant.STANDARD)
-    with np.errstate(over="ignore"):  # checked just below
+    with np.errstate(over="ignore", invalid="ignore"):  # checked here and just below
+        lhs = _squared_norm(0.0, _propagator_rows(a, x), x)
         energy = float(a @ a)
+    alpha = dissipativity_threshold(a.size, JordanVariant.STANDARD)
     rhs = finite(checked_exp(-2.0 * x * alpha) * energy, "gftt bound")
     margin = lhs - rhs
     return CheckReport(lhs=lhs, rhs=rhs, margin=margin, holds=margin <= tol)
@@ -443,9 +451,13 @@ def gftt2_toeplitz_lhs(a, x: float) -> float:
     """
     a = as_vector(a, "a")
     x = as_finite(x, "x")
-    with np.errstate(over="ignore"):  # _squared_norm checks the total
-        last = float(a[-1] ** 2)
-    return _squared_norm(checked_exp(-x) * last, _propagator_rows(a, x)[1:], x)
+    with np.errstate(over="ignore", invalid="ignore"):  # _squared_norm checks the total
+        return _toeplitz_lhs(a, x)
+
+
+def _toeplitz_lhs(a: np.ndarray, x: float) -> float:
+    """``gftt2_toeplitz_lhs`` of a checked vector and x, under the caller's ``np.errstate``."""
+    return _squared_norm(checked_exp(-x) * float(a[-1] ** 2), _propagator_rows(a, x)[1:], x)
 
 
 def gftt2_exact_lhs(a, alpha: float, x: float) -> float:
@@ -505,10 +517,12 @@ def gftt2_discrepancy_probe(n: int, samples: int, seed: int) -> Gftt2ProbeReport
     the caller's business: the probe only reports extrema, it never asserts.
 
     The pairs are drawn in order, in chunks of at most ``_CHUNK_BYTES`` of
-    n x n exponentials, each chunk's exponentials in one ``_expm_stack``
-    call; every value keeps the bits of the per-sample ``gftt2_toeplitz_lhs``
-    and ``gftt2_exact_lhs``.  No valid input can fail (|a_i| < 1, x < 5 and
-    alpha in (-1, 0)); a failure's ``index`` would be its sample number.
+    n x n exponentials, each chunk's draws in one ``vector`` call, the bits
+    of one call per sample, and its exponentials in one ``_expm_stack`` call;
+    every value keeps the bits of the per-sample ``gftt2_toeplitz_lhs`` and
+    ``gftt2_exact_lhs``.  Each witness's ``a`` is an array of its own.  No
+    valid input can fail (|a_i| < 1, x < 5 and alpha in (-1, 0)); a
+    failure's ``index`` would be its sample number.
     """
     n = as_int(n, "dimension", minimum=1)
     samples = as_int(samples, "sample count", minimum=0)
@@ -520,24 +534,28 @@ def gftt2_discrepancy_probe(n: int, samples: int, seed: int) -> Gftt2ProbeReport
     discrepancy: ProbeWitness | None = None
     step = max(1, _CHUNK_BYTES // (8 * n * n))  # the samples whose exponentials fill a chunk
     for start in range(0, samples, step):
+        count = min(step, samples - start)
+        # one vector call holds the bits of count calls of n + 1 draws each
+        rows = rng.vector((n + 1) * count).reshape(count, n + 1)
         # row[n] = m 2^-52 - 1 exactly, so (row[n] + 1) / 2 is uniform()'s m 2^-53, bit for bit
-        rows = [rng.vector(n + 1) for _ in range(min(step, samples - start))]
-        draws = [(row[:n], 5.0 * (0.5 * (float(row[n]) + 1.0))) for row in rows]
-        vectors, xs = zip(*draws)
+        xs = 5.0 * (0.5 * (rows[:, n] + 1.0))
+        # each a its own array: BLAS ddot may round by where its operand sits in memory
+        vectors = [row[:n].copy() for row in rows]
         try:
-            energies = _image_energies(block, vectors, np.array(xs))
+            energies = _image_energies(block, vectors, xs)
         except NumericsError as error:
             error.index += start
             raise
-        for (a, x), energy in zip(draws, energies):
-            rate = math.exp(-2.0 * alpha * x)
-            toeplitz = gftt2_toeplitz_lhs(a, x)
-            e_val = toeplitz - rate * float(a @ a)
-            d_val = abs(toeplitz - rate * energy)
-            if excess is None or e_val > excess.value:
-                excess = ProbeWitness(value=e_val, x=x, a=a)
-            if discrepancy is None or d_val > discrepancy.value:
-                discrepancy = ProbeWitness(value=d_val, x=x, a=a)
+        with np.errstate(over="ignore", invalid="ignore"):  # _squared_norm checks each total
+            for a, x, energy in zip(vectors, xs.tolist(), energies):
+                rate = math.exp(-2.0 * alpha * x)
+                toeplitz = _toeplitz_lhs(a, x)
+                e_val = toeplitz - rate * float(a @ a)
+                d_val = abs(toeplitz - rate * energy)
+                if excess is None or e_val > excess.value:
+                    excess = ProbeWitness(value=e_val, x=x, a=a)
+                if discrepancy is None or d_val > discrepancy.value:
+                    discrepancy = ProbeWitness(value=d_val, x=x, a=a)
     return Gftt2ProbeReport(
         n=n, samples=samples, seed=int(seed), alpha=alpha,
         bound_excess=excess, exact_discrepancy=discrepancy,

@@ -741,7 +741,7 @@ class TestGftt2:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_probe_keeps_the_bits_of_the_per_sample_loop(self, monkeypatch, n):
-        events = []  # one "draw" per sample vector, then the size of each batched exponential
+        events = []  # one "draw" per chunk, then the size of that chunk's batched exponential
         expm_stack, vector = semigroup._expm_stack, SplitMix64.vector
 
         def counted(Q, xs):
@@ -764,9 +764,19 @@ class TestGftt2:
                 got = [(w.value.hex(), w.x.hex(), w.a.tobytes())
                        for w in (report.bound_excess, report.exact_discrepancy)]
                 assert got == want, (n, seed, chunk)
-                # a chunk's samples are drawn, then their exponentials taken in one call
+                # a chunk's samples are drawn in one call, then their exponentials taken in one
                 sizes = [300] if chunk is None else [7] * 42 + [6]
-                assert events == [e for size in sizes for e in ["draw"] * size + [size]]
+                assert events == [e for size in sizes for e in ["draw", size]]
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_a_witness_owns_its_vector(self, monkeypatch, chunk):
+        # a view into the chunk's draws would keep them all alive with the report
+        if chunk:
+            monkeypatch.setattr(semigroup, "_CHUNK_BYTES", 8 * 3 * 3 * chunk)
+        report = gftt2_discrepancy_probe(3, 50, 4)
+        for witness in (report.bound_excess, report.exact_discrepancy):
+            assert witness.a.base is None and witness.a.flags.owndata
+            assert witness.a.shape == (3,)
 
     def test_a_probe_failure_names_its_sample(self, monkeypatch):
         # no valid input fails, so the third exponential of the second chunk is made to
