@@ -11,7 +11,6 @@ import math
 from enum import Enum
 
 from ._validate import as_int
-from .errors import ConvergenceError
 
 
 class JordanVariant(Enum):
@@ -49,11 +48,13 @@ def dissipativity_threshold(
     return math.cos(math.pi / (2 * n + 1))
 
 
-def _bisect(step, lo: float, hi: float, tol: float, max_iter: int, what: str):
+def _bisect(step, lo: float, hi: float, tol: float):
     """Halve [lo, hi] to width <= tol, or until its midpoint no longer splits it.
 
     ``step(lo, mid, hi)`` returns the half to keep, or ``(mid, mid)`` on an exact
-    hit.  Returns ``(lo, hi, halvings)``; ``ConvergenceError`` past ``max_iter``.
+    hit.  Returns ``(lo, hi, halvings)``.  Each halving leaves at most half the
+    width plus one rounding, so the loop ends by its own arithmetic within
+    ceil(log2((hi - lo) / tol)) + 1 halvings.
     """
     halvings = 0
     while hi - lo > tol:
@@ -62,8 +63,6 @@ def _bisect(step, lo: float, hi: float, tol: float, max_iter: int, what: str):
         if mid <= lo or mid >= hi:
             break  # float resolution reached before the requested width
         lo, hi = step(lo, mid, hi)
-        if halvings > max_iter:
-            raise ConvergenceError(f"bisection for {what} stalled on bracket [{lo!r}, {hi!r}]")
     return lo, hi, halvings
 
 

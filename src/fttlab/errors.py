@@ -27,7 +27,8 @@ class NumericsError(RuntimeError):
 
 
 class ConvergenceError(NumericsError):
-    """An iteration exhausted its budget; the message carries the last bracket."""
+    """Inverse iteration found no eigenvector at a shift; the message names
+    the shift and the best residual (for a 1 x 1 matrix, its entry)."""
 
 
 class OverflowFailure(NumericsError):

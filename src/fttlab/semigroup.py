@@ -286,34 +286,31 @@ def _power_run(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     loop over that slice alone would stop, with the same products (matmul of
     a vector with itself is numpy's ddot, as ``w.dot(w)``), so its estimate
     keeps the bits of such a loop.  The steps only record the squared norms
-    of w = M v and g = M^T w; one vectorized pass over the record then finds
-    every slice's first stop.  ``settled`` is False where the slice fell into
-    the kernel of M^T M or did not settle within the steps; its ``sigma`` is
-    then not an estimate.  The run comes before ``_norm_bracket``, which
-    takes the settled estimates and keeps those that its upper end admits.
+    of w = M v; one vectorized pass over the record then finds every slice's
+    first stop.  ``settled`` is False where the slice did not settle within
+    the steps (past g = 0, in the kernel of M^T M, every estimate is nan);
+    its ``sigma`` is then not an estimate.  The run comes before
+    ``_norm_bracket``, which takes the settled estimates and keeps those
+    that its upper end admits.
     """
     k, n, _ = M.shape
     MT = M.transpose(0, 2, 1)
     v = np.broadcast_to(np.full((n, 1), 1.0 / math.sqrt(n)), (k, n, 1))
-    ww, gg = np.empty((2, _POWER_STEPS, k, 1, 1))  # w^T w and g^T g of every step
+    ww = np.empty((_POWER_STEPS, k, 1, 1))  # w^T w of every step
     # a slice runs on unread after its stop, through 0 / 0 past the kernel
     with np.errstate(divide="ignore", invalid="ignore"):
-        for ww_step, gg_step in zip(ww, gg):
+        for ww_step in ww:
             w = M @ v
             np.matmul(w.transpose(0, 2, 1), w, out=ww_step)
             g = MT @ w
-            np.matmul(g.transpose(0, 2, 1), g, out=gg_step)
-            v = g / np.sqrt(gg_step)
+            v = g / np.sqrt(g.transpose(0, 2, 1) @ g)
     sig = np.sqrt(ww.reshape(_POWER_STEPS, k))
     previous = np.vstack((np.full(k, -1.0), sig[:-1]))
     close = np.abs(sig - previous) <= _POWER_TOL * np.maximum(sig, 1e-300)
     # two relative changes in a row within the tolerance
     stop = close & np.vstack((np.zeros(k, dtype=bool), close[:-1]))
-    # g^T g == 0: the iterate fell into the kernel of M^T M, so that slice stops unsettled
-    kernel = gg.reshape(_POWER_STEPS, k) == 0.0
-    done = stop | kernel
-    at = done.argmax(axis=0), np.arange(k)
-    return sig[at], done[at] & ~kernel[at]
+    at = stop.argmax(axis=0), np.arange(k)
+    return sig[at], stop[at]
 
 
 def _operator_norms(M: np.ndarray) -> np.ndarray:
@@ -521,7 +518,7 @@ def gftt2_discrepancy_probe(n: int, samples: int, seed: int) -> Gftt2ProbeReport
     of one call per sample, and its exponentials in one ``_expm_stack`` call;
     every value keeps the bits of the per-sample ``gftt2_toeplitz_lhs`` and
     ``gftt2_exact_lhs``.  Each witness's ``a`` is an array of its own.  No
-    valid input can fail (|a_i| < 1, x < 5 and alpha in (-1, 0)); a
+    valid input can fail (|a_i| < 1, x < 5 and alpha in (-1, 1/2]); a
     failure's ``index`` would be its sample number.
     """
     n = as_int(n, "dimension", minimum=1)

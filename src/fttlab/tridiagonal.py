@@ -128,23 +128,23 @@ def det_recurrence(tri: SymTridiagonal) -> float:
 
 def _bisection_setup(
     tri: SymTridiagonal, tol: float
-) -> tuple[list[tuple[float, float]], float, float, float, int]:
-    """Sturm pairs (d_i, e_{i-1}^2), Gershgorin bracket [lo, hi], pivot floor and sweep budget.
+) -> tuple[list[tuple[float, float]], float, float, float]:
+    """Sturm pairs (d_i, e_{i-1}^2), Gershgorin bracket [lo, hi] and pivot floor.
 
     The first pair carries e_{-1}^2 = 0.0, so its pivot d_0 - mid needs no branch.
     Overflow shows up only as the ``OverflowFailure`` of the width guard, never as
-    a numpy warning first.
+    a numpy warning first; past the guard lo and hi are finite, and so is every
+    midpoint ``0.5 * lo + 0.5 * hi`` of a bracket inside them.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         off2 = tri.offdiag * tri.offdiag
         radius = np.append(np.sqrt(off2), 0.0) + np.append(0.0, np.sqrt(off2))
         lo = float(np.min(tri.diag - radius)) - 1e-3
         hi = float(np.max(tri.diag + radius)) + 1e-3
-        width = finite((hi - lo) / tol, "Gershgorin width / tol")
+        finite((hi - lo) / tol, "Gershgorin width / tol")
     pivmin = max(float(np.max(off2, initial=0.0)), 1.0) * 1e-292
-    max_iter = 64 + int(math.ceil(math.log2(max(width, 1.0))))
     pairs = list(zip(tri.diag.tolist(), [0.0] + off2.tolist()))  # x - 0.0 / p == x
-    return pairs, lo, hi, pivmin, max_iter
+    return pairs, lo, hi, pivmin
 
 
 def _sturm_count(pairs: list[tuple[float, float]], pivmin: float, mid: float) -> int:
@@ -171,7 +171,8 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
     negative LDL^T pivots of T - mid I for all midpoints in one pass of n
     row steps, O(n^2) flops; about log2(width / tol) sweeps (46 at unit scale
     and tol = 1e-13).  A bracket closes at width <= tol or when its midpoint
-    no longer splits it; ``ConvergenceError`` names one that stalls.
+    no longer splits it, as the scalar ``_bisect`` does, so the sweeps end by
+    their own arithmetic.
 
     A row step is two ufunc calls, ``row -= e2 / prev``, because ``dstebz``'s
     clamp (a pivot below ``pivmin`` in modulus becomes -pivmin) is deferred.
@@ -182,13 +183,11 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
     """
     tol = as_finite(tol, "tol", above=0.0)
     n = tri.n
-    pairs, lo0, hi0, pivmin, max_iter = _bisection_setup(tri, tol)
+    pairs, lo0, hi0, pivmin = _bisection_setup(tri, tol)
     lo, hi = np.full(n, lo0), np.full(n, hi0)
 
     k = np.arange(n)  # indices of the open brackets
-    it = 0
     while (k := k[hi[k] - lo[k] > tol]).size:
-        it += 1
         mid = 0.5 * lo[k] + 0.5 * hi[k]  # 0.5 * (lo + hi) overflows past ~9e307
         splits = ~((mid <= lo[k]) | (mid >= hi[k]))  # else at float resolution
         k, mid = k[splits], mid[splits]
@@ -202,26 +201,23 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
         below = count > k
         hi[k[below]] = mid[below]
         lo[k[~below]] = mid[~below]
-        if it > max_iter and k.size:
-            raise ConvergenceError(f"bisection for eigenvalue {k[0]} stalled on bracket "
-                                   f"[{float(lo[k[0]])!r}, {float(hi[k[0]])!r}]")
-    return finite(0.5 * lo + 0.5 * hi, "eigenvalue")
+    return 0.5 * lo + 0.5 * hi
 
 
 def _eig_sturm_one(tri: SymTridiagonal, index: int, tol: float) -> float:
     """Eigenvalue ``index`` (ascending) of ``tri``, bit for bit ``eig_sturm(tri, tol)[index]``.
 
     The one bracket evolves exactly as in the lockstep sweeps: the same set-up,
-    midpoints, freeze and stall budget, and the clamped Sturm count that
-    ``eig_sturm`` falls back on, ``_sturm_count`` over Python floats, O(n) per sweep.
+    midpoints and freeze, and the clamped Sturm count that ``eig_sturm`` falls
+    back on, ``_sturm_count`` over Python floats, O(n) per sweep.
     """
-    pairs, lo, hi, pivmin, max_iter = _bisection_setup(tri, tol)
+    pairs, lo, hi, pivmin = _bisection_setup(tri, tol)
 
     def step(lo: float, mid: float, hi: float) -> tuple[float, float]:
         return (lo, mid) if _sturm_count(pairs, pivmin, mid) > index else (mid, hi)
 
-    lo, hi, _ = _bisect(step, lo, hi, tol, max_iter, f"eigenvalue {index}")
-    return finite(0.5 * lo + 0.5 * hi, "eigenvalue")
+    lo, hi, _ = _bisect(step, lo, hi, tol)
+    return 0.5 * lo + 0.5 * hi
 
 
 def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:

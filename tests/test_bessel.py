@@ -6,6 +6,7 @@ bound2, not worked around.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,10 +47,23 @@ class TestPartialSums:
             assert all(i0_partial(n, x) <= ref * (1 + 1e-15) for n in (1, 3, 8))
 
     def test_reference_against_scipy(self):
-        for x in (0.0, 0.5, 1.0, 3.5, 10.0, 40.0):
-            assert i0_reference(x) == pytest.approx(
-                float(scipy.special.i0(2 * x)), rel=1e-13
-            )
+        # [350, 360] holds the longest sums (472 terms, from x = 356.13) and the
+        # overflow edge near x = 357; past it the sum raises, without a warning.
+        # i0 itself overflows from x = 355 on, so e^-2x i0(2x) is scaled back.
+        edge = np.linspace(350.0, 360.0, 2001).tolist()
+        raised = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (0.0, 0.5, 1.0, 3.5, 10.0, 40.0, *edge, 1e154, 1.4e154, 1e300):
+                half = math.exp(min(x, 709.0))  # a Python float product overflows to inf silently
+                want = float(scipy.special.i0e(2 * x)) * half * half
+                if math.isinf(want):
+                    with pytest.raises(OverflowFailure):
+                        i0_reference(x)
+                    raised += 1
+                else:
+                    assert i0_reference(x) == pytest.approx(want, rel=1e-13), x
+        assert 0 < raised < len(edge) + 3
 
     @given(x=st.floats(min_value=0.0, max_value=25.0), n=st.integers(1, 30))
     @settings(max_examples=150)

@@ -327,6 +327,11 @@ class TestBatchedCurve:
         if steps is not None:
             monkeypatch.setattr(semigroup, "_POWER_STEPS", steps)
         stacks = [self.KERNEL_STACK]
+        rng = SplitMix64(23)
+        for n in range(3, 9):  # rows that sum to 0: the all-ones start lies in the kernel
+            M = np.round(4.0 * rng.vector(n * n)).reshape(n, n)
+            M[:, -1] = -M[:, :-1].sum(axis=1)
+            stacks.append(np.stack([M, M + np.eye(n), M.T]))
         for n in (8, 30):
             for variant in JordanVariant:
                 Q = UpperBidiagonal(n, dissipativity_threshold(n, variant), variant).to_dense()

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
@@ -37,7 +37,7 @@ from fttlab import (
     u_eval,
     u_zeros,
 )
-from fttlab.errors import ConvergenceError
+from fttlab.errors import ConvergenceError, OverflowFailure
 from fttlab.rng import SplitMix64
 from fttlab.tridiagonal import (
     _bisect,
@@ -199,13 +199,34 @@ class TestOneBracketBisection:
             self.assert_extremes_match(
                 SymTridiagonal(diag_scale * t.diag, off_scale * t.offdiag), tol)
 
+    def test_extreme_scales_down_to_the_smallest_tol(self):
+        # scales 1e-300 to 1e300, and tol down to the smallest the width guard
+        # admits: near 1e-311 at the small scales, up to 980 halvings.  At
+        # tol = 5e-324 the guard raises, in both routes alike.
+        rng = SplitMix64(2026)
+        for _ in range(40):
+            t = random_tridiagonal(rng, rng.integer(1, 12))
+            decade = rng.integer(-300, 300)
+            diag_scale, off_scale = 10.0 ** decade, 10.0 ** min(decade + rng.integer(-5, 5), 150)
+            tri = SymTridiagonal(diag_scale * t.diag, off_scale * t.offdiag)
+            _, lo, hi, _ = _bisection_setup(tri, 1.0)
+            for tol in (1e-13 * diag_scale, max((hi - lo) / 2.0 ** 1022, 5e-324), 5e-324):
+                try:
+                    _bisection_setup(tri, tol)
+                except OverflowFailure:
+                    for route in (eig_sturm, lambda tri, tol: _eig_sturm_one(tri, 0, tol)):
+                        with pytest.raises(OverflowFailure, match="Gershgorin width / tol"):
+                            route(tri, tol)
+                    continue
+                self.assert_extremes_match(tri, tol)
+
 
 def clamped_lockstep_sturm(tri, tol=1e-13):
     """The lockstep sweep with dstebz's pivmin clamp in every row step.
 
     The reference that eig_sturm's deferred clamp must match bit for bit.
     """
-    pairs, lo0, hi0, pivmin, _ = _bisection_setup(tri, tol)
+    pairs, lo0, hi0, pivmin = _bisection_setup(tri, tol)
     off2 = [e2 for _, e2 in pairs]
     lo, hi = np.full(tri.n, lo0), np.full(tri.n, hi0)
     k = np.arange(tri.n)
@@ -281,17 +302,33 @@ class TestDeferredClamp:
 
 
 class TestScalarBisection:
-    """The one scalar bisection loop: its freeze, its stall budget, and its home."""
+    """The one scalar bisection loop: its freeze, its bound, and its home."""
 
     def test_freezes_when_the_midpoint_no_longer_splits(self):
         # 52 halvings leave [1, 1 + 2^-52]; the 53rd finds its midpoint rounds to 1
-        assert _bisect(lambda lo, mid, hi: (lo, mid), 1.0, 2.0, 0.0, 10_000, "t") == (
+        assert _bisect(lambda lo, mid, hi: (lo, mid), 1.0, 2.0, 0.0) == (
             1.0, math.nextafter(1.0, 2.0), 53)
 
-    def test_stall_names_what_and_the_bracket(self):
-        stalled = r"bisection for t stalled on bracket \[1\.0, 1\.5\]"
-        with pytest.raises(ConvergenceError, match=stalled):
-            _bisect(lambda lo, mid, hi: (lo, mid), 1.0, 2.0, 0.0, 0, "t")
+    @given(
+        lo=st.floats(min_value=-1e308, max_value=1e308),
+        width_exp=st.floats(min_value=-1074.0, max_value=1023.0),
+        tol_exp=st.floats(min_value=-1074.0, max_value=-16.0),
+        keep_low=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_ends_by_its_own_arithmetic(self, lo, width_exp, tol_exp, keep_low):
+        # each halving leaves at most half the width plus one rounding, so no
+        # bracket, subnormal to ~1e308 wide, needs a budget of halvings
+        hi = lo + 2.0 ** width_exp
+        assume(hi > lo and math.isfinite(hi - lo))
+        tol = max(2.0 ** tol_exp * (hi - lo), 5e-324)
+
+        def step(lo, mid, hi):
+            return (lo, mid) if keep_low else (mid, hi)
+
+        got_lo, got_hi, halvings = _bisect(step, lo, hi, tol)
+        assert lo <= got_lo <= got_hi <= hi
+        assert halvings <= math.ceil(math.log2(hi - lo) - math.log2(tol)) + 1
 
     def test_only_bisect_holds_a_scalar_bisection_loop(self):
         src = Path(__file__).resolve().parent.parent / "src"
