@@ -115,7 +115,8 @@ def finite(value, what: str):
 
 
 def checked_exp(exponent: float) -> float:
-    """math.exp(exponent), raising ``OverflowFailure`` where it would overflow."""
-    if exponent >= 709.0:
-        raise OverflowFailure(f"exponent {exponent!r} overflows double precision")
-    return math.exp(exponent)
+    """math.exp(exponent), its own ``OverflowError`` (e^709.79) raised as ``OverflowFailure``."""
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        raise OverflowFailure(f"exponent {exponent!r} overflows double precision") from None

@@ -161,23 +161,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     rows: list[dict] = []
     witnesses: list[dict] = []
     for kind in kinds:
+        scale = (1.05 if kind.is_lower else 0.95) if args.tamper else 1.0
+        sign = 1.0 if kind.is_lower else -1.0  # a directed margin below -tol is a violation
         # sample 0 is always the extremal vector, so the sharp edge is on record
-        scale = 1.0
-        if args.tamper:
-            scale = 1.05 if kind.is_lower else 0.95
-        vectors = [extremal_vector(kind, args.n)]
-        vectors.extend(rng.vector(args.n) for _ in range(samples))
-        reports = [verify(kind, a, tol=args.tol, constant_scale=scale) for a in vectors]
-        directed = [r.margin if kind.is_lower else -r.margin for r in reports]
-        worst = directed.index(min(directed))  # the first minimum
-        report = reports[worst]
+        vectors = (rng.vector(args.n) if i else extremal_vector(kind, args.n)
+                   for i in range(samples + 1))
+        checked = ((a, verify(kind, a, tol=args.tol, constant_scale=scale)) for a in vectors)
+        # streamed: min keeps only the first minimum of the directed margins
+        worst, (a, report) = min(enumerate(checked), key=lambda item: sign * item[1][1].margin)
         if not report.holds:
             witnesses.append(
                 {
                     "kind": kind.value,
                     "n": args.n,
                     "sample": worst,
-                    "vector": vectors[worst],
+                    "vector": a,
                     "lhs": report.lhs,
                     "rhs": report.rhs,
                     "margin": report.margin,
@@ -187,8 +185,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             {
                 "kind": kind.value,
                 "n": args.n,
-                "samples": len(vectors),
-                "min_directed_margin": directed[worst],
+                "samples": samples + 1,
+                "min_directed_margin": sign * report.margin,
                 "worst_sample": worst,
                 "holds": report.holds,
             }

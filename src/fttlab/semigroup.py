@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validate import as_finite, as_int, as_square_matrix, as_vector, checked_exp, finite
-from .errors import ConsistencyError, NumericsError, OverflowFailure
+from .errors import ConsistencyError, NumericsError
 from .inequalities import CheckReport
 from .rng import SplitMix64
 from .tridiagonal import JordanVariant, UpperBidiagonal, dissipativity_threshold
@@ -92,9 +92,9 @@ def expm_oracle(Q, x: float) -> np.ndarray:
 
     The argument is halved until its 1-norm is at most 0.5, the series is
     summed until the additive term drops below 1e-18, and the result is
-    squared back up.  ``OverflowFailure`` is raised in two stages: for an
-    argument whose 1-norm needs more than 64 halvings, then for a squared
-    result that overflows.
+    squared back up.  ``OverflowFailure`` is raised where a value leaves
+    double precision: the argument's 1-norm, then the squared result.  Any
+    finite 1-norm is scaled down, with at most 1025 halvings.
     This is the one-point call of the grid pass behind ``contraction_check``,
     so a curve holds the bits of this function.
     """
@@ -109,25 +109,26 @@ def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, NumericsErro
     """(stack, error): exp(Qx) by ``expm_oracle``'s recipe for each x in xs before
     the first that fails, and that x's error with its position in ``index``, else None.
 
-    An x fails the first check that rejects it: its argument's range, then the
-    overflow of its squared result.  The second stage runs only on the slices
-    before the first out-of-range x, so nothing past the first failing x is
-    computed.  Every slice gets its own 2^-s scale, leaves the Taylor sum once
+    An x fails the first check that rejects it: the overflow of ||Qx||_1, then
+    the overflow of its squared result.  The second stage runs only on the
+    slices before the first x whose ||Qx||_1 overflows, so nothing past the
+    first failing x is computed.  Every slice gets its own 2^-s scale, applied
+    by ``np.ldexp`` as 2^s is inf from s = 1024 on, leaves the Taylor sum once
     its own term drops below 1e-18 and is squared its own s times, all through
     the same per-matrix products as a single call, so each slice keeps its bits.
     The sum always ends: a scaled slice has ||A||_1 <= 1/2, so its k-th term is
     at most 2^-k / k!, below 1e-18 from k = 16 on.
     """
-    with np.errstate(over="ignore"):  # an overflowed argument fails its range check below
+    with np.errstate(over="ignore"):  # an overflowed argument fails its 1-norm check below
         A = Q * xs[:, None, None]
-    # numpy's matrix 1-norm, column sums then their maximum, per slice
-    anorms = np.abs(A).sum(axis=1).max(axis=1).tolist()
-    # s of the 2^-s scale that takes a 1-norm to at most 0.5; 65 past that range
-    squarings = [0 if a <= 0.5 else math.ceil(math.log2(min(a / 0.5, 2.0**65))) for a in anorms]
-    in_range = next((i for i, s in enumerate(squarings) if s > 64), xs.size)
-    squarings = np.array(squarings[:in_range], dtype=int)
+        # numpy's matrix 1-norm, column sums then their maximum, per slice
+        anorms = np.abs(A).sum(axis=1).max(axis=1).tolist()
+    in_range = next((i for i, a in enumerate(anorms) if a == math.inf), xs.size)
+    # s of the 2^-s scale that takes a 1-norm to at most 0.5; 1025 once a / 0.5 is inf
+    squarings = np.array([0 if a <= 0.5 else math.ceil(min(math.log2(a / 0.5), 1025.0))
+                          for a in anorms[:in_range]], dtype=int)
     A = A[:in_range]
-    A /= np.ldexp(1.0, squarings)[:, None, None]
+    np.ldexp(A, -squarings[:, None, None], out=A)
 
     # Taylor phase on the whole stack: a slice whose term dropped below the
     # tolerance stops adding terms; four stack-sized arrays at most are alive
@@ -154,8 +155,7 @@ def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, NumericsErro
     try:  # the checks below cover rising positions: the first to raise names the first failing x
         finite(result, "matrix exponential")
         if in_range < xs.size:
-            finite(anorms[in_range] / 0.5, "2 ||Qx||_1")
-            raise OverflowFailure(f"argument norm {anorms[in_range]!r} is out of range")
+            finite(anorms[in_range], "||Qx||_1")
     except NumericsError as error:
         if error.index is None:  # the failing x follows the stack's last slice
             error.index = len(result)
@@ -319,13 +319,13 @@ def _operator_norms(M: np.ndarray) -> np.ndarray:
     norms = np.zeros(largest.size)
     live = np.flatnonzero(largest)
     if live.size:
-        # power-of-two rescale, capped at 2^1023: keeps M^T M v finite for huge entries, exactly
-        scale = np.ldexp(1.0, np.minimum(np.frexp(largest[live])[1], 1023))
-        M = M[live] / scale[:, None, None]
+        # power-of-two rescale by exponent: keeps M^T M v finite for huge entries, exactly
+        e = np.frexp(largest[live])[1]
+        M = np.ldexp(M[live], -e[:, None, None])
         sigma, settled = _power_run(M)
         lower = _norm_bracket(M, np.where(settled, sigma, np.nan))[0]
         with np.errstate(over="ignore"):  # checked just below
-            norms[live] = lower * scale
+            norms[live] = np.ldexp(lower, e)
     return finite(norms, "operator norm")
 
 

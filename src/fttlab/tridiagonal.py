@@ -126,22 +126,21 @@ def det_recurrence(tri: SymTridiagonal) -> float:
     return finite(curr, "continuant")
 
 
-def _bisection_setup(
-    tri: SymTridiagonal, tol: float
-) -> tuple[list[tuple[float, float]], float, float, float]:
+def _bisection_setup(tri: SymTridiagonal) -> tuple[list[tuple[float, float]], float, float, float]:
     """Sturm pairs (d_i, e_{i-1}^2), Gershgorin bracket [lo, hi] and pivot floor.
 
     The first pair carries e_{-1}^2 = 0.0, so its pivot d_0 - mid needs no branch.
-    Overflow shows up only as the ``OverflowFailure`` of the width guard, never as
-    a numpy warning first; past the guard lo and hi are finite, and so is every
-    midpoint ``0.5 * lo + 0.5 * hi`` of a bracket inside them.
+    Overflow shows up only as the ``OverflowFailure`` of the guard on hi - lo,
+    the width the sweeps compare with tol, never as a numpy warning first; past
+    the guard lo and hi are finite, and so is every midpoint ``0.5 * lo + 0.5 * hi``
+    of a bracket inside them.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         off2 = tri.offdiag * tri.offdiag
         radius = np.append(np.sqrt(off2), 0.0) + np.append(0.0, np.sqrt(off2))
         lo = float(np.min(tri.diag - radius)) - 1e-3
         hi = float(np.max(tri.diag + radius)) + 1e-3
-        finite((hi - lo) / tol, "Gershgorin width / tol")
+    finite(hi - lo, "Gershgorin width")
     pivmin = max(float(np.max(off2, initial=0.0)), 1.0) * 1e-292
     pairs = list(zip(tri.diag.tolist(), [0.0] + off2.tolist()))  # x - 0.0 / p == x
     return pairs, lo, hi, pivmin
@@ -183,7 +182,7 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
     """
     tol = as_finite(tol, "tol", above=0.0)
     n = tri.n
-    pairs, lo0, hi0, pivmin = _bisection_setup(tri, tol)
+    pairs, lo0, hi0, pivmin = _bisection_setup(tri)
     lo, hi = np.full(n, lo0), np.full(n, hi0)
 
     k = np.arange(n)  # indices of the open brackets
@@ -211,7 +210,7 @@ def _eig_sturm_one(tri: SymTridiagonal, index: int, tol: float) -> float:
     midpoints and freeze, and the clamped Sturm count that ``eig_sturm`` falls
     back on, ``_sturm_count`` over Python floats, O(n) per sweep.
     """
-    pairs, lo, hi, pivmin = _bisection_setup(tri, tol)
+    pairs, lo, hi, pivmin = _bisection_setup(tri)
 
     def step(lo: float, mid: float, hi: float) -> tuple[float, float]:
         return (lo, mid) if _sturm_count(pairs, pivmin, mid) > index else (mid, hi)

@@ -141,7 +141,15 @@ class TestSemigroupNorm:
         assert result.returncode == 3
         # one line: numpy's overflow warning used to print first
         assert result.stderr.splitlines() == [
-            "fttlab: numeric failure: 2 ||Qx||_1 overflows double precision"]
+            "fttlab: numeric failure: ||Qx||_1 overflows double precision"]
+
+    def test_huge_dissipative_block_contracts(self, capsys):
+        # at x = 10 the argument's 1-norm is 1e19; past 64 halvings it used to exit 3
+        code, out, err = run(capsys, "semigroup-norm", "--n", "2", "--alpha=-1e18",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        norms = [row["norm"] for row in json.loads(out)["rows"]]
+        assert len(norms) == 65 and max(norms) <= 1.0
 
     def test_tol_flag_is_gone(self, capsys):
         # it only ever set the power-iteration tolerance, to 1e-12 for any tol >= 1e-11
@@ -301,7 +309,8 @@ FAILURES = {
        for command in ("constants", "threshold", "verify", "probe-gftt2")},
     # search_hi / 1e-3 reached the scan as inf and failed as bad input (2)
     "scan-ratio": ("threshold --n 3 --search-hi 1e306", 3, "scan ratio"),
-    "argument-norm": ("semigroup-norm --n 2 --alpha 1e308 --grid 0:50:2", 3, "2 ||Qx||_1"),
+    "argument-norm": ("semigroup-norm --n 2 --alpha 1e308 --grid 0:50:2", 3,
+                      "numeric failure: ||Qx||_1 overflows"),
 }
 
 
@@ -450,6 +459,14 @@ def test_a_long_probe_runs_in_flat_memory():
                                            "--seed", "4")
     assert digest == "6b699ec4d67a8268cb899237b5532362383083f4630bdedfa28554917fbef4cd"
     assert peak_mb < 60, peak_mb
+
+
+def test_a_long_verify_runs_in_flat_memory():
+    # verify keeps only each kind's running first minimum; holding every
+    # sample's vector and report peaked at 72 MB, the stream at 30 MB
+    digest, peak_mb = _digest_and_own_peak("verify", "--n", "200", "--samples", "20000")
+    assert digest == "230ac5b4eeb7d5f601f83e55eeb04312acdd166bd3f00a1e14e57bef3e9db324"
+    assert peak_mb < 50, peak_mb
 
 
 def _hex(values) -> list[str]:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import fttlab as F
+from fttlab._validate import checked_exp
 from fttlab.errors import OverflowFailure
 from fttlab.tridiagonal import _eig_sturm_one
 
@@ -38,6 +39,8 @@ ROUTES = {
     "gftt2_toeplitz_lhs": lambda: F.gftt2_toeplitz_lhs(np.array([1e200]), 0.0),
     "expm_oracle": lambda: F.expm_oracle(np.array([[1e300]]), 1e10),
     "expm_oracle-norm": lambda: F.expm_oracle(np.array([[1e308]]), 1.0),
+    # finite entries whose column sum, the 1-norm, overflows
+    "expm_oracle-column-sum": lambda: F.expm_oracle(np.array([[-1e308, 0.0], [-1e308, 0.0]]), 1.0),
     "norm_preserving_subspace": lambda: F.norm_preserving_subspace(
         np.diag([-1e300, -1.0]), 1e10),
     "strict_contraction_check": lambda: F.strict_contraction_check(
@@ -65,13 +68,42 @@ def test_route_raises_overflow_failure(route):
                          ids=["eig_sturm", "one-bracket"])
 @pytest.mark.parametrize("tri", [
     F.SymTridiagonal(np.zeros(2), np.array([1e200])),  # the squared off-diagonal overflows
-    F.SymTridiagonal(np.array([1e300, -1e300]), np.ones(1)),  # only width / tol overflows
-], ids=["offdiag", "width"])
+], ids=["offdiag"])
 def test_sturm_setup_overflow_raises_without_a_warning(bisect, tri):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowFailure, match="Gershgorin width / tol"):
+        with pytest.raises(OverflowFailure, match="Gershgorin width overflows"):
             bisect(tri)
+
+
+@pytest.mark.parametrize("bisect", [lambda tri, tol: F.eig_sturm(tri, tol).tolist(),
+                                    lambda tri, tol: [_eig_sturm_one(tri, i, tol) for i in range(2)]],
+                         ids=["eig_sturm", "one-bracket"])
+def test_sturm_bisection_of_a_finite_width_at_any_tol(bisect):
+    # only width / tol overflowed here, a quotient that no sweep computes
+    tri = F.SymTridiagonal(np.array([1e300, -1e300]), np.ones(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tol in (1e-13, 5e-324):
+            assert bisect(tri, tol) == [-1e300, 1e300]
+
+
+def test_exp_overflows_where_math_exp_does():
+    # the old cut at 709.0 refused e^709.5 = 1.35e308
+    assert checked_exp(709.78) == math.exp(709.78)
+    with pytest.raises(OverflowFailure, match="exponent 709.79 overflows"):
+        checked_exp(709.79)
+    assert F.exp_jordan_closed(1, 709.5, 1.0)[0, 0] == math.exp(709.5)
+
+
+def test_a_huge_dissipative_argument_needs_no_halving_cap():
+    # past 64 halvings the argument used to be refused as out of range;
+    # e^-1e19 and e^-1e20 are 0 in double precision
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert F.expm_oracle(np.array([[-1e20]]), 1.0).tolist() == [[0.0]]
+        curve = F.contraction_check(np.array([[-1e18]]))
+    assert curve.max_norm <= 1.0 and curve.norms[-1] == 0.0
 
 
 def test_operator_norm_of_entries_past_two_to_the_1023():
@@ -110,13 +142,20 @@ def _raise_sites(error: str) -> list[tuple[str, str]]:
 
 
 def test_overflow_failure_is_raised_in_one_place():
-    # every non-finite result goes through _validate.finite; checked_exp raises
-    # before math.exp would, and expm_oracle refuses more than 64 squarings
+    # every non-finite result goes through _validate.finite; checked_exp turns
+    # math.exp's own OverflowError into it, so no core has a threshold of its own
     assert _raise_sites("OverflowFailure") == [
         ("_validate.py", "checked_exp"),
         ("_validate.py", "finite"),
-        ("semigroup.py", "_expm_stack"),
     ]
+    tree = ast.parse((SRC / "fttlab" / "_validate.py").read_text(encoding="utf-8"))
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "checked_exp")
+    handlers = [node for node in ast.walk(func) if isinstance(node, ast.ExceptHandler)]
+    assert [getattr(h.type, "id", None) for h in handlers] == ["OverflowError"]
+    inside = {id(node) for node in ast.walk(handlers[0]) if isinstance(node, ast.Raise)}
+    raises = [node for node in ast.walk(func) if isinstance(node, ast.Raise)]
+    assert raises and all(id(node) in inside for node in raises)
 
 
 def test_convergence_failure_is_raised_only_where_a_loop_has_a_budget():

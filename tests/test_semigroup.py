@@ -349,9 +349,13 @@ class TestBatchedCurve:
                 assert settled.any() and not settled.all(), M.shape
 
     def test_the_first_failing_point_names_the_error(self):
-        # x = 1 overflows while squaring; x = 50 needs more than 64 squarings
+        # x = 1 and x = 50 both overflow while squaring; x = 1 comes first
         with pytest.raises(OverflowFailure, match="matrix exponential overflows"):
             contraction_check(np.array([[1e18]]), xs=np.array([1.0, 50.0]))
+        # x = 50 fails the earlier stage, its ||Qx||_1 overflowing; x = 1 still names the error
+        with pytest.raises(OverflowFailure, match="matrix exponential overflows") as failure:
+            contraction_check(np.array([[1e307]]), xs=np.array([1.0, 50.0]))
+        assert failure.value.index == 0
 
     def test_threshold_blocks_near_zero_match_svd(self):
         # near x = 0, exp(Qx) is close to I and sigma_2 / sigma_1 is close to 1,
