@@ -115,8 +115,9 @@ def finite(value, what: str):
 
 
 def checked_exp(exponent: float) -> float:
-    """math.exp(exponent), its own ``OverflowError`` (e^709.79) raised as ``OverflowFailure``."""
+    """math.exp(exponent) past ``finite``, to which its ``OverflowError`` (e^709.79 on) is inf."""
     try:
-        return math.exp(exponent)
+        value = math.exp(exponent)
     except OverflowError:
-        raise OverflowFailure(f"exponent {exponent!r} overflows double precision") from None
+        value = math.inf
+    return value if math.isfinite(value) else finite(value, f"exponent {exponent!r}")

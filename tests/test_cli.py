@@ -309,6 +309,8 @@ FAILURES = {
        for command in ("constants", "threshold", "verify", "probe-gftt2")},
     # search_hi / 1e-3 reached the scan as inf and failed as bad input (2)
     "scan-ratio": ("threshold --n 3 --search-hi 1e306", 3, "scan ratio"),
+    # -2 x alpha is inf here, and math.exp(inf) is inf without an OverflowError
+    "bound-exponent": ("bessel-sweep --n 1 --grid 1e308:1e308:1", 3, "exponent inf overflows"),
     "argument-norm": ("semigroup-norm --n 2 --alpha 1e308 --grid 0:50:2", 3,
                       "numeric failure: ||Qx||_1 overflows"),
 }
