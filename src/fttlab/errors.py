@@ -27,8 +27,17 @@ class NumericsError(RuntimeError):
 
 
 class ConvergenceError(NumericsError):
-    """Inverse iteration found no eigenvector at a shift; the message names
-    the shift and the best residual (for a 1 x 1 matrix, its entry)."""
+    """Inverse iteration found no eigenvector at a shift.
+
+    ``shift`` is that shift and ``residual`` the best |T v - shift v| of the
+    jitters by tol (for a 1 x 1 matrix, |entry - shift|); the message names
+    the shift and that residual (for a 1 x 1 matrix, the entry instead).
+    """
+
+    def __init__(self, *args, shift: float | None = None, residual: float | None = None) -> None:
+        super().__init__(*args)
+        self.shift = shift
+        self.residual = residual
 
 
 class OverflowFailure(NumericsError):

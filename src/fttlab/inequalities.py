@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._scalar import BlockSign, InequalityKind, sharp_constant, threshold_alpha
-from ._validate import as_finite, as_vector, finite
+from ._validate import as_finite, as_vector, as_vector_and_square, finite
 from .tridiagonal import (
     UpperBidiagonal,
     _extreme_eigenpair,
@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 _EXTREMAL_TOL = 1e-13  # eigenvalue bracket width and eigenvector residual scale
+# a.a at most this bounds each squared difference by 2 (a_k^2 + a_{k-1}^2), so the
+# energy by 4 a.a <= 2^1022: no step of _energy can overflow
+_QUIET_SQUARE = 2.0**1020
 
 
 @dataclass(frozen=True)
@@ -100,14 +103,19 @@ def verify(
     can be probed (a perturbed constant must flip the verdict on the
     extremal vector) and defaults to the genuine constant.  Entries large
     enough to overflow the energy or the squared norm raise
-    ``OverflowFailure``, without a numpy warning first.
+    ``OverflowFailure``, without a numpy warning first: the squared norm is
+    a ddot that never warns, and numpy is quieted around the energy only when
+    a·a exceeds 2^1020, below which nothing in it can overflow.
     """
     tol = as_finite(tol, "tol", minimum=0.0)
-    a = as_vector(a, "a")
+    a, square = as_vector_and_square(a, "a")
     constant, is_lower, pins_right_end = _kind_at(kind, a.size)
-    with np.errstate(over="ignore"):  # the finite guards raise right after
+    if square > _QUIET_SQUARE:
+        with np.errstate(over="ignore"):  # _energy's finite guard raises right after
+            lhs = _energy(a, pins_right_end)
+    else:
         lhs = _energy(a, pins_right_end)
-        rhs = constant_scale * constant * float(a @ a)
+    rhs = constant_scale * constant * square
     margin = finite(lhs - rhs, "inequality margin")
     holds = margin >= -tol if is_lower else margin <= tol
     return CheckReport(lhs=lhs, rhs=rhs, margin=margin, holds=holds)

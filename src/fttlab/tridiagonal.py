@@ -248,6 +248,43 @@ def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     return np.array(b[:n])
 
 
+def _norm(x: np.ndarray) -> float:
+    """The bits of ``np.linalg.norm(x)``, sqrt of the same ddot, without its overflow warning."""
+    return math.sqrt(np.vdot(x, x))
+
+
+def _inverse_iteration(
+    tri: SymTridiagonal, eigenvalue: float, jitters: tuple[float, ...], gate: float,
+    rhs_scale: float = 1.0,
+) -> tuple[np.ndarray | None, float]:
+    """The first unit vector with ``|T v - eigenvalue v| <= gate``, or None, and the best residual.
+
+    Six pivoted solves from the flat start per shift ``eigenvalue + jitter``,
+    each of ``rhs_scale`` times the last unit iterate (a power of two, so only
+    the iterate's exponent moves); a shift whose solve meets an exactly zero
+    pivot, or whose iterate has no finite nonzero norm, gives way to the next.
+    """
+    n = tri.n
+    best_res = math.inf
+    for jitter in jitters:
+        shifted = tri.diag - (eigenvalue + jitter)
+        v = np.full(n, 1.0 / math.sqrt(n))
+        for _ in range(6):
+            try:
+                w = _solve_tridiagonal(tri.offdiag, shifted, tri.offdiag, rhs_scale * v)
+            except np.linalg.LinAlgError:
+                break
+            norm = _norm(w)
+            if not math.isfinite(norm) or norm == 0.0:
+                break
+            v = w / norm
+            res = _norm(tri.matvec(v) - eigenvalue * v)
+            best_res = min(best_res, res)
+            if res <= gate:
+                return v, best_res
+    return None, best_res
+
+
 def eigvec_inverse_iteration(
     tri: SymTridiagonal, eigenvalue: float, tol: float = 1e-12
 ) -> np.ndarray:
@@ -255,37 +292,41 @@ def eigvec_inverse_iteration(
 
     Inverse iteration with pivoted tridiagonal solves; an (almost) singular
     shift is handled by jittering the eigenvalue by ``tol``.  The result
-    satisfies ``|T v - eigenvalue v| <= 10 tol``; only that residual is
-    guaranteed, not any particular sign or phase.
+    satisfies ``|T v - eigenvalue v| <= 10 tol`` where such a vector is found.
+    Where the matrix's scale puts that bound below float resolution, every
+    jitter under ulp(eigenvalue) leaves the shift unchanged, so one more pass
+    jitters by multiples of ulp(eigenvalue) and admits
+    ``10 tol + n eps ||T||``, with ``||T||`` bounded by the largest Gershgorin
+    row sum.  Only that residual is guaranteed, not any sign or phase.  A
+    ``ConvergenceError`` names the best residual of the jitters by ``tol``.
     """
     tol = as_finite(tol, "tol", above=0.0)
     n = tri.n
     if n == 1:
-        if abs(tri.diag[0] - eigenvalue) > 10.0 * tol:
+        residual = float(abs(tri.diag[0] - eigenvalue))
+        if residual > 10.0 * tol:
             raise ConvergenceError(
-                f"{eigenvalue!r} is not an eigenvalue of the 1x1 matrix {tri.diag[0]!r}"
+                f"{eigenvalue!r} is not an eigenvalue of the 1x1 matrix {tri.diag[0]!r}",
+                shift=eigenvalue, residual=residual,
             )
         return np.ones(1)
 
-    best_res = math.inf
-    for jitter in (0.0, tol, -tol, 100.0 * tol, -100.0 * tol):
-        shifted = tri.diag - (eigenvalue + jitter)
-        v = np.full(n, 1.0 / math.sqrt(n))
-        for _ in range(6):
-            try:
-                w = _solve_tridiagonal(tri.offdiag, shifted, tri.offdiag, v)
-            except np.linalg.LinAlgError:
-                break
-            norm = float(np.linalg.norm(w))
-            if not math.isfinite(norm) or norm == 0.0:
-                break
-            v = w / norm
-            res = float(np.linalg.norm(tri.matvec(v) - eigenvalue * v))
-            best_res = min(best_res, res)
-            if res <= 10.0 * tol:
-                return v
-    raise ConvergenceError(f"inverse iteration residual {best_res!r} exceeds "
-                           f"{10.0 * tol!r} for shift {eigenvalue!r}")
+    v, best_res = _inverse_iteration(tri, eigenvalue, (0.0, tol, -tol, 100.0 * tol, -100.0 * tol),
+                                     10.0 * tol)
+    if v is None:
+        ulp, eps = math.ulp(eigenvalue), np.finfo(float).eps
+        off = eps * np.abs(tri.offdiag)  # scaled first, so no row sum overflows
+        rows = eps * np.abs(tri.diag)
+        rows[:-1] += off
+        rows[1:] += off
+        # a solve at a shift some ulps off an eigenvalue grows the iterate by about 1/ulp
+        v, _ = _inverse_iteration(tri, eigenvalue, (0.0, ulp, -ulp, 100.0 * ulp, -100.0 * ulp),
+                                  10.0 * tol + n * float(rows.max()), rhs_scale=ulp)
+    if v is None:
+        raise ConvergenceError(f"inverse iteration residual {best_res!r} exceeds "
+                               f"{10.0 * tol!r} for shift {eigenvalue!r}",
+                               shift=eigenvalue, residual=best_res)
+    return v
 
 
 def quad_form(block: UpperBidiagonal, a: np.ndarray) -> float:

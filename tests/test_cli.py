@@ -394,14 +394,21 @@ def _has_cpu_flag(flag: str) -> bool:
         return False
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def _kernel_env(kernel: str) -> dict[str, str]:
+    """A child's environment forcing an OpenBLAS kernel, which is read at load time;
+    skips where that kernel cannot run."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OPENBLAS_CORETYPE names x86-64 kernels")
+    if kernel == "Haswell" and not _has_cpu_flag("avx2"):
+        pytest.skip("the Haswell kernel needs AVX2")
+    return {"OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "1"}
+
+
 @pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
 def test_kernel_free_outputs_match_under_other_blas_kernels(kernel):
     # the pinned entries that reach no BLAS ddot or gemm keep their bytes on any
-    # OpenBLAS kernel; the kernel is forced in a child, as it is read at load time
-    if kernel == "Haswell" and not _has_cpu_flag("avx2"):
-        pytest.skip("the Haswell kernel needs AVX2")
+    # OpenBLAS kernel
+    env_vars = _kernel_env(kernel)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     want = {}
     for path, count in ((os.path.join(root, "tests", "fixtures", "cli_bytes.json"), 12),
@@ -412,9 +419,27 @@ def test_kernel_free_outputs_match_under_other_blas_kernels(kernel):
         assert len(entries) == count, path
         want.update(entries)
     result = _python("-W", "error", "-c", _DIGESTS, json.dumps(list(want)), timeout=120,
-                     env_vars={"OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "1"})
+                     env_vars=env_vars)
     assert (result.returncode, result.stderr) == (0, "")
     assert json.loads(result.stdout) == want
+
+
+_VDOT_SWEEP = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_inequalities import vdot_mismatches
+print(*vdot_mismatches())
+"""
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+def test_vdot_is_the_ddot_of_matmul_under_other_blas_kernels(kernel):
+    # verify's a.a is np.vdot in place of a @ a: the same ddot call on each kernel
+    result = _python("-W", "error", "-c", _VDOT_SWEEP, os.path.dirname(os.path.abspath(__file__)),
+                     timeout=120, env_vars=_kernel_env(kernel))
+    assert (result.returncode, result.stderr) == (0, "")
+    mismatches, cases = map(int, result.stdout.split())
+    assert (mismatches, cases) == (0, 302 * 5 * 4)  # sizes, scales, views
 
 
 _OWN_PEAK = """\

@@ -9,6 +9,7 @@ Oracles used here:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,63 @@ def test_verify_keeps_the_bits_of_the_old_expressions(a, constant_scale):
         assert (r.lhs.hex(), r.rhs.hex(), r.margin.hex()) == (lhs.hex(), rhs.hex(), margin.hex())
         assert difference_energy(a, kind).hex() == lhs.hex()
         assert r.holds == (margin >= -1e-10 if kind.is_lower else margin <= 1e-10)
+
+
+# verify takes a.a as np.vdot, BLAS ddot without numpy's floating-point flag
+# check, where a @ a runs the same ddot as a ufunc; a strided view's ddot is
+# not its contiguous copy's, so both must see the same view
+VDOT_SIZES = [*range(1, 301), 1000, 4097]
+VDOT_SCALES = (1e-100, 1e-50, 1.0, 1e50, 1e100)
+
+
+def float_views(n, scale):
+    """Contiguous, offset, strided and reversed length-n views of one seeded float64 array."""
+    base = SplitMix64(n).vector(3 * n + 1) * scale
+    return base[:n], base[1:n + 1], base[1::3], base[::-1][:n]
+
+
+def vdot_mismatches():
+    """(cases where np.vdot(v, v) and v @ v differ in any bit, cases) over the sweep."""
+    pairs = [(np.vdot(v, v), v @ v) for n in VDOT_SIZES for scale in VDOT_SCALES
+             for v in float_views(n, scale)]
+    return sum(x.tobytes() != y.tobytes() for x, y in pairs), len(pairs)
+
+
+def test_vdot_is_the_ddot_of_matmul():
+    assert vdot_mismatches() == (0, len(VDOT_SIZES) * len(VDOT_SCALES) * 4)
+
+
+def test_vdot_overflows_without_a_warning():
+    a = np.full(3, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.vdot(a, a) == math.inf
+
+
+def test_verify_keeps_the_bits_of_the_old_expressions_on_views():
+    for n in VDOT_SIZES:
+        for scale in VDOT_SCALES:
+            for a in float_views(n, scale):
+                for kind in ALL_KINDS:
+                    r = verify(kind, a)
+                    assert (r.lhs, r.rhs, r.margin) == old_verify(kind, a), (n, scale, kind)
+
+
+@pytest.mark.parametrize("a", [
+    [3, -1, 2],  # a list of ints
+    [0.25, -1.5, 2.0, 1e-3],
+    np.array([3, -1, 2]),  # an int array
+    np.array([2.0**509] * 3),  # a.a = 3 * 2^1018, below 2^1020
+    np.array([2.0**510]),  # a.a = 2^1020 exactly, the pinned energy 2^1021
+    np.array([2.0**509, -2.0**509] * 2),  # a.a = 2^1020, the pinned energy 3.5 * 2^1020
+    np.array([2.0**510] * 3),  # a.a = 3 * 2^1020, above: numpy is quieted, nothing overflows
+], ids=["int-list", "float-list", "int-array", "below", "at", "at-alternating", "above"])
+def test_verify_keeps_the_bits_of_the_old_expressions_on_both_sides_of_two_to_the_1020(a):
+    for kind in ALL_KINDS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = verify(kind, a)
+        assert (r.lhs, r.rhs, r.margin) == old_verify(kind, np.asarray(a, dtype=float)), kind
 
 
 class TestExtremalVectors:

@@ -27,6 +27,8 @@ ROUTES = {
     # a false counterexample: holds=False with margin=nan for a true inequality
     **{f"verify-{kind.value}": (lambda kind=kind: F.verify(kind, _HUGE))
        for kind in F.InequalityKind},
+    # a.a = 2e308 overflows, the energy 5e307 does not
+    "verify-square": lambda: F.verify(F.InequalityKind.LOWER_PINNED, np.full(8, 5e153)),
     "difference_energy": lambda: F.difference_energy(_HUGE, F.InequalityKind.LOWER_FREE),
     "quad_form": lambda: F.quad_form(F.UpperBidiagonal(3, 0.5), _HUGE),
     "quad_form-modified": lambda: F.quad_form(
@@ -64,6 +66,14 @@ def test_route_raises_overflow_failure(route):
         warnings.simplefilter("error")
         with pytest.raises(OverflowFailure, match="overflows double precision"):
             ROUTES[route]()
+
+
+@pytest.mark.parametrize("a", [[1.0, math.nan], [math.inf, 1.0], np.array([1e200, -math.inf])])
+def test_verify_rejects_a_vector_that_is_not_finite(a):
+    # a.a is not finite here either, so verify runs the isfinite pass it skips otherwise
+    for kind in F.InequalityKind:
+        with pytest.raises(ValueError, match="^a must be finite$"):
+            F.verify(kind, a)
 
 
 @pytest.mark.parametrize("bisect", [F.eig_sturm, lambda tri: _eig_sturm_one(tri, tri.n - 1, 1e-13)],

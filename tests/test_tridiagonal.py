@@ -400,6 +400,18 @@ class TestInverseIteration:
         with pytest.raises(ConvergenceError):
             eigvec_inverse_iteration(t, 0.9)
 
+    def test_convergence_error_carries_the_shift_and_the_residual(self):
+        t = SymTridiagonal(np.array([0.7]), np.array([]))
+        with pytest.raises(ConvergenceError) as failure:
+            eigvec_inverse_iteration(t, 0.9)
+        assert (failure.value.shift, failure.value.residual) == (0.9, abs(0.7 - 0.9))
+        t = SymTridiagonal(np.array([1.0, 2.0]), np.array([1.0]))  # eigenvalues (3 ± √5) / 2
+        with pytest.raises(ConvergenceError) as failure:
+            eigvec_inverse_iteration(t, 1.5)
+        error = failure.value
+        assert error.shift == 1.5 and 0.5 < error.residual < 1.2
+        assert str(error) == f"inverse iteration residual {error.residual!r} exceeds 1e-11 for shift 1.5"
+
     def test_modified_block_eigenvector_closed_form(self):
         # for the symmetrized modified block, the eigenvector at eigenvalue
         # 2 alpha - 2 z has entries (-1)^(k-1) U_(k-1)(z), z a difference zero
@@ -484,6 +496,28 @@ class TestDissipativity:
                 report = check_dissipative(UpperBidiagonal(n, thr, variant))
                 assert report.is_dissipative
                 assert abs(report.max_eigenvalue) < 1e-12
+
+    @pytest.mark.parametrize("variant", list(JordanVariant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("alpha", [1e14, -1e14, 1e16, -1e16, 1e100, -1e100, 1e300, -5e307])
+    def test_blocks_where_ten_tol_is_below_float_resolution(self, variant, n, alpha):
+        # check_dissipative asks inverse iteration for 10 tol = 1e-12, below eps ||T||
+        # here; from about 1e16 on every jitter by tol also rounds to the same shift,
+        # whose solve can meet an exactly zero pivot
+        block = UpperBidiagonal(n, alpha, variant)
+        tri = symmetrize(block)
+        report = check_dissipative(block)
+        assert report.is_dissipative == (alpha < 0)
+        w = report.witness
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+        off = np.abs(tri.offdiag)
+        gershgorin = float(np.max(np.abs(tri.diag) + np.append(off, 0.0) + np.append(0.0, off)))
+        gate = 10.0 * 1e-13 + n * np.finfo(float).eps * gershgorin
+        assert np.linalg.norm(tri.matvec(w) - report.max_eigenvalue * w) <= gate
+        far = 2.0 * alpha * (1.0 + 1e-6)  # 2e-6 |alpha| from every eigenvalue
+        with pytest.raises(ConvergenceError) as failure:
+            eigvec_inverse_iteration(tri, far, tol=1e-13)
+        assert failure.value.shift == far
 
     def test_report_max_eigenvalue_matches_eigvalsh(self):
         for variant in JordanVariant:

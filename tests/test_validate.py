@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import fttlab as F
-from fttlab._validate import as_finite, as_int, finite
+from fttlab._validate import as_finite, as_int, as_vector, as_vector_and_square, finite
 from fttlab.errors import OverflowFailure
 from fttlab.rng import SplitMix64
 
@@ -94,6 +94,36 @@ def test_numpy_floats_keep_their_value(value):
 def test_numpy_bools_complex_and_nan_are_rejected(check, value):
     with pytest.raises(ValueError):
         check(value, "x")
+
+
+def _outcome(check, a):
+    try:
+        return check(a)
+    except ValueError as error:
+        return str(error)
+
+
+_BASE = np.arange(12.0) - 5.5
+_HUGE = np.full(3, 1e200)
+
+
+@pytest.mark.parametrize("a", [
+    [], np.array([]), [[1.0]], np.ones((2, 2)), np.array([[np.nan, 1.0]]), np.array(3.0),
+    [True, 1.0], ["1"], [1 + 2j], [math.nan], np.array([1.0, -np.inf]), [3, -1, 2],
+    np.array([3, -1, 2], dtype=np.int8), np.array([0.5, 2.0], dtype=">f8"),
+    np.array([0.5, 2.0], dtype=np.float32), _HUGE, _BASE, _BASE[1::3], _BASE[::-1],
+], ids=lambda a: repr(a).replace(" ", ""))
+def test_vector_and_square_takes_what_as_vector_takes(a):
+    # the same vector (the same object for a float64 ndarray) or the same message,
+    # and the bits of a @ a, which overflows to inf for 1e200 without a warning
+    want = _outcome(lambda a: as_vector(a, "a"), a)
+    got = _outcome(lambda a: as_vector_and_square(a, "a"), a)
+    if isinstance(want, str):
+        assert got == want
+        return
+    out, square = got
+    assert np.array_equal(out, want) and out.dtype == np.float64 and (out is a) == (want is a)
+    assert square == (math.inf if a is _HUGE else float(want @ want))
 
 
 @pytest.mark.parametrize("value, index", [
