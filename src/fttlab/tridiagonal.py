@@ -203,19 +203,46 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
     return 0.5 * lo + 0.5 * hi
 
 
-def _eig_sturm_one(tri: SymTridiagonal, index: int, tol: float) -> float:
+def _eig_sturm_one(
+    tri: SymTridiagonal, index: int, tol: float, guess: float = math.nan, margin: float = 0.0
+) -> float:
     """Eigenvalue ``index`` (ascending) of ``tri``, bit for bit ``eig_sturm(tri, tol)[index]``.
 
     The one bracket evolves exactly as in the lockstep sweeps: the same set-up,
     midpoints and freeze, and the clamped Sturm count that ``eig_sturm`` falls
     back on, ``_sturm_count`` over Python floats, O(n) per sweep.
-    """
-    pairs, lo, hi, pivmin = _bisection_setup(tri)
 
-    def step(lo: float, mid: float, hi: float) -> tuple[float, float]:
+    A finite ``guess`` of the eigenvalue settles only the far halvings: a
+    midpoint more than ``margin`` from it takes the side the guess puts it on,
+    with no count.  After the loop a real count confirms each final endpoint
+    that a settled halving set.  Sturm counts are monotone in the shift
+    (Kahan; Demmel, Dhillon and Ren 1995), and every settled midpoint lies at
+    or beyond the final endpoint on its side, so a confirmed pair vouches for
+    every settled side: the halvings were the plain route's, and so are the
+    bits.  Where a confirmation fails, the plain loop reruns from the
+    Gershgorin bracket.  A wrong guess or margin costs counts, never bits; a
+    guess that is not finite, such as the default nan, steers nothing.
+    """
+    pairs, lo0, hi0, pivmin = _bisection_setup(tri)
+
+    def counted(lo: float, mid: float, hi: float) -> tuple[float, float]:
         return (lo, mid) if _sturm_count(pairs, pivmin, mid) > index else (mid, hi)
 
-    lo, hi, _ = _bisect(step, lo, hi, tol)
+    if math.isfinite(guess):
+        settled = set()  # midpoints that no count placed; every midpoint is distinct
+
+        def steered(lo: float, mid: float, hi: float) -> tuple[float, float]:
+            if abs(mid - guess) <= margin:
+                return counted(lo, mid, hi)
+            settled.add(mid)
+            return (lo, mid) if mid > guess else (mid, hi)
+
+        lo, hi, _ = _bisect(steered, lo0, hi0, tol)
+        if ((lo not in settled or _sturm_count(pairs, pivmin, lo) <= index)
+                and (hi not in settled or _sturm_count(pairs, pivmin, hi) > index)):
+            return 0.5 * lo + 0.5 * hi
+
+    lo, hi, _ = _bisect(counted, lo0, hi0, tol)
     return 0.5 * lo + 0.5 * hi
 
 
@@ -267,7 +294,8 @@ def _inverse_iteration(
     n = tri.n
     best_res = math.inf
     for jitter in jitters:
-        shifted = tri.diag - (eigenvalue + jitter)
+        with np.errstate(over="ignore"):  # an overflowed entry stays inf; the gate decides
+            shifted = tri.diag - (eigenvalue + jitter)
         v = np.full(n, 1.0 / math.sqrt(n))
         for _ in range(6):
             try:
@@ -303,7 +331,7 @@ def eigvec_inverse_iteration(
     tol = as_finite(tol, "tol", above=0.0)
     n = tri.n
     if n == 1:
-        residual = float(abs(tri.diag[0] - eigenvalue))
+        residual = abs(float(tri.diag[0]) - float(eigenvalue))  # Python floats overflow silently
         if residual > 10.0 * tol:
             raise ConvergenceError(
                 f"{eigenvalue!r} is not an eigenvalue of the 1x1 matrix {tri.diag[0]!r}",
@@ -345,16 +373,33 @@ def quad_form(block: UpperBidiagonal, a: np.ndarray) -> float:
     return finite(out, "quadratic form <J a, a>")
 
 
+def _extreme_guess(block: UpperBidiagonal, top: bool) -> tuple[float, float]:
+    """The closed form of J^T + J's largest (``top``) or smallest eigenvalue, and its margin.
+
+    The guess is 2 (alpha - threshold), the threshold under PLUS for the top
+    end and MINUS for the bottom.  The margin 32 eps (|alpha| + 2) covers,
+    several times over, the rounding of the guess (a few ulps of |alpha| + 1),
+    of the block's last diagonal 2 fl(alpha - 1/2) and the backward error of a
+    Sturm count, about 5 eps max|e| + 2 pivmin with unit off-diagonals.
+    """
+    sign = BlockSign.PLUS if top else BlockSign.MINUS
+    guess = 2.0 * (block.alpha - dissipativity_threshold(block.n, block.variant, sign))
+    return guess, 32.0 * math.ulp(1.0) * (abs(block.alpha) + 2.0)
+
+
 def _extreme_eigenpair(
     block: UpperBidiagonal, top: bool, tol: float
 ) -> tuple[float, np.ndarray]:
     """Largest (``top``) or smallest eigenvalue of J^T + J and a unit eigenvector.
 
     Only the extreme bracket is bisected, to width ``tol``; the eigenvector has
-    residual <= 10 tol.
+    residual <= 10 tol.  The closed form ``_extreme_guess`` settles only the far
+    halvings of that bisection, those whose midpoint lies beyond its margin,
+    and real Sturm counts confirm every side it settled.  So a wrong closed
+    form or margin would cost the plain loop's time, never the value's bits.
     """
     sym = symmetrize(block)
-    mu = _eig_sturm_one(sym, sym.n - 1 if top else 0, tol)
+    mu = _eig_sturm_one(sym, sym.n - 1 if top else 0, tol, *_extreme_guess(block, top))
     return mu, eigvec_inverse_iteration(sym, mu, tol=tol)
 
 
@@ -364,6 +409,12 @@ def check_dissipative(block: UpperBidiagonal, tol: float = 1e-10) -> Dissipativi
     The block is dissipative iff the largest eigenvalue of its symmetrization
     is <= tol.  The witness is a unit eigenvector at that eigenvalue; its
     quadratic form equals max_eigenvalue / 2 up to the eigensolver residual.
+
+    That eigenvalue is bit for bit ``eig_sturm``'s, from the extreme bracket
+    alone.  The closed form 2 (alpha - threshold) settles only the far halvings
+    of its bisection, and real Sturm counts confirm every side it settled, so
+    the check stays independent of the threshold it reports: a wrong closed
+    form would change the time taken, not the result.
     """
     tol = as_finite(tol, "tol", above=0.0)
     mu, witness = _extreme_eigenpair(block, top=True, tol=min(1e-13, tol * 1e-2))

@@ -100,6 +100,23 @@ def test_sturm_bisection_of_a_finite_width_at_any_tol(bisect):
             assert bisect(tri, tol) == [-1e300, 1e300]
 
 
+@pytest.mark.parametrize("variant", list(F.JordanVariant), ids=lambda v: v.value)
+@pytest.mark.parametrize("alpha", [1e300, -1e300, -5e307, 8.9e307, 9e307])
+def test_check_dissipative_keeps_the_plain_bits_at_any_alpha(alpha, variant):
+    # the closed form 2 (alpha - threshold) guides its bisection; where 2 alpha
+    # overflows, J^T + J is refused before any bisection runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 2, 3, 16):
+            block = F.UpperBidiagonal(n, alpha, variant)
+            if not math.isfinite(2.0 * alpha):
+                with pytest.raises(OverflowFailure, match=r"J\^T \+ J overflows"):
+                    F.check_dissipative(block)
+                continue
+            plain = _eig_sturm_one(F.symmetrize(block), n - 1, 1e-13)
+            assert F.check_dissipative(block).max_eigenvalue.hex() == plain.hex()
+
+
 def test_exp_overflows_where_math_exp_does():
     # the old cut at 709.0 refused e^709.5 = 1.35e308
     assert checked_exp(709.78) == math.exp(709.78)

@@ -43,7 +43,9 @@ from fttlab.tridiagonal import (
     _bisect,
     _bisection_setup,
     _eig_sturm_one,
+    _extreme_guess,
     _solve_tridiagonal,
+    _sturm_count,
 )
 
 
@@ -211,6 +213,108 @@ class TestOneBracketBisection:
             _, lo, hi, _ = _bisection_setup(tri)
             for tol in (1e-13 * diag_scale, max((hi - lo) / 2.0 ** 1022, 5e-324), 5e-324):
                 self.assert_extremes_match(tri, tol)  # raises nothing
+
+
+def guided_sweep(sizes):
+    """(block, top) over both variants and ends, with alpha at the end's threshold,
+    one ulp and 5e-3 either side of it, and at +-1, 1e13, 1e300 and -5e307."""
+    for n in sizes:
+        for variant in JordanVariant:
+            for top in (True, False):
+                t = dissipativity_threshold(n, variant, BlockSign.PLUS if top else BlockSign.MINUS)
+                for alpha in (t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf),
+                              t + 5e-3, t - 5e-3, 1.0, -1.0, 1e13, 1e300, -5e307):
+                    yield UpperBidiagonal(n, alpha, variant), top
+
+
+@pytest.fixture
+def counted_shifts(monkeypatch):
+    """The shifts of every real Sturm count made while the test runs."""
+    shifts = []
+
+    def spy(pairs, pivmin, mid):
+        shifts.append(mid)
+        return _sturm_count(pairs, pivmin, mid)
+
+    monkeypatch.setattr(tridiagonal, "_sturm_count", spy)
+    return shifts
+
+
+class TestGuidedBisection:
+    """The closed form settles far halvings only; real counts keep the plain bits."""
+
+    @pytest.mark.parametrize("sizes", [range(1, 14), (16, 31, 64), (100, 200), (400,)],
+                             ids=["1-13", "16-64", "100-200", "400"])
+    def test_the_guided_route_keeps_the_plain_bits(self, sizes, counted_shifts):
+        for block, top in guided_sweep(sizes):
+            sym, index = symmetrize(block), block.n - 1 if top else 0
+            for tol in (1e-13, 1e-10):
+                plain = _eig_sturm_one(sym, index, tol)
+                del counted_shifts[:]
+                guided = _eig_sturm_one(sym, index, tol, *_extreme_guess(block, top))
+                assert guided.hex() == plain.hex()
+                assert len(counted_shifts) <= 7  # no fallback ran
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    def test_the_guided_route_gives_eig_sturms_extremes(self, n):
+        for variant in JordanVariant:
+            for alpha in (dissipativity_threshold(n, variant, BlockSign.PLUS),
+                          dissipativity_threshold(n, variant, BlockSign.MINUS)):
+                block = UpperBidiagonal(n, alpha, variant)
+                sym = symmetrize(block)
+                for tol in (1e-13, 1e-10):
+                    full = eig_sturm(sym, tol)
+                    for top, want in ((True, full[-1]), (False, full[0])):
+                        got = _eig_sturm_one(sym, n - 1 if top else 0, tol,
+                                             *_extreme_guess(block, top))
+                        assert got.hex() == float(want).hex()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_a_wrong_guess_falls_back_to_the_plain_bits(self, n, counted_shifts):
+        for block, top in guided_sweep([n]):
+            sym, index = symmetrize(block), n - 1 if top else 0
+            guess, margin = _extreme_guess(block, top)
+            for tol in (1e-13, 1e-15):
+                del counted_shifts[:]
+                plain = _eig_sturm_one(sym, index, tol)
+                plain_counts = len(counted_shifts)
+                for wrong in (guess + 0.1, guess - 0.1, guess + 10 * margin, guess - 10 * margin):
+                    del counted_shifts[:]
+                    assert _eig_sturm_one(sym, index, tol, wrong, margin).hex() == plain.hex()
+                    if abs(block.alpha) <= 1.0 and tol == 1e-15:
+                        # the bracket narrows past the error, so a settled side was wrong
+                        assert len(counted_shifts) > plain_counts
+                del counted_shifts[:]
+                assert _eig_sturm_one(sym, index, tol, math.inf, margin).hex() == plain.hex()
+                assert len(counted_shifts) == plain_counts  # an inf guess steers nothing
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
+    def test_the_count_is_monotone_around_each_extreme_eigenvalue(self, n):
+        # the premise that lets two real counts vouch for every settled side
+        for block, top in guided_sweep([n]):
+            sym = symmetrize(block)
+            pairs, _, _, pivmin = _bisection_setup(sym)
+            mu = _eig_sturm_one(sym, n - 1 if top else 0, 1e-13)
+            below, above = [mu], [mu]
+            for _ in range(1000):
+                below.append(math.nextafter(below[-1], -math.inf))
+                above.append(math.nextafter(above[-1], math.inf))
+            counts = [_sturm_count(pairs, pivmin, shift) for shift in below[::-1] + above[1:]]
+            assert counts == sorted(counts)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 200, 400])
+    def test_certifying_a_block_takes_a_few_real_counts(self, n, counted_shifts):
+        # the plain route takes about 46; a silent fallback would show here
+        for kind in InequalityKind:
+            alpha = dissipativity_threshold(n, kind.variant, kind.sign)
+            for block in (UpperBidiagonal(n, alpha, kind.variant),
+                          UpperBidiagonal(n, -1.0, kind.variant)):
+                del counted_shifts[:]
+                check_dissipative(block)
+                assert len(counted_shifts) <= 8
+            del counted_shifts[:]
+            extremal_vector(kind, n)
+            assert len(counted_shifts) <= 8
 
 
 def clamped_lockstep_sturm(tri, tol=1e-13):
@@ -411,6 +515,17 @@ class TestInverseIteration:
         error = failure.value
         assert error.shift == 1.5 and 0.5 < error.residual < 1.2
         assert str(error) == f"inverse iteration residual {error.residual!r} exceeds 1e-11 for shift 1.5"
+
+    @pytest.mark.parametrize("diag, offdiag", [([1e308], []), ([1e308, 1e308], [1.0])],
+                             ids=["1x1", "2x2"])
+    def test_a_shift_across_the_range_raises_without_a_warning(self, diag, offdiag):
+        # diag - shift overflows to inf: no pivot or residual is finite
+        t = SymTridiagonal(np.array(diag), np.array(offdiag))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError) as failure:
+                eigvec_inverse_iteration(t, -1e308)
+        assert failure.value.shift == -1e308
 
     def test_modified_block_eigenvector_closed_form(self):
         # for the symmetrized modified block, the eigenvector at eigenvalue
