@@ -1,7 +1,9 @@
 """The input contract, checked here only, and the range guards shared by the modules.
 
 Real input is a finite int or float, never a bool, text or complex: else ``ValueError``.
-An int too large for a double is not finite input either.
+An int too large for a double is not finite input either.  Every array
+argument is proven finite by one ddot, its a·a, and its entries are scanned
+only when that is not finite.
 
 numpy is not imported here at module level, so the scalar paths run without it.
 A numpy scalar or array exists only once numpy is loaded, so the scalar checks
@@ -63,67 +65,49 @@ def as_finite(value, name: str, minimum: float | None = None, above: float | Non
     return value
 
 
-def _as_float_array(a, name: str):
-    """A float array, any shape, its entries not yet checked; a float64 array is not copied.
+def _as_real(a, name: str):
+    """(a float array of finite entries, any shape, and its a·a); a float64 ndarray is not copied.
 
     Integer and float data only: a bool is rejected, also inside a list of numbers.
+    a·a is ``np.vdot``, BLAS ``ddot`` with the bits of ``a @ a`` for a vector,
+    on ``a`` itself (a strided view's ddot differs from its copy's), and numpy
+    checks no floating-point flag after it, so an overflow to inf never warns.
+    A finite a·a proves every entry finite, so the ``np.isfinite`` pass runs
+    only when it is not.
     """
     import numpy as np
 
-    out = np.asarray(a)
-    if out.dtype.kind not in "iuf" or (isinstance(a, (list, tuple)) and any(
-            isinstance(v, (bool, np.bool_)) for v in np.asarray(a, dtype=object).flat)):
-        raise ValueError(f"{name} must hold integers or floats only, got dtype {out.dtype}")
-    return out.astype(float, copy=False)
-
-
-def _require_finite(out, name: str) -> None:
-    import numpy as np
-
-    if not np.isfinite(out).all():
+    out = a
+    if type(a) is not np.ndarray or a.dtype != np.float64:
+        out = np.asarray(a)
+        if out.dtype.kind not in "iuf" or (isinstance(a, (list, tuple)) and any(
+                isinstance(v, (bool, np.bool_)) for v in np.asarray(a, dtype=object).flat)):
+            raise ValueError(f"{name} must hold integers or floats only, got dtype {out.dtype}")
+        out = out.astype(float, copy=False)
+    square = float(np.vdot(out, out))
+    if not math.isfinite(square) and not np.isfinite(out).all():
         raise ValueError(f"{name} must be finite")
-
-
-def _require_length(out, name: str, size: int | None) -> None:
-    if out.ndim != 1 or (out.size < 1 if size is None else out.size != size):
-        expected = "nonempty" if size is None else f"length-{size}"
-        raise ValueError(f"{name} must be a {expected} 1-D vector, got shape {out.shape}")
+    return out, square
 
 
 def as_real_array(a, name: str):
-    """A float array of finite entries, any shape; a float64 array is not copied.
+    """A float array of finite entries, any shape; a float64 array is not copied."""
+    return _as_real(a, name)[0]
 
-    Integer and float data only: a bool is rejected, also inside a list of numbers.
-    """
-    out = _as_float_array(a, name)
-    _require_finite(out, name)
-    return out
+
+def as_vector_and_square(a, name: str, size: int | None = None):
+    """A finite 1-D float array of length ``size``, or nonempty if no size is given,
+    and its a·a, the bits of ``a @ a``."""
+    out, square = _as_real(a, name)
+    if out.ndim != 1 or (out.size < 1 if size is None else out.size != size):
+        expected = "nonempty" if size is None else f"length-{size}"
+        raise ValueError(f"{name} must be a {expected} 1-D vector, got shape {out.shape}")
+    return out, square
 
 
 def as_vector(a, name: str, size: int | None = None):
-    """A finite 1-D float array of length ``size``, or nonempty if no size is given."""
-    out = as_real_array(a, name)
-    _require_length(out, name, size)
-    return out
-
-
-def as_vector_and_square(a, name: str):
-    """``as_vector(a, name)`` and its a·a, raising what ``as_vector`` raises.
-
-    a·a is ``np.vdot``, BLAS ``ddot`` with the bits of ``a @ a``, on ``a``
-    itself (a strided view's ddot differs from its copy's), and numpy checks
-    no floating-point flag after it, so an overflow to inf never warns.  A
-    finite a·a proves every entry finite, so the ``np.isfinite`` pass runs
-    only when it is not; a 1-D float64 ndarray is taken as it is.
-    """
-    import numpy as np
-
-    out = a if type(a) is np.ndarray and a.dtype == np.float64 else _as_float_array(a, name)
-    square = float(np.vdot(out, out))
-    if not math.isfinite(square):
-        _require_finite(out, name)
-    _require_length(out, name, None)
-    return out, square
+    """``as_vector_and_square`` without the a·a."""
+    return as_vector_and_square(a, name, size)[0]
 
 
 def as_square_matrix(m, name: str):

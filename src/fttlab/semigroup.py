@@ -52,7 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import as_finite, as_int, as_square_matrix, as_vector, checked_exp, finite
+from ._validate import (
+    as_finite, as_int, as_square_matrix, as_vector, as_vector_and_square, checked_exp, finite,
+)
 from .errors import ConsistencyError, NumericsError
 from .inequalities import CheckReport
 from .rng import SplitMix64
@@ -93,8 +95,9 @@ def expm_oracle(Q, x: float) -> np.ndarray:
     The argument is halved until its 1-norm is at most 0.5, the series is
     summed until the additive term drops below 1e-18, and the result is
     squared back up.  ``OverflowFailure`` is raised where a value leaves
-    double precision: the argument's 1-norm, then the squared result.  Any
-    finite 1-norm is scaled down, with at most 1025 halvings.
+    double precision: an entry of the argument, then the squared result.  Any
+    finite argument is scaled down; where its column sum overflows, the 1-norm
+    is taken at the scale 2^-e, e the exponent of its largest entry.
     This is the one-point call of the grid pass behind ``contraction_check``,
     so a curve holds the bits of this function.
     """
@@ -109,10 +112,12 @@ def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, NumericsErro
     """(stack, error): exp(Qx) by ``expm_oracle``'s recipe for each x in xs before
     the first that fails, and that x's error with its position in ``index``, else None.
 
-    An x fails the first check that rejects it: the overflow of ||Qx||_1, then
-    the overflow of its squared result.  The second stage runs only on the
-    slices before the first x whose ||Qx||_1 overflows, so nothing past the
-    first failing x is computed.  Every slice gets its own 2^-s scale, applied
+    An x fails the first check that rejects it: an entry of Qx that overflows,
+    which makes ||Qx||_1 inf, then the overflow of its squared result.  The
+    second stage runs only on the slices before the first such x, so nothing
+    past the first failing x is computed.  A slice of finite entries whose
+    column sum overflows is measured as Qx 2^-e, e the exponent of max |Qx|,
+    and takes e more halvings.  Every slice gets its own 2^-s scale, applied
     by ``np.ldexp`` as 2^s is inf from s = 1024 on, leaves the Taylor sum once
     its own term drops below 1e-18 and is squared its own s times, all through
     the same per-matrix products as a single call, so each slice keeps its bits.
@@ -123,10 +128,17 @@ def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, NumericsErro
         A = Q * xs[:, None, None]
         # numpy's matrix 1-norm, column sums then their maximum, per slice
         anorms = np.abs(A).sum(axis=1).max(axis=1).tolist()
+    shifts = [0] * xs.size
+    for i in [i for i, a in enumerate(anorms) if a == math.inf]:
+        largest = max(A[i].max(), -A[i].min())  # max |A[i]|, inf where an entry overflowed
+        if largest == math.inf:
+            break
+        shifts[i] = math.frexp(largest)[1]
+        anorms[i] = float(np.abs(np.ldexp(A[i], -shifts[i])).sum(axis=0).max())
     in_range = next((i for i, a in enumerate(anorms) if a == math.inf), xs.size)
-    # s of the 2^-s scale that takes a 1-norm to at most 0.5; 1025 once a / 0.5 is inf
-    squarings = np.array([0 if a <= 0.5 else math.ceil(min(math.log2(a / 0.5), 1025.0))
-                          for a in anorms[:in_range]], dtype=int)
+    # s of the 2^-s scale: e, plus halvings to a 1-norm of at most 0.5; 1025 once a / 0.5 is inf
+    squarings = np.array([e + (0 if a <= 0.5 else math.ceil(min(math.log2(a / 0.5), 1025.0)))
+                          for e, a in zip(shifts, anorms[:in_range])], dtype=int)
     A = A[:in_range]
     np.ldexp(A, -squarings[:, None, None], out=A)
 
@@ -425,12 +437,11 @@ def gftt_check(a, x: float, tol: float = 1e-10) -> CheckReport:
 
     The rate 2 cos(pi/(n+1)) is -2 dissipativity_threshold(n, STANDARD).
     """
-    a = as_vector(a, "a")
+    a, energy = as_vector_and_square(a, "a")
     x = as_finite(x, "x", minimum=0.0)
     tol = as_finite(tol, "tol", minimum=0.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked here and just below
+    with np.errstate(over="ignore", invalid="ignore"):  # _squared_norm checks the total
         lhs = _squared_norm(0.0, _propagator_rows(a, x), x)
-        energy = float(a @ a)
     alpha = dissipativity_threshold(a.size, JordanVariant.STANDARD)
     rhs = finite(checked_exp(-2.0 * x * alpha) * energy, "gftt bound")
     margin = lhs - rhs

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scalar import BlockSign, JordanVariant, _bisect, dissipativity_threshold
-from ._validate import as_finite, as_int, as_vector, finite
+from ._validate import as_finite, as_int, as_vector, as_vector_and_square, finite
 from .errors import ConvergenceError
 
 __all__ = [
@@ -263,6 +263,8 @@ def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
             b[i + 1] -= fact * b[i]
             dl[i] = 0.0
         else:  # interchange rows i and i + 1
+            if dl[i] == 0.0:  # only a nan d[i] gets here with a zero dl[i]
+                raise np.linalg.LinAlgError("singular matrix")
             fact = d[i] / dl[i]
             d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
             dl[i], du[i + 1] = du[i + 1], -fact * du[i + 1]
@@ -363,9 +365,9 @@ def quad_form(block: UpperBidiagonal, a: np.ndarray) -> float:
     Standard: alpha sum a_k^2 + sum_{k=2}^n a_k a_{k-1}; the modified variant
     subtracts a_n^2 / 2.
     """
-    a = as_vector(a, "a", size=block.n)
+    a, square = as_vector_and_square(a, "a", size=block.n)
     with np.errstate(over="ignore", invalid="ignore"):  # finite below raises instead
-        out = block.alpha * float(a @ a)
+        out = block.alpha * square
         if block.n > 1:
             out += float(a[1:] @ a[:-1])
         if block.variant is JordanVariant.MODIFIED:

@@ -109,6 +109,23 @@ class TestExpmOracle:
         with pytest.raises(OverflowFailure):
             expm_oracle(np.diag([1000.0, 1000.0]), 1.0)
 
+    def test_a_column_sum_that_overflows_over_finite_entries(self):
+        # Q^2 = -c Q, so exp(Q) = I + Q (1 - e^-c) / c = [[0, 0], [-1, 1]] for c = 1e308,
+        # although Q's first column sums to 2e308
+        Q = np.array([[-1e308, 0.0], [-1e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expm_oracle(Q, 1.0)
+            curve = contraction_check(Q, xs=[0.25, 1.0, 1.5])
+        assert np.abs(got - [[0.0, 0.0], [-1.0, 1.0]]).max() < 1e-15
+        # a curve keeps the bits of the one-point calls
+        want = [operator_norm(expm_oracle(Q, x)) for x in (0.25, 1.0, 1.5)]
+        assert curve.norms.tolist() == want
+        # at x = 2 the entries themselves overflow, and ||Qx||_1 with them
+        with pytest.raises(OverflowFailure, match=r"^\|\|Qx\|\|_1 overflows") as failure:
+            contraction_check(Q, xs=[1.0, 2.0])
+        assert failure.value.index == 1
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             expm_oracle(np.ones((2, 3)), 1.0)

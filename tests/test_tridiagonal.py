@@ -516,16 +516,19 @@ class TestInverseIteration:
         assert error.shift == 1.5 and 0.5 < error.residual < 1.2
         assert str(error) == f"inverse iteration residual {error.residual!r} exceeds 1e-11 for shift 1.5"
 
-    @pytest.mark.parametrize("diag, offdiag", [([1e308], []), ([1e308, 1e308], [1.0])],
-                             ids=["1x1", "2x2"])
+    @pytest.mark.parametrize("diag, offdiag", [
+        ([1e308], []), ([1e308, 1e308], [1.0]), ([-1e308, 1e308, 1.0], [1.0, 0.0]),
+    ], ids=["1x1", "2x2", "nan-pivot"])
     def test_a_shift_across_the_range_raises_without_a_warning(self, diag, offdiag):
-        # diag - shift overflows to inf: no pivot or residual is finite
+        # diag - shift overflows to inf: no pivot or residual is finite.  In the
+        # 3x3 case the first interchange leaves 0 * inf = nan on the diagonal,
+        # which then meets the zero off-diagonal: a zero pivot, not a division by it
         t = SymTridiagonal(np.array(diag), np.array(offdiag))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError) as failure:
                 eigvec_inverse_iteration(t, -1e308)
-        assert failure.value.shift == -1e308
+        assert (failure.value.shift, failure.value.residual) == (-1e308, math.inf)
 
     def test_modified_block_eigenvector_closed_form(self):
         # for the symmetrized modified block, the eigenvector at eigenvalue

@@ -2,8 +2,9 @@
 non-finite values and integers too large for a double raise ``ValueError`` at
 every public entry point.
 
-The contract is written once, in ``_validate``; the source check keeps numpy's
-coercion (``np.asarray``) and its finiteness test (``np.isfinite``) there.
+The contract is written once, in ``_validate``; the source checks keep numpy's
+coercion (``np.asarray``) and its finiteness test (``np.isfinite``) there, and
+every array's finiteness proof, its a·a, in ``_as_real``.
 Each case below was either accepted (a bool read as 0 or 1, a string parsed
 as a number) or raised ``TypeError`` before the contract was consolidated.
 """
@@ -17,7 +18,9 @@ import numpy as np
 import pytest
 
 import fttlab as F
-from fttlab._validate import as_finite, as_int, as_vector, as_vector_and_square, finite
+from fttlab._validate import (
+    as_finite, as_int, as_real_array, as_square_matrix, as_vector, as_vector_and_square, finite,
+)
 from fttlab.errors import OverflowFailure
 from fttlab.rng import SplitMix64
 
@@ -126,6 +129,73 @@ def test_vector_and_square_takes_what_as_vector_takes(a):
     assert square == (math.inf if a is _HUGE else float(want @ want))
 
 
+_DTYPE = "a must hold integers or floats only, got dtype "
+_FINITE = "a must be finite"
+_NONEMPTY = "a must be a nonempty 1-D vector, got shape "
+_LENGTH_3 = "a must be a length-3 1-D vector, got shape "
+_SQUARE = "a must be a square matrix, got shape "
+
+# input: the outcome of as_real_array, as_vector, as_vector(size=3) and as_square_matrix,
+# each (entries, whether the result is the input itself) or the ValueError text;
+# the checks run dtype, then finiteness, then shape
+VALIDATED = {
+    "0-d": (np.array(3.0), [(3.0, True), _NONEMPTY + "()", _LENGTH_3 + "()", _SQUARE + "()"]),
+    "scalar": (2.5, [(2.5, False), _NONEMPTY + "()", _LENGTH_3 + "()", _SQUARE + "()"]),
+    "1x1-list": ([[1.0]], [([[1.0]], False), _NONEMPTY + "(1, 1)", _LENGTH_3 + "(1, 1)",
+                           ([[1.0]], False)]),
+    "2x2": (np.array([[1.0, 2.0], [3.0, 4.0]]), [
+        ([[1.0, 2.0], [3.0, 4.0]], True), _NONEMPTY + "(2, 2)", _LENGTH_3 + "(2, 2)",
+        ([[1.0, 2.0], [3.0, 4.0]], True)]),
+    "2x3": (np.ones((2, 3)), [([[1.0] * 3] * 2, True), _NONEMPTY + "(2, 3)", _LENGTH_3 + "(2, 3)",
+                              _SQUARE + "(2, 3)"]),
+    "2x0": (np.zeros((2, 0)), [([[], []], True), _NONEMPTY + "(2, 0)", _LENGTH_3 + "(2, 0)",
+                               _SQUARE + "(2, 0)"]),
+    "empty-list": ([], [([], False), _NONEMPTY + "(0,)", _LENGTH_3 + "(0,)", _SQUARE + "(0,)"]),
+    "empty-array": (np.array([]), [([], True), _NONEMPTY + "(0,)", _LENGTH_3 + "(0,)",
+                                   _SQUARE + "(0,)"]),
+    "bool-in-list": ([True, 1.0, 2.0], [_DTYPE + "float64"] * 4),
+    "str-in-list": (["1", "2", "3"], [_DTYPE + "<U1"] * 4),
+    "string": ("abc", [_DTYPE + "<U3"] * 4),
+    "complex-list": ([1 + 2j, 3, 4], [_DTYPE + "complex128"] * 4),
+    "complex-array": (np.array([1j, 2.0]), [_DTYPE + "complex128"] * 4),
+    "nan": ([math.nan, 1.0, 2.0], [_FINITE] * 4),
+    "inf": ([math.inf, 1.0, 2.0], [_FINITE] * 4),
+    "-inf": (np.array([1.0, -np.inf, 2.0]), [_FINITE] * 4),
+    "2-D-nan": (np.array([[np.nan, 1.0]]), [_FINITE] * 4),
+    # a.a overflows to inf, but every entry is finite
+    "huge": (_HUGE, [([1e200] * 3, True)] * 3 + [_SQUARE + "(3,)"]),
+    "huge-2x2": (np.full((2, 2), 1e200), [([[1e200] * 2] * 2, True), _NONEMPTY + "(2, 2)",
+                                          _LENGTH_3 + "(2, 2)", ([[1e200] * 2] * 2, True)]),
+    "big-endian": (np.array([0.5, 2.0, -1.0], dtype=">f8"),
+                   [([0.5, 2.0, -1.0], False)] * 3 + [_SQUARE + "(3,)"]),
+    "float32": (np.array([0.1, 2.0, -1.0], dtype=np.float32),
+                [([0.10000000149011612, 2.0, -1.0], False)] * 3 + [_SQUARE + "(3,)"]),
+    "int8": (np.array([3, -1, 2], dtype=np.int8),
+             [([3.0, -1.0, 2.0], False)] * 3 + [_SQUARE + "(3,)"]),
+    "int-list": ([3, -1, 2], [([3.0, -1.0, 2.0], False)] * 3 + [_SQUARE + "(3,)"]),
+    "strided": (_BASE[1::4], [([-4.5, -0.5, 3.5], True)] * 3 + [_SQUARE + "(3,)"]),
+    "reversed": (_BASE[::-1], [(_BASE[::-1].tolist(), True)] * 2
+                 + [_LENGTH_3 + "(12,)", _SQUARE + "(12,)"]),
+}
+
+
+def _validated(check, a):
+    """check(a)'s entries and whether it is ``a`` itself, or its ``ValueError`` text."""
+    try:
+        out = check(a, "a")
+    except ValueError as error:
+        return str(error)
+    assert type(out) is np.ndarray and out.dtype == np.float64
+    return out.tolist(), out is a
+
+
+@pytest.mark.parametrize("case", VALIDATED)
+def test_array_validators_keep_their_outcomes(case):
+    a, want = VALIDATED[case]
+    checks = [as_real_array, as_vector, lambda a, name: as_vector(a, name, size=3), as_square_matrix]
+    assert [_validated(check, a) for check in checks] == want
+
+
 @pytest.mark.parametrize("value, index", [
     (np.array([1.0, 2.0, np.inf, np.nan]), 2),
     (np.stack([np.eye(2), np.eye(2), np.diag([1.0, -np.inf]), np.full((2, 2), np.nan)]), 2),
@@ -139,19 +209,28 @@ def test_finite_names_the_first_failing_slice(value, index):
     assert failure.value.index == index
 
 
-def _numpy_checks_outside_validate() -> list[tuple[str, int]]:
-    """(file, line) of every ``np.asarray`` or ``np.isfinite`` call outside _validate.py."""
-    sites = []
+def _numpy_call_sites(attr: str) -> set[tuple[str, str]]:
+    """(file, innermost enclosing function) of every ``np.<attr>`` call in src/."""
+    sites = set()
     for path in sorted(SRC.rglob("*.py")):
-        if path.name == "_validate.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("asarray", "isfinite")
-                    and getattr(node.func.value, "id", None) == "np"):
-                sites.append((path.name, node.lineno))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first: an inner function overwrites its outer one
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        sites.update((path.name, owner.get(node, "<module>")) for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == attr and getattr(node.func.value, "id", None) == "np")
     return sites
 
 
 def test_input_is_coerced_and_checked_in_one_place():
-    assert _numpy_checks_outside_validate() == []
+    files = {path for path, _ in _numpy_call_sites("asarray") | _numpy_call_sites("isfinite")}
+    assert files <= {"_validate.py"}
+
+
+def test_arrays_are_proven_finite_in_one_place():
+    # every array argument is proven finite by its a.a; the entries are scanned only
+    # when that is not finite, and otherwise only by finite's overflow guard
+    assert _numpy_call_sites("isfinite") == {("_validate.py", "_as_real"), ("_validate.py", "finite")}
+    assert _numpy_call_sites("vdot") == {("_validate.py", "_as_real"), ("tridiagonal.py", "_norm")}
