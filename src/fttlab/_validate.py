@@ -80,9 +80,12 @@ def _as_real(a, name: str):
     out = a
     if type(a) is not np.ndarray or a.dtype != np.float64:
         out = np.asarray(a)
-        if out.dtype.kind not in "iuf" or (isinstance(a, (list, tuple)) and any(
-                isinstance(v, (bool, np.bool_)) for v in np.asarray(a, dtype=object).flat)):
+        if out.dtype.kind not in "iuf":
             raise ValueError(f"{name} must hold integers or floats only, got dtype {out.dtype}")
+        if isinstance(a, (list, tuple)):  # np.asarray has read a bool in a list of numbers as 0 or 1
+            for v in np.asarray(a, dtype=object).flat:
+                if isinstance(v, (bool, np.bool_)):
+                    raise ValueError(f"{name} must hold integers or floats only, got bool {bool(v)}")
         out = out.astype(float, copy=False)
     square = float(np.vdot(out, out))
     if not math.isfinite(square) and not np.isfinite(out).all():

@@ -162,16 +162,10 @@ def _sturm_count(pairs: list[tuple[float, float]], pivmin: float, mid: float) ->
     return count
 
 
-def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
-    """All eigenvalues of ``tri``, ascending, each bracketed to width <= tol.
-
-    Sturm bisection of all n Gershgorin brackets in lockstep, as LAPACK
-    ``dstebz`` does: each sweep halves every open bracket and counts the
-    negative LDL^T pivots of T - mid I for all midpoints in one pass of n
-    row steps, O(n^2) flops; about log2(width / tol) sweeps (46 at unit scale
-    and tol = 1e-13).  A bracket closes at width <= tol or when its midpoint
-    no longer splits it, as the scalar ``_bisect`` does, so the sweeps end by
-    their own arithmetic.
+def _sturm_counts(
+    diag: np.ndarray, pairs: list[tuple[float, float]], pivmin: float, mids: np.ndarray
+) -> np.ndarray:
+    """``_sturm_count`` at every shift of ``mids`` at once, in one pass of n row steps.
 
     A row step is two ufunc calls, ``row -= e2 / prev``, because ``dstebz``'s
     clamp (a pivot below ``pivmin`` in modulus becomes -pivmin) is deferred.
@@ -180,26 +174,120 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
     with one, where a zero pivot's inf or nan stays, is recounted by
     ``_sturm_count``, the clamped scalar count.
     """
-    tol = as_finite(tol, "tol", above=0.0)
-    n = tri.n
-    pairs, lo0, hi0, pivmin = _bisection_setup(tri)
-    lo, hi = np.full(n, lo0), np.full(n, hi0)
+    pivots = diag[:, None] - mids
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for (_, e2), prev, row in zip(pairs[1:], pivots, pivots[1:]):
+            row -= e2 / prev  # a zero pivot's inf or nan only reaches its own column
+    count = np.count_nonzero(pivots < 0.0, axis=0)
+    for j in np.flatnonzero(((pivots > -pivmin) & (pivots < pivmin)).any(axis=0)):
+        count[j] = _sturm_count(pairs, pivmin, float(mids[j]))
+    return count
 
-    k = np.arange(n)  # indices of the open brackets
+
+def _margin(alpha: float) -> float:
+    """32 eps (|alpha| + 2): a midpoint this close to a closed-form eigenvalue of
+    J^T + J is counted, not steered; ``_extreme_guess`` says what it covers."""
+    return 32.0 * math.ulp(1.0) * (abs(alpha) + 2.0)
+
+
+def _block_guesses(tri: SymTridiagonal) -> tuple[np.ndarray, float]:
+    """The closed-form eigenvalues of ``tri``, ascending, and their margin, or nan guesses.
+
+    ``tri`` is recognised as J^T + J of a block from its band alone, in O(n):
+    unit off-diagonals, a constant ``diag[:-1]`` = 2 alpha, and a last entry
+    2 alpha (standard) or 2 (alpha - 1/2) (modified).  The eigenvalues are then
+    2 alpha + 2 z over the zeros z of U_n, or 2 alpha - 2 z over those of
+    U_n - U_{n-1}; a 1x1 matrix is its own eigenvalue.  Any other matrix gets
+    nan guesses, which steer nothing.
+    """
+    from .chebyshev import u_diff_zeros, u_zeros  # only the steered sweeps need it
+
+    diag, n = tri.diag, tri.n
+    alpha = float(diag[0]) / 2.0
+    if n == 1:
+        return diag.copy(), _margin(alpha)
+    if (tri.offdiag == 1.0).all() and (diag[:-1] == diag[0]).all():
+        if diag[-1] == diag[0]:
+            return 2.0 * alpha + 2.0 * u_zeros(n)[::-1], _margin(alpha)
+        if diag[-1] == 2.0 * (alpha - 0.5):
+            return 2.0 * alpha - 2.0 * u_diff_zeros(n), _margin(alpha)
+    return np.full(n, math.nan), 0.0
+
+
+def _sweeps(
+    diag: np.ndarray, pairs: list[tuple[float, float]], pivmin: float,
+    lo: np.ndarray, hi: np.ndarray, k: np.ndarray, guess: np.ndarray, margin: float, tol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Halve the brackets [lo, hi] of columns ``k`` in lockstep, in place, until each closes.
+
+    A midpoint farther than ``margin`` from its column's finite ``guess`` takes
+    the side the guess puts it on, with no count; the rest go to one
+    ``_sturm_counts`` pass per sweep.  Returns the masks of the columns whose
+    final lo, and whose final hi, such a settled halving set.
+    """
+    settled_lo, settled_hi = np.zeros(lo.size, bool), np.zeros(hi.size, bool)
     while (k := k[hi[k] - lo[k] > tol]).size:
         mid = 0.5 * lo[k] + 0.5 * hi[k]  # 0.5 * (lo + hi) overflows past ~9e307
         splits = ~((mid <= lo[k]) | (mid >= hi[k]))  # else at float resolution
         k, mid = k[splits], mid[splits]
-        pivots = tri.diag[:, None] - mid
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for (_, e2), prev, row in zip(pairs[1:], pivots, pivots[1:]):
-                row -= e2 / prev  # a zero pivot's inf or nan only reaches its own column
-        count = np.count_nonzero(pivots < 0.0, axis=0)
-        for j in np.flatnonzero(((pivots > -pivmin) & (pivots < pivmin)).any(axis=0)):
-            count[j] = _sturm_count(pairs, pivmin, float(mid[j]))
-        below = count > k
+        dist = np.abs(mid - guess[k])  # a block's guesses lie in its bracket: no overflow
+        far = (dist > margin) & (dist < math.inf)
+        below = mid > guess[k]
+        near = np.flatnonzero(~far)
+        if near.size:
+            below[near] = _sturm_counts(diag, pairs, pivmin, mid[near]) > k[near]
         hi[k[below]] = mid[below]
         lo[k[~below]] = mid[~below]
+        settled_hi[k[below]] = far[below]
+        settled_lo[k[~below]] = far[~below]
+    return settled_lo, settled_hi
+
+
+def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
+    """All eigenvalues of ``tri``, ascending, each bracketed to width <= tol.
+
+    Sturm bisection of all n Gershgorin brackets in lockstep, as LAPACK
+    ``dstebz`` does: each sweep halves every open bracket and counts the
+    negative LDL^T pivots of T - mid I for the midpoints in one pass of n row
+    steps (``_sturm_counts``).  A bracket closes at width <= tol or when its
+    midpoint no longer splits it, as the scalar ``_bisect`` does, so the sweeps
+    end by their own arithmetic.
+
+    Where ``tri`` is J^T + J of a block, recognised from its band, the closed
+    form of its spectrum steers the sweeps: a midpoint farther than
+    32 eps (|alpha| + 2) from its column's closed-form eigenvalue takes that
+    eigenvalue's side with no count, so only the near midpoints are counted,
+    in a few passes.  After the sweeps one more pass confirms every final
+    endpoint that a settled halving set, count(lo) <= k < count(hi) for
+    column k.  Sturm counts are monotone in the shift (Kahan; Demmel, Dhillon
+    and Ren 1995), and every settled midpoint lies at or beyond its column's
+    final endpoint on its side, so a confirmed column halved as the counts
+    alone would have, and has their bits.  A column that fails the
+    confirmation reruns from the Gershgorin bracket with every midpoint
+    counted, as every column of any other matrix runs.
+    """
+    tol = as_finite(tol, "tol", above=0.0)
+    return _eig_sturm(tri, tol, *_block_guesses(tri))
+
+
+def _eig_sturm(tri: SymTridiagonal, tol: float, guess: np.ndarray, margin: float) -> np.ndarray:
+    """``eig_sturm`` steered by ``guess`` (one per column) within ``margin``.
+
+    A wrong guess or margin costs counts, never bits; a guess that is not
+    finite steers nothing.
+    """
+    n = tri.n
+    pairs, lo0, hi0, pivmin = _bisection_setup(tri)
+    lo, hi = np.full(n, lo0), np.full(n, hi0)
+    settled_lo, settled_hi = _sweeps(tri.diag, pairs, pivmin, lo, hi, np.arange(n), guess,
+                                     margin, tol)
+    lo_k, hi_k = np.flatnonzero(settled_lo), np.flatnonzero(settled_hi)
+    if lo_k.size + hi_k.size:
+        counts = _sturm_counts(tri.diag, pairs, pivmin, np.concatenate((lo[lo_k], hi[hi_k])))
+        rerun = np.union1d(lo_k[counts[:lo_k.size] > lo_k], hi_k[counts[lo_k.size:] <= hi_k])
+        if rerun.size:
+            lo[rerun], hi[rerun] = lo0, hi0
+            _sweeps(tri.diag, pairs, pivmin, lo, hi, rerun, np.full(n, math.nan), 0.0, tol)
     return 0.5 * lo + 0.5 * hi
 
 
@@ -386,7 +474,7 @@ def _extreme_guess(block: UpperBidiagonal, top: bool) -> tuple[float, float]:
     """
     sign = BlockSign.PLUS if top else BlockSign.MINUS
     guess = 2.0 * (block.alpha - dissipativity_threshold(block.n, block.variant, sign))
-    return guess, 32.0 * math.ulp(1.0) * (abs(block.alpha) + 2.0)
+    return guess, _margin(block.alpha)
 
 
 def _extreme_eigenpair(

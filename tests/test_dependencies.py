@@ -33,6 +33,16 @@ _REPORT_NUMPY = (
     "runpy.run_module('fttlab', run_name='__main__', alter_sys=True)\n"
 )
 
+# the same, reporting the fttlab modules loaded instead
+_REPORT_MODULES = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(sorted(m for m in sys.modules if m.startswith('fttlab.')),\n"
+    "                              file=sys.stderr))\n"
+    "sys.argv[0] = 'fttlab'\n"
+    "runpy.run_module('fttlab', run_name='__main__', alter_sys=True)\n"
+)
+_TRIDIAGONAL = ["fttlab._scalar", "fttlab._validate", "fttlab.errors", "fttlab.tridiagonal"]
+
 
 def _python(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
@@ -54,6 +64,19 @@ def test_import_loads_no_scipy():
     modules = sorted(f"fttlab.{path.stem}" for path in (SRC / "fttlab").glob("*.py")
                      if path.stem not in ("__init__", "__main__"))
     assert loaded == repr(modules) and scipy_modules == "[]"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["-c", "import sys, fttlab.tridiagonal; print(sorted(m for m in sys.modules "
+            "if m.startswith('fttlab.')), file=sys.stderr)"], _TRIDIAGONAL),
+    (["-c", _REPORT_MODULES, "verify", "--n", "3", "--samples", "2"],
+     sorted(_TRIDIAGONAL + ["fttlab.cli", "fttlab.inequalities", "fttlab.rng"])),
+    (["-c", _REPORT_MODULES, "semigroup-norm", "--n", "3", "--alpha", "-0.7", "--grid", "0:4:9"],
+     sorted(_TRIDIAGONAL + ["fttlab.cli", "fttlab.inequalities", "fttlab.rng", "fttlab.semigroup"])),
+], ids=["import-tridiagonal", "verify", "semigroup-norm"])
+def test_chebyshev_loads_only_where_eig_sturm_steers(argv, loaded):
+    # eig_sturm imports chebyshev for its closed-form guesses when it runs; these never run it
+    assert _python(*argv).stderr.splitlines()[-1] == repr(loaded)
 
 
 def test_import_loads_no_numpy_and_no_module():

@@ -18,6 +18,7 @@ import fttlab as F
 from fttlab._validate import checked_exp
 from fttlab.errors import OverflowFailure
 from fttlab.tridiagonal import _eig_sturm_one
+from test_tridiagonal import clamped_lockstep_sturm
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -115,6 +116,19 @@ def test_check_dissipative_keeps_the_plain_bits_at_any_alpha(alpha, variant):
                 continue
             plain = _eig_sturm_one(F.symmetrize(block), n - 1, 1e-13)
             assert F.check_dissipative(block).max_eigenvalue.hex() == plain.hex()
+
+
+@pytest.mark.parametrize("variant", list(F.JordanVariant), ids=lambda v: v.value)
+@pytest.mark.parametrize("alpha", [1e300, -1e300, -5e307, 8.9e307])
+def test_the_steered_eig_sturm_keeps_the_clamped_bits_at_any_alpha(alpha, variant):
+    # the closed-form guesses 2 alpha + 2 z and each distance |mid - guess| stay finite
+    for n in (1, 2, 3, 16):
+        tri = F.symmetrize(F.UpperBidiagonal(n, alpha, variant))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = F.eig_sturm(tri)
+        assert [v.hex() for v in got.tolist()] == [
+            v.hex() for v in clamped_lockstep_sturm(tri).tolist()]
 
 
 def test_exp_overflows_where_math_exp_does():

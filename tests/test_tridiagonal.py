@@ -6,6 +6,7 @@ solve; the library never calls them for these quantities.
 """
 
 import ast
+import itertools
 import json
 import math
 import os
@@ -42,6 +43,8 @@ from fttlab.rng import SplitMix64
 from fttlab.tridiagonal import (
     _bisect,
     _bisection_setup,
+    _block_guesses,
+    _eig_sturm,
     _eig_sturm_one,
     _extreme_guess,
     _solve_tridiagonal,
@@ -317,6 +320,104 @@ class TestGuidedBisection:
             assert len(counted_shifts) <= 8
 
 
+def steered_sweep(sizes, seed):
+    """(block, tol) over both variants and tol 1e-13 and 1e-10, with alpha drawn
+    from [-1, 1) and, in turn over the sizes, at +-1e3, +-1e6, 0 and 1e-300."""
+    rng, fixed = SplitMix64(seed), itertools.cycle((1e3, -1e3, 1e6, -1e6, 0.0, 1e-300))
+    for n in sizes:
+        for variant in JordanVariant:
+            for alpha in (rng.symmetric(), next(fixed)):
+                for tol in (1e-13, 1e-10):
+                    yield UpperBidiagonal(n, alpha, variant), tol
+
+
+@pytest.fixture
+def count_passes(monkeypatch):
+    """The shifts of every lockstep count pass made while the test runs, one array a pass."""
+    passes, counts = [], tridiagonal._sturm_counts
+
+    def spy(diag, pairs, pivmin, mids):
+        passes.append(mids.copy())
+        return counts(diag, pairs, pivmin, mids)
+
+    monkeypatch.setattr(tridiagonal, "_sturm_counts", spy)
+    return passes
+
+
+def hexes(values):
+    return [v.hex() for v in values.tolist()]
+
+
+class TestSteeredSweeps:
+    """The closed-form spectrum settles eig_sturm's far halvings; counts keep the clamped bits."""
+
+    @pytest.mark.parametrize("sizes", [range(1, 41), (50, 64, 100, 127), (200, 300), (400,)],
+                             ids=["1-40", "50-127", "200-300", "400"])
+    def test_the_steered_sweeps_keep_the_clamped_bits(self, sizes):
+        for block, tol in steered_sweep(sizes, seed=len(sizes)):
+            tri = symmetrize(block)
+            assert hexes(eig_sturm(tri, tol)) == hexes(clamped_lockstep_sturm(tri, tol))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_wrong_guesses_cost_counts_not_bits(self, n, count_passes, monkeypatch):
+        swept, sweeps = [], tridiagonal._sweeps  # the columns of each run of the sweeps
+
+        def spy(diag, pairs, pivmin, lo, hi, k, *rest):
+            swept.append(k.tolist())
+            return sweeps(diag, pairs, pivmin, lo, hi, k, *rest)
+
+        monkeypatch.setattr(tridiagonal, "_sweeps", spy)
+        for variant in JordanVariant:
+            for alpha in (-0.3, 0.7):
+                tri = symmetrize(UpperBidiagonal(n, alpha, variant))
+                guess, margin = _block_guesses(tri)
+                moved = guess.copy()
+                moved[n // 2] += 0.5
+                for tol in (1e-13, 1e-15):
+                    del count_passes[:]
+                    plain = hexes(_eig_sturm(tri, tol, np.full(n, math.nan), margin))
+                    plain_passes = len(count_passes)
+                    for wrong in (guess + 0.1, guess - 0.1, guess + 10 * margin,
+                                  guess - 10 * margin, moved):
+                        del swept[:]
+                        assert hexes(_eig_sturm(tri, tol, wrong, margin)) == plain
+                        if tol == 1e-15 or wrong is moved:
+                            # the bracket narrows past the error, so a settled side was wrong
+                            want = [n // 2] if wrong is moved else list(range(n))
+                            assert swept == [list(range(n)), want]
+                    for steers_nothing in (math.inf, -math.inf, math.nan):
+                        del count_passes[:], swept[:]
+                        got = _eig_sturm(tri, tol, np.full(n, steers_nothing), margin)
+                        assert hexes(got) == plain
+                        assert len(count_passes) == plain_passes and len(swept) == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 100])
+    def test_a_block_one_ulp_off_is_not_steered(self, n, count_passes):
+        for variant in JordanVariant:
+            sym = symmetrize(UpperBidiagonal(n, 0.3, variant))
+            for j in sorted({0, (n - 1) // 2, n - 2}):
+                off = sym.offdiag.copy()
+                off[j] = math.nextafter(1.0, 2.0)
+                tri = SymTridiagonal(sym.diag, off)
+                del count_passes[:]
+                got = eig_sturm(tri)
+                steered = [hexes(mids) for mids in count_passes]
+                del count_passes[:]
+                _eig_sturm(tri, 1e-13, np.full(n, math.nan), 0.0)
+                assert steered == [hexes(mids) for mids in count_passes]
+                assert hexes(got) == hexes(clamped_lockstep_sturm(tri))
+
+    def test_a_block_takes_a_few_count_passes(self, count_passes):
+        # the plain sweeps take about 46; a silent rerun or an unsteered block would show here
+        rng = SplitMix64(28)
+        for n in [*range(1, 41), 50, 64, 100, 127, 200, 300, 400]:
+            for variant in JordanVariant:
+                for alpha in (rng.symmetric(), rng.symmetric()):
+                    del count_passes[:]
+                    eig_sturm(symmetrize(UpperBidiagonal(n, alpha, variant)))
+                    assert len(count_passes) <= 12
+
+
 def clamped_lockstep_sturm(tri, tol=1e-13):
     """The lockstep sweep with dstebz's pivmin clamp in every row step.
 
@@ -373,7 +474,9 @@ class TestDeferredClamp:
 
     @pytest.mark.parametrize("n", [3, 5, 50, 51])
     def test_a_zero_first_pivot_is_recounted_by_the_clamped_count(self, n, monkeypatch):
-        # at alpha = 0 the first midpoint is exactly 0.0 and the first pivot d_0 - 0.0 is 0
+        # at alpha = 0 the first midpoint is exactly 0.0 and the first pivot d_0 - 0.0 is 0;
+        # a block's closed form settles that midpoint for every column not near 0.0, so the
+        # recount is shown on a matrix that is not a block, whose first midpoint is 0.0 too
         recounted, count = [], tridiagonal._sturm_count
 
         def spy(pairs, pivmin, mid):
@@ -383,6 +486,8 @@ class TestDeferredClamp:
         monkeypatch.setattr(tridiagonal, "_sturm_count", spy)
         for variant in JordanVariant:
             self.assert_matches_clamped_sweep(symmetrize(UpperBidiagonal(n, 0.0, variant)))
+        del recounted[:]
+        self.assert_matches_clamped_sweep(SymTridiagonal(np.zeros(n), np.full(n - 1, 0.5)))
         assert 0.0 in recounted
 
     def test_the_clamp_is_written_once(self):

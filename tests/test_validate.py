@@ -153,7 +153,7 @@ VALIDATED = {
     "empty-list": ([], [([], False), _NONEMPTY + "(0,)", _LENGTH_3 + "(0,)", _SQUARE + "(0,)"]),
     "empty-array": (np.array([]), [([], True), _NONEMPTY + "(0,)", _LENGTH_3 + "(0,)",
                                    _SQUARE + "(0,)"]),
-    "bool-in-list": ([True, 1.0, 2.0], [_DTYPE + "float64"] * 4),
+    "bool-in-list": ([True, 1.0, 2.0], ["a must hold integers or floats only, got bool True"] * 4),
     "str-in-list": (["1", "2", "3"], [_DTYPE + "<U1"] * 4),
     "string": ("abc", [_DTYPE + "<U3"] * 4),
     "complex-list": ([1 + 2j, 3, 4], [_DTYPE + "complex128"] * 4),
