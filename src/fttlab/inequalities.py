@@ -99,15 +99,16 @@ def verify(
 ) -> CheckReport:
     """Evaluate one inequality on one vector.
 
-    ``constant_scale`` multiplies the sharp constant; it exists so sharpness
-    can be probed (a perturbed constant must flip the verdict on the
-    extremal vector) and defaults to the genuine constant.  Entries large
-    enough to overflow the energy or the squared norm raise
+    ``constant_scale``, a finite real, multiplies the sharp constant; it
+    exists so sharpness can be probed (a perturbed constant must flip the
+    verdict on the extremal vector) and defaults to the genuine constant.
+    Entries large enough to overflow the energy or the squared norm raise
     ``OverflowFailure``, without a numpy warning first: the squared norm is
     a ddot that never warns, and numpy is quieted around the energy only when
     a·a exceeds 2^1020, below which nothing in it can overflow.
     """
     tol = as_finite(tol, "tol", minimum=0.0)
+    constant_scale = as_finite(constant_scale, "constant_scale")
     a, square = as_vector_and_square(a, "a")
     constant, is_lower, pins_right_end = _kind_at(kind, a.size)
     if square > _QUIET_SQUARE:

@@ -610,7 +610,7 @@ def norm_preserving_subspace(Q, x: float, tol: float = 1e-8) -> SubspaceBasis:
         eigenvalues, eigenvectors = np.linalg.eigh(defect)
         return eigenvectors[:, np.abs(eigenvalues) <= tol]
 
-    stack, error = _expm_stack(Q, np.array([x, 2.0 * x]))
+    stack, error = _expm_stack(Q, np.array([x, finite(2.0 * x, "2x")]))
     if error is not None:
         raise error
     basis, check = map(kernel, stack)

@@ -197,15 +197,13 @@ def _block_guesses(tri: SymTridiagonal) -> tuple[np.ndarray, float]:
     unit off-diagonals, a constant ``diag[:-1]`` = 2 alpha, and a last entry
     2 alpha (standard) or 2 (alpha - 1/2) (modified).  The eigenvalues are then
     2 alpha + 2 z over the zeros z of U_n, or 2 alpha - 2 z over those of
-    U_n - U_{n-1}; a 1x1 matrix is its own eigenvalue.  Any other matrix gets
-    nan guesses, which steer nothing.
+    U_n - U_{n-1}; a 1x1 matrix, with no off-diagonal, is a standard block.
+    Any other matrix gets nan guesses, which steer nothing.
     """
     from .chebyshev import u_diff_zeros, u_zeros  # only the steered sweeps need it
 
     diag, n = tri.diag, tri.n
     alpha = float(diag[0]) / 2.0
-    if n == 1:
-        return diag.copy(), _margin(alpha)
     if (tri.offdiag == 1.0).all() and (diag[:-1] == diag[0]).all():
         if diag[-1] == diag[0]:
             return 2.0 * alpha + 2.0 * u_zeros(n)[::-1], _margin(alpha)
@@ -214,33 +212,45 @@ def _block_guesses(tri: SymTridiagonal) -> tuple[np.ndarray, float]:
     return np.full(n, math.nan), 0.0
 
 
+def _far(x, guess, margin):
+    """Whether ``x`` is more than ``margin`` from ``guess``, floats or arrays: the steering rule.
+
+    A far midpoint takes the side ``guess`` puts it on with no count; every
+    other midpoint is counted, and a nan or inf guess is never far.  Midpoints
+    lie strictly inside their brackets, so a final endpoint off its Gershgorin
+    start was set by a halving, and by a settled one exactly when it is far:
+    one count confirms each such endpoint, count(lo) <= index < count(hi).
+    Sturm counts are monotone in the shift (Kahan; Demmel, Dhillon and Ren
+    1995) and every settled midpoint lies at or beyond the final endpoint on
+    its side, so a confirmed bracket was halved as the counts alone halve it,
+    to their bits.  A failed confirmation reruns the plain route: a wrong
+    guess or margin costs counts, never bits.
+    """
+    dist = abs(x - guess)  # guess and x lie in one Gershgorin bracket: no overflow
+    return (dist > margin) & (dist < math.inf)
+
+
 def _sweeps(
     diag: np.ndarray, pairs: list[tuple[float, float]], pivmin: float,
-    lo: np.ndarray, hi: np.ndarray, k: np.ndarray, guess: np.ndarray, margin: float, tol: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Halve the brackets [lo, hi] of columns ``k`` in lockstep, in place, until each closes.
+    lo: np.ndarray, hi: np.ndarray, guess: np.ndarray, margin: float, tol: float,
+) -> None:
+    """Halve every bracket [lo, hi] in lockstep, in place, until each closes.
 
-    A midpoint farther than ``margin`` from its column's finite ``guess`` takes
-    the side the guess puts it on, with no count; the rest go to one
-    ``_sturm_counts`` pass per sweep.  Returns the masks of the columns whose
-    final lo, and whose final hi, such a settled halving set.
+    A midpoint ``_far`` from its column's ``guess`` takes the guess's side with
+    no count; the rest go to one ``_sturm_counts`` pass per sweep.
     """
-    settled_lo, settled_hi = np.zeros(lo.size, bool), np.zeros(hi.size, bool)
+    k = np.arange(lo.size)
     while (k := k[hi[k] - lo[k] > tol]).size:
         mid = 0.5 * lo[k] + 0.5 * hi[k]  # 0.5 * (lo + hi) overflows past ~9e307
         splits = ~((mid <= lo[k]) | (mid >= hi[k]))  # else at float resolution
         k, mid = k[splits], mid[splits]
-        dist = np.abs(mid - guess[k])  # a block's guesses lie in its bracket: no overflow
-        far = (dist > margin) & (dist < math.inf)
-        below = mid > guess[k]
-        near = np.flatnonzero(~far)
+        g = guess[k]
+        below = mid > g
+        near = np.flatnonzero(~_far(mid, g, margin))
         if near.size:
             below[near] = _sturm_counts(diag, pairs, pivmin, mid[near]) > k[near]
         hi[k[below]] = mid[below]
         lo[k[~below]] = mid[~below]
-        settled_hi[k[below]] = far[below]
-        settled_lo[k[~below]] = far[~below]
-    return settled_lo, settled_hi
 
 
 def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
@@ -257,37 +267,28 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
     form of its spectrum steers the sweeps: a midpoint farther than
     32 eps (|alpha| + 2) from its column's closed-form eigenvalue takes that
     eigenvalue's side with no count, so only the near midpoints are counted,
-    in a few passes.  After the sweeps one more pass confirms every final
-    endpoint that a settled halving set, count(lo) <= k < count(hi) for
-    column k.  Sturm counts are monotone in the shift (Kahan; Demmel, Dhillon
-    and Ren 1995), and every settled midpoint lies at or beyond its column's
-    final endpoint on its side, so a confirmed column halved as the counts
-    alone would have, and has their bits.  A column that fails the
-    confirmation reruns from the Gershgorin bracket with every midpoint
-    counted, as every column of any other matrix runs.
+    in a few passes.  One more pass confirms the endpoints so settled, and the
+    values keep the bits of the counts alone (``_far`` says why).  Any other
+    matrix runs the same sweeps with every midpoint counted.
     """
     tol = as_finite(tol, "tol", above=0.0)
     return _eig_sturm(tri, tol, *_block_guesses(tri))
 
 
 def _eig_sturm(tri: SymTridiagonal, tol: float, guess: np.ndarray, margin: float) -> np.ndarray:
-    """``eig_sturm`` steered by ``guess`` (one per column) within ``margin``.
+    """``eig_sturm`` steered by ``guess`` (one per column) within ``margin``, as ``_far`` rules.
 
-    A wrong guess or margin costs counts, never bits; a guess that is not
-    finite steers nothing.
+    Where a confirmation fails, every column reruns unsteered.
     """
-    n = tri.n
     pairs, lo0, hi0, pivmin = _bisection_setup(tri)
-    lo, hi = np.full(n, lo0), np.full(n, hi0)
-    settled_lo, settled_hi = _sweeps(tri.diag, pairs, pivmin, lo, hi, np.arange(n), guess,
-                                     margin, tol)
-    lo_k, hi_k = np.flatnonzero(settled_lo), np.flatnonzero(settled_hi)
+    lo, hi = np.full(tri.n, lo0), np.full(tri.n, hi0)
+    _sweeps(tri.diag, pairs, pivmin, lo, hi, guess, margin, tol)
+    lo_k = np.flatnonzero((lo != lo0) & _far(lo, guess, margin))
+    hi_k = np.flatnonzero((hi != hi0) & _far(hi, guess, margin))
     if lo_k.size + hi_k.size:
         counts = _sturm_counts(tri.diag, pairs, pivmin, np.concatenate((lo[lo_k], hi[hi_k])))
-        rerun = np.union1d(lo_k[counts[:lo_k.size] > lo_k], hi_k[counts[lo_k.size:] <= hi_k])
-        if rerun.size:
-            lo[rerun], hi[rerun] = lo0, hi0
-            _sweeps(tri.diag, pairs, pivmin, lo, hi, rerun, np.full(n, math.nan), 0.0, tol)
+        if (counts[:lo_k.size] > lo_k).any() or (counts[lo_k.size:] <= hi_k).any():
+            return _eig_sturm(tri, tol, np.full(tri.n, math.nan), 0.0)
     return 0.5 * lo + 0.5 * hi
 
 
@@ -298,39 +299,25 @@ def _eig_sturm_one(
 
     The one bracket evolves exactly as in the lockstep sweeps: the same set-up,
     midpoints and freeze, and the clamped Sturm count that ``eig_sturm`` falls
-    back on, ``_sturm_count`` over Python floats, O(n) per sweep.
-
-    A finite ``guess`` of the eigenvalue settles only the far halvings: a
-    midpoint more than ``margin`` from it takes the side the guess puts it on,
-    with no count.  After the loop a real count confirms each final endpoint
-    that a settled halving set.  Sturm counts are monotone in the shift
-    (Kahan; Demmel, Dhillon and Ren 1995), and every settled midpoint lies at
-    or beyond the final endpoint on its side, so a confirmed pair vouches for
-    every settled side: the halvings were the plain route's, and so are the
-    bits.  Where a confirmation fails, the plain loop reruns from the
-    Gershgorin bracket.  A wrong guess or margin costs counts, never bits; a
-    guess that is not finite, such as the default nan, steers nothing.
+    back on, ``_sturm_count`` over Python floats, O(n) per sweep.  A ``guess``
+    of the eigenvalue steers the halvings within ``margin`` as ``_far`` rules,
+    and a failed confirmation reruns with no guess; the default nan steers
+    nothing.
     """
     pairs, lo0, hi0, pivmin = _bisection_setup(tri)
 
-    def counted(lo: float, mid: float, hi: float) -> tuple[float, float]:
-        return (lo, mid) if _sturm_count(pairs, pivmin, mid) > index else (mid, hi)
+    def step(lo: float, mid: float, hi: float) -> tuple[float, float]:
+        if _far(mid, guess, margin):
+            below = mid > guess
+        else:
+            below = _sturm_count(pairs, pivmin, mid) > index
+        return (lo, mid) if below else (mid, hi)
 
-    if math.isfinite(guess):
-        settled = set()  # midpoints that no count placed; every midpoint is distinct
-
-        def steered(lo: float, mid: float, hi: float) -> tuple[float, float]:
-            if abs(mid - guess) <= margin:
-                return counted(lo, mid, hi)
-            settled.add(mid)
-            return (lo, mid) if mid > guess else (mid, hi)
-
-        lo, hi, _ = _bisect(steered, lo0, hi0, tol)
-        if ((lo not in settled or _sturm_count(pairs, pivmin, lo) <= index)
-                and (hi not in settled or _sturm_count(pairs, pivmin, hi) > index)):
-            return 0.5 * lo + 0.5 * hi
-
-    lo, hi, _ = _bisect(counted, lo0, hi0, tol)
+    lo, hi, _ = _bisect(step, lo0, hi0, tol)
+    wrong_lo = lo != lo0 and _far(lo, guess, margin) and _sturm_count(pairs, pivmin, lo) > index
+    wrong_hi = hi != hi0 and _far(hi, guess, margin) and _sturm_count(pairs, pivmin, hi) <= index
+    if wrong_lo or wrong_hi:
+        return _eig_sturm_one(tri, index, tol)
     return 0.5 * lo + 0.5 * hi
 
 
@@ -412,17 +399,21 @@ def eigvec_inverse_iteration(
     shift is handled by jittering the eigenvalue by ``tol``.  The result
     satisfies ``|T v - eigenvalue v| <= 10 tol`` where such a vector is found.
     Where the matrix's scale puts that bound below float resolution, every
-    jitter under ulp(eigenvalue) leaves the shift unchanged, so one more pass
-    jitters by multiples of ulp(eigenvalue) and admits
-    ``10 tol + n eps ||T||``, with ``||T||`` bounded by the largest Gershgorin
-    row sum.  Only that residual is guaranteed, not any sign or phase.  A
+    jitter under ulp(eigenvalue), or under ulp(max |diag|), leaves the shifted
+    diagonal unchanged, so one more pass jitters by multiples of the larger of
+    the two and admits ``10 tol + n eps ||T||``, with ``||T||`` bounded by the
+    largest Gershgorin row sum.  A 1x1 matrix admits the same plus 2e-292,
+    twice the pivot floor within which a Sturm count places its eigenvalue.
+    Only that residual is guaranteed, not any sign or phase.  A
     ``ConvergenceError`` names the best residual of the jitters by ``tol``.
     """
     tol = as_finite(tol, "tol", above=0.0)
-    n = tri.n
+    eigenvalue = as_finite(eigenvalue, "eigenvalue")
+    n, eps = tri.n, math.ulp(1.0)
     if n == 1:
-        residual = abs(float(tri.diag[0]) - float(eigenvalue))  # Python floats overflow silently
-        if residual > 10.0 * tol:
+        d = float(tri.diag[0])
+        residual = abs(d - eigenvalue)  # Python floats overflow silently
+        if residual > 10.0 * tol + eps * abs(d) + 2e-292:  # 2 pivmin of _bisection_setup
             raise ConvergenceError(
                 f"{eigenvalue!r} is not an eigenvalue of the 1x1 matrix {tri.diag[0]!r}",
                 shift=eigenvalue, residual=residual,
@@ -432,7 +423,7 @@ def eigvec_inverse_iteration(
     v, best_res = _inverse_iteration(tri, eigenvalue, (0.0, tol, -tol, 100.0 * tol, -100.0 * tol),
                                      10.0 * tol)
     if v is None:
-        ulp, eps = math.ulp(eigenvalue), np.finfo(float).eps
+        ulp = max(math.ulp(eigenvalue), math.ulp(float(np.max(np.abs(tri.diag)))))
         off = eps * np.abs(tri.offdiag)  # scaled first, so no row sum overflows
         rows = eps * np.abs(tri.diag)
         rows[:-1] += off
@@ -482,11 +473,10 @@ def _extreme_eigenpair(
 ) -> tuple[float, np.ndarray]:
     """Largest (``top``) or smallest eigenvalue of J^T + J and a unit eigenvector.
 
-    Only the extreme bracket is bisected, to width ``tol``; the eigenvector has
-    residual <= 10 tol.  The closed form ``_extreme_guess`` settles only the far
-    halvings of that bisection, those whose midpoint lies beyond its margin,
-    and real Sturm counts confirm every side it settled.  So a wrong closed
-    form or margin would cost the plain loop's time, never the value's bits.
+    Only the extreme bracket is bisected, to width ``tol``, steered by the
+    closed form ``_extreme_guess``; the eigenvector has the residual that
+    ``eigvec_inverse_iteration`` states.  A wrong closed form or margin would
+    cost the plain loop's time, never the value's bits (``_far`` says why).
     """
     sym = symmetrize(block)
     mu = _eig_sturm_one(sym, sym.n - 1 if top else 0, tol, *_extreme_guess(block, top))
@@ -501,13 +491,15 @@ def check_dissipative(block: UpperBidiagonal, tol: float = 1e-10) -> Dissipativi
     quadratic form equals max_eigenvalue / 2 up to the eigensolver residual.
 
     That eigenvalue is bit for bit ``eig_sturm``'s, from the extreme bracket
-    alone.  The closed form 2 (alpha - threshold) settles only the far halvings
-    of its bisection, and real Sturm counts confirm every side it settled, so
-    the check stays independent of the threshold it reports: a wrong closed
-    form would change the time taken, not the result.
+    alone, bisected to width min(1e-13, tol * 1e-2), or to the least double
+    above zero where that underflows.  The closed form 2 (alpha - threshold)
+    steers the bisection, yet the check stays independent of the threshold it
+    reports: a wrong closed form would change the time taken, not the result
+    (``_far`` says why).
     """
     tol = as_finite(tol, "tol", above=0.0)
-    mu, witness = _extreme_eigenpair(block, top=True, tol=min(1e-13, tol * 1e-2))
+    inner = max(min(1e-13, tol * 1e-2), math.ulp(0.0))
+    mu, witness = _extreme_eigenpair(block, top=True, tol=inner)
     return DissipativityReport(
         threshold=dissipativity_threshold(block.n, block.variant, BlockSign.PLUS),
         is_dissipative=mu <= tol,

@@ -221,6 +221,19 @@ class TestVerify:
             scaled = verify(kind, a, constant_scale=2.0)
             assert scaled.rhs == pytest.approx(2 * base.rhs, abs=1e-14)
 
+    @pytest.mark.parametrize("scale", [True, math.nan, math.inf, "2", 10**400],
+                             ids=["bool", "nan", "inf", "text", "huge-int"])
+    def test_constant_scale_is_a_finite_real(self, scale):
+        with pytest.raises(ValueError, match="constant_scale"):
+            verify(InequalityKind.LOWER_PINNED, np.array([0.5, 0.25]), constant_scale=scale)
+
+    def test_a_numpy_constant_scale_gives_a_report_of_python_scalars(self):
+        r = verify(InequalityKind.LOWER_PINNED, np.array([0.5, 0.25]),
+                   constant_scale=np.float32(1.05))
+        assert [type(v) for v in (r.lhs, r.rhs, r.margin, r.holds)] == [float, float, float, bool]
+        assert r == verify(InequalityKind.LOWER_PINNED, np.array([0.5, 0.25]),
+                           constant_scale=float(np.float32(1.05)))
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             verify(InequalityKind.LOWER_PINNED, np.array([1.0, math.nan]))

@@ -907,6 +907,14 @@ class TestNormPreservingSubspace:
         with pytest.raises(ConsistencyError):
             norm_preserving_subspace(np.diag([0.0, -1.0]), 0.5, tol=0.8)
 
+    def test_an_overflowing_2x_raises_without_a_warning(self):
+        # 2x is inf from x >= 2^1023, and Q * inf puts nan where Q has a zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowFailure, match="2x"):
+                norm_preserving_subspace(np.zeros((2, 2)), 9e307)
+            assert norm_preserving_subspace(np.zeros((2, 2)), 8e307).dim == 2
+
     def test_rejects_non_dissipative_and_bad_x(self):
         with pytest.raises(ValueError):
             norm_preserving_subspace(np.eye(2), 1.0)

@@ -360,11 +360,11 @@ class TestSteeredSweeps:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 64])
     def test_wrong_guesses_cost_counts_not_bits(self, n, count_passes, monkeypatch):
-        swept, sweeps = [], tridiagonal._sweeps  # the columns of each run of the sweeps
+        runs, sweeps = [], tridiagonal._sweeps  # each whole run of the sweeps, steered or plain
 
-        def spy(diag, pairs, pivmin, lo, hi, k, *rest):
-            swept.append(k.tolist())
-            return sweeps(diag, pairs, pivmin, lo, hi, k, *rest)
+        def spy(diag, pairs, pivmin, lo, hi, guess, *rest):
+            runs.append("steered" if np.isfinite(guess).any() else "plain")
+            return sweeps(diag, pairs, pivmin, lo, hi, guess, *rest)
 
         monkeypatch.setattr(tridiagonal, "_sweeps", spy)
         for variant in JordanVariant:
@@ -379,17 +379,17 @@ class TestSteeredSweeps:
                     plain_passes = len(count_passes)
                     for wrong in (guess + 0.1, guess - 0.1, guess + 10 * margin,
                                   guess - 10 * margin, moved):
-                        del swept[:]
+                        del runs[:]
                         assert hexes(_eig_sturm(tri, tol, wrong, margin)) == plain
                         if tol == 1e-15 or wrong is moved:
                             # the bracket narrows past the error, so a settled side was wrong
-                            want = [n // 2] if wrong is moved else list(range(n))
-                            assert swept == [list(range(n)), want]
+                            # and every column reruns with no guess
+                            assert runs == ["steered", "plain"]
                     for steers_nothing in (math.inf, -math.inf, math.nan):
-                        del count_passes[:], swept[:]
+                        del count_passes[:], runs[:]
                         got = _eig_sturm(tri, tol, np.full(n, steers_nothing), margin)
                         assert hexes(got) == plain
-                        assert len(count_passes) == plain_passes and len(swept) == 1
+                        assert len(count_passes) == plain_passes and runs == ["plain"]
 
     @pytest.mark.parametrize("n", [2, 3, 16, 100])
     def test_a_block_one_ulp_off_is_not_steered(self, n, count_passes):
@@ -501,6 +501,22 @@ class TestDeferredClamp:
                                and "abs(" in ast.unparse(node) and "pivmin" in ast.unparse(node)]
         assert clamps == [("tridiagonal.py", "_sturm_count")]
 
+    def test_the_steering_rule_is_written_once(self):
+        # every comparison with a name ``margin`` in src/, by file and function: the
+        # steering margin only in _far; verify and gftt_check compare an inequality's
+        # margin with tol
+        src = Path(__file__).resolve().parent.parent / "src"
+        compares = []
+        for path in sorted(src.rglob("*.py")):
+            for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(func, ast.FunctionDef):
+                    compares += [(path.name, func.name) for node in ast.walk(func)
+                                 if isinstance(node, ast.Compare)
+                                 and any(isinstance(name, ast.Name) and name.id == "margin"
+                                         for name in ast.walk(node))]
+        assert compares == [("inequalities.py", "verify"), ("inequalities.py", "verify"),
+                            ("semigroup.py", "gftt_check"), ("tridiagonal.py", "_far")]
+
 
 class TestScalarBisection:
     """The one scalar bisection loop: its freeze, its bound, and its home."""
@@ -608,6 +624,13 @@ class TestInverseIteration:
         assert np.array_equal(v, [1.0])
         with pytest.raises(ConvergenceError):
             eigvec_inverse_iteration(t, 0.9)
+
+    @pytest.mark.parametrize("eigenvalue", [True, math.nan, math.inf, "2", 10**400],
+                             ids=["bool", "nan", "inf", "text", "huge-int"])
+    def test_the_eigenvalue_is_a_finite_real(self, eigenvalue):
+        for n in (1, 3):
+            with pytest.raises(ValueError, match="eigenvalue"):
+                eigvec_inverse_iteration(symmetrize(UpperBidiagonal(n, 0.5)), eigenvalue)
 
     def test_convergence_error_carries_the_shift_and_the_residual(self):
         t = SymTridiagonal(np.array([0.7]), np.array([]))
@@ -741,6 +764,31 @@ class TestDissipativity:
         with pytest.raises(ConvergenceError) as failure:
             eigvec_inverse_iteration(tri, far, tol=1e-13)
         assert failure.value.shift == far
+
+    def test_every_positive_tol_gets_a_verdict(self):
+        # tol * 1e-2 underflows to 0 at tol = 5e-324; a 1x1 eigenvalue comes back an ulp,
+        # or a pivot floor, off its entry; and at the n = 2 threshold, jitters below
+        # ulp(max |diag|) leave every shifted diagonal exactly singular
+        for n in (1, 2, 3, 16):
+            for variant in JordanVariant:
+                thr = dissipativity_threshold(n, variant)
+                for alpha in (thr, math.nextafter(thr, 2.0), math.nextafter(thr, -2.0),
+                              thr + 1e-3, 0.0, 0.3, 1e300, -5e307):
+                    block = UpperBidiagonal(n, alpha, variant)
+                    tri = symmetrize(block)
+                    off = np.abs(tri.offdiag)
+                    rows = np.abs(tri.diag) + np.append(off, 0.0) + np.append(0.0, off)
+                    for tol in (1e-10, 1e-15, 1e-20, 1e-300, 5e-324):
+                        report = check_dissipative(block, tol)
+                        inner = max(min(1e-13, tol * 1e-2), math.ulp(0.0))
+                        mu = report.max_eigenvalue
+                        assert mu.hex() == float(eig_sturm(tri, inner)[-1]).hex()
+                        assert report.is_dissipative == (mu <= tol)
+                        w = report.witness
+                        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+                        gate = 10.0 * inner + n * np.finfo(float).eps * rows.max()
+                        gate += 2e-292 if n == 1 else 0.0  # twice the Sturm count's pivot floor
+                        assert np.linalg.norm(tri.matvec(w) - mu * w) <= gate
 
     def test_report_max_eigenvalue_matches_eigvalsh(self):
         for variant in JordanVariant:
