@@ -37,9 +37,11 @@ def dissipativity_threshold(
     -cos(2 pi/(2n+1)) and +cos(pi/(2n+1)); all four are largest/smallest
     zeros of the matching Chebyshev characteristic polynomial.  Every sharp
     constant in the package (inequality constants, semigroup and Bessel
-    exponential rates) is derived from this function.
+    exponential rates) is derived from this function.  ``variant`` and
+    ``sign`` are members or their values ("standard", "plus", ...).
     """
     n = as_int(n, "block size", minimum=1)
+    variant, sign = JordanVariant(variant), BlockSign(sign)
     if variant is JordanVariant.STANDARD:
         boundary = math.cos(math.pi / (n + 1))
         return -boundary if sign is BlockSign.PLUS else boundary
@@ -104,6 +106,7 @@ def sharp_constant(kind: InequalityKind, n: int) -> float:
     2 (1 + alpha) for the pinned kinds and 2 (1 - alpha) for the free-end
     kinds, with alpha = threshold_alpha(kind, n).
     """
+    kind = InequalityKind(kind)
     alpha = threshold_alpha(kind, n)
     return 2.0 * (1.0 + alpha) if kind.pins_right_end else 2.0 * (1.0 - alpha)
 
@@ -111,6 +114,9 @@ def sharp_constant(kind: InequalityKind, n: int) -> float:
 def threshold_alpha(kind: InequalityKind, n: int) -> float:
     """Boundary alpha of the dissipativity statement underlying the kind.
 
-    It is the threshold of the kind's variant under ``kind.sign``.
+    It is the threshold of the kind's variant under ``kind.sign``.  ``kind``
+    is a member or its value ("lower-pinned", ...), here and in every public
+    function that takes one.
     """
+    kind = InequalityKind(kind)
     return dissipativity_threshold(as_int(n, "dimension", minimum=1), kind.variant, kind.sign)

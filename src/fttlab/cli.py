@@ -346,10 +346,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_alpha(argv: list[str]) -> list[str]:
+    """``--alpha -1e-3`` as ``--alpha=-1e-3``, for every value that parses as a float.
+
+    argparse takes a token for a negative number only in the forms -1 and -.5,
+    so it would read -1e-3 or -inf as an option and miss the value.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--alpha":
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"--alpha={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_alpha(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse exits itself; keep main() returnable
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -73,7 +73,7 @@ def difference_energy(a, kind: InequalityKind) -> float:
     """Sum of squared consecutive differences under the kind's padding."""
     a = as_vector(a, "a")
     with np.errstate(over="ignore"):  # _energy's finite guard raises right after
-        return _energy(a, kind.pins_right_end)
+        return _energy(a, InequalityKind(kind).pins_right_end)
 
 
 def _energy(a: np.ndarray, pins_right_end: bool) -> float:
@@ -91,6 +91,7 @@ def _energy(a: np.ndarray, pins_right_end: bool) -> float:
 @lru_cache(maxsize=1024)
 def _kind_at(kind: InequalityKind, n: int) -> tuple[float, bool, bool]:
     """(sharp constant, is_lower, pins_right_end): what ``verify`` reads of a kind at size n."""
+    kind = InequalityKind(kind)
     return sharp_constant(kind, n), kind.is_lower, kind.pins_right_end
 
 
@@ -130,6 +131,7 @@ def extremal_vector(kind: InequalityKind, n: int) -> np.ndarray:
     driven by +J, the smallest for kinds driven by -J.  Free-end kinds need
     the alternating flip to undo the sign substitution in their reduction.
     """
+    kind = InequalityKind(kind)
     block = UpperBidiagonal(n, threshold_alpha(kind, n), kind.variant)
     _, v = _extreme_eigenpair(block, top=kind.sign is BlockSign.PLUS, tol=_EXTREMAL_TOL)
     if not kind.pins_right_end:

@@ -48,7 +48,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UpperBidiagonal:
-    """Structural representation of J_n(alpha) or J~_n(alpha)."""
+    """Structural representation of J_n(alpha) or J~_n(alpha).
+
+    ``variant`` is a ``JordanVariant`` or its value, "standard" or "modified".
+    """
 
     n: int
     alpha: float
@@ -57,6 +60,7 @@ class UpperBidiagonal:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", as_int(self.n, "block size", minimum=1))
         object.__setattr__(self, "alpha", as_finite(self.alpha, "alpha"))
+        object.__setattr__(self, "variant", JordanVariant(self.variant))
 
     def diagonal(self) -> np.ndarray:
         d = np.full(self.n, self.alpha)
@@ -230,29 +234,6 @@ def _far(x, guess, margin):
     return (dist > margin) & (dist < math.inf)
 
 
-def _sweeps(
-    diag: np.ndarray, pairs: list[tuple[float, float]], pivmin: float,
-    lo: np.ndarray, hi: np.ndarray, guess: np.ndarray, margin: float, tol: float,
-) -> None:
-    """Halve every bracket [lo, hi] in lockstep, in place, until each closes.
-
-    A midpoint ``_far`` from its column's ``guess`` takes the guess's side with
-    no count; the rest go to one ``_sturm_counts`` pass per sweep.
-    """
-    k = np.arange(lo.size)
-    while (k := k[hi[k] - lo[k] > tol]).size:
-        mid = 0.5 * lo[k] + 0.5 * hi[k]  # 0.5 * (lo + hi) overflows past ~9e307
-        splits = ~((mid <= lo[k]) | (mid >= hi[k]))  # else at float resolution
-        k, mid = k[splits], mid[splits]
-        g = guess[k]
-        below = mid > g
-        near = np.flatnonzero(~_far(mid, g, margin))
-        if near.size:
-            below[near] = _sturm_counts(diag, pairs, pivmin, mid[near]) > k[near]
-        hi[k[below]] = mid[below]
-        lo[k[~below]] = mid[~below]
-
-
 def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
     """All eigenvalues of ``tri``, ascending, each bracketed to width <= tol.
 
@@ -278,11 +259,23 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
 def _eig_sturm(tri: SymTridiagonal, tol: float, guess: np.ndarray, margin: float) -> np.ndarray:
     """``eig_sturm`` steered by ``guess`` (one per column) within ``margin``, as ``_far`` rules.
 
-    Where a confirmation fails, every column reruns unsteered.
+    Each sweep halves the brackets [lo, hi] in place under one mask of the
+    open ones; a bracket that closed or froze never changes again.  Where a
+    confirmation fails, every column reruns unsteered.
     """
     pairs, lo0, hi0, pivmin = _bisection_setup(tri)
     lo, hi = np.full(tri.n, lo0), np.full(tri.n, hi0)
-    _sweeps(tri.diag, pairs, pivmin, lo, hi, guess, margin, tol)
+    while True:
+        mid = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) overflows past ~9e307
+        open_ = (hi - lo > tol) & (mid > lo) & (mid < hi)  # else at float resolution
+        if not open_.any():
+            break
+        below = mid > guess
+        near = np.flatnonzero(open_ & ~_far(mid, guess, margin))
+        if near.size:
+            below[near] = _sturm_counts(tri.diag, pairs, pivmin, mid[near]) > near
+        np.copyto(hi, mid, where=open_ & below)
+        np.copyto(lo, mid, where=open_ & ~below)
     lo_k = np.flatnonzero((lo != lo0) & _far(lo, guess, margin))
     hi_k = np.flatnonzero((hi != hi0) & _far(hi, guess, margin))
     if lo_k.size + hi_k.size:
@@ -297,12 +290,12 @@ def _eig_sturm_one(
 ) -> float:
     """Eigenvalue ``index`` (ascending) of ``tri``, bit for bit ``eig_sturm(tri, tol)[index]``.
 
-    The one bracket evolves exactly as in the lockstep sweeps: the same set-up,
-    midpoints and freeze, and the clamped Sturm count that ``eig_sturm`` falls
-    back on, ``_sturm_count`` over Python floats, O(n) per sweep.  A ``guess``
-    of the eigenvalue steers the halvings within ``margin`` as ``_far`` rules,
-    and a failed confirmation reruns with no guess; the default nan steers
-    nothing.
+    The one bracket evolves exactly as in ``_eig_sturm``'s sweeps: the same
+    set-up, midpoints and freeze, and the clamped Sturm count that
+    ``eig_sturm`` falls back on, ``_sturm_count`` over Python floats, O(n) per
+    sweep.  A ``guess`` of the eigenvalue steers the halvings within
+    ``margin`` as ``_far`` rules, and a failed confirmation reruns with no
+    guess; the default nan steers nothing.
     """
     pairs, lo0, hi0, pivmin = _bisection_setup(tri)
 

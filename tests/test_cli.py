@@ -151,6 +151,19 @@ class TestSemigroupNorm:
         norms = [row["norm"] for row in json.loads(out)["rows"]]
         assert len(norms) == 65 and max(norms) <= 1.0
 
+    @pytest.mark.parametrize("alpha", ["-1e-3", "-2E+1", "-5e-324", "-inf", "-.5", "-1", "0.25"])
+    def test_a_negative_alpha_needs_no_equals_sign(self, capsys, alpha):
+        # argparse alone takes a token for a negative number only as -1 or -.5, and
+        # reads -1e-3 as an option: "--alpha: expected one argument"
+        args = ("--grid", "0:1:3", "--format", "json")
+        spaced = run(capsys, "semigroup-norm", "--n", "2", "--alpha", alpha, *args)
+        assert spaced == run(capsys, "semigroup-norm", "--n", "2", f"--alpha={alpha}", *args)
+        assert spaced[0] == (2 if alpha == "-inf" else 0)
+
+    def test_an_option_after_alpha_is_not_its_value(self, capsys):
+        code, out, err = run(capsys, "semigroup-norm", "--n", "2", "--alpha", "--format", "json")
+        assert (code, out) == (2, "") and "--alpha: expected one argument" in err
+
     def test_tol_flag_is_gone(self, capsys):
         # it only ever set the power-iteration tolerance, to 1e-12 for any tol >= 1e-11
         code, out, _ = run(capsys, "semigroup-norm", "--n", "2", "--alpha", "0", "--tol", "1e-10")
@@ -277,12 +290,17 @@ class TestContract:
         assert "\x1b[" not in plain
 
     def test_subprocess_entry_point(self, tmp_path):
+        # the child sees src through PYTHONPATH, as pytest's own pythonpath setting is not inherited
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "fttlab", "constants", "--n", "2",
              "--kind", "upper-pinned"],
             capture_output=True,
             text=True,
             timeout=60,
+            env=env,
         )
         assert result.returncode == 0
         assert result.stdout.startswith("n,kind,sharp_constant,threshold_alpha")

@@ -243,6 +243,28 @@ class TestVerify:
             verify(InequalityKind.LOWER_PINNED, np.ones((2, 2)))
 
 
+class TestKindByValue:
+    def test_a_kind_given_by_value_reads_as_its_member(self):
+        a = SplitMix64(30).vector(7)
+        for kind in ALL_KINDS:
+            assert sharp_constant(kind.value, 7) == sharp_constant(kind, 7)
+            assert threshold_alpha(kind.value, 7) == threshold_alpha(kind, 7)
+            assert verify(kind.value, a) == verify(kind, a)
+            assert difference_energy(a, kind.value) == difference_energy(a, kind)
+            assert extremal_vector(kind.value, 7).tobytes() == extremal_vector(kind, 7).tobytes()
+
+    @pytest.mark.parametrize("bogus", ["lower_pinned", None, 1, JordanVariant.STANDARD])
+    def test_a_bogus_kind_raises_value_error(self, bogus):
+        a = np.ones(3)
+        for call in (sharp_constant, threshold_alpha, extremal_vector):
+            with pytest.raises(ValueError):
+                call(bogus, 3)
+        with pytest.raises(ValueError):
+            verify(bogus, a)
+        with pytest.raises(ValueError):
+            difference_energy(a, bogus)
+
+
 def old_verify(kind, a, constant_scale=1.0):
     """verify's (lhs, rhs, margin) by the expressions it used before its fast path."""
     padded = np.concatenate(([0.0], a, [0.0]) if kind.pins_right_end else ([0.0], a))

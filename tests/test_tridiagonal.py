@@ -83,6 +83,30 @@ class TestStructures:
         with pytest.raises(ValueError):
             UpperBidiagonal(2.5, 0.1)
 
+    def test_a_variant_or_sign_given_by_value_reads_as_its_member(self):
+        for variant, sign in itertools.product(JordanVariant, BlockSign):
+            assert (dissipativity_threshold(3, variant.value, sign.value)
+                    == dissipativity_threshold(3, variant, sign))
+            block = UpperBidiagonal(3, -0.65, variant.value)
+            assert block == UpperBidiagonal(3, -0.65, variant) and block.variant is variant
+        # dissipative as the modified block; the standard block at -0.65 is not
+        report = check_dissipative(UpperBidiagonal(3, -0.65, "modified"))
+        assert report.threshold == dissipativity_threshold(3, JordanVariant.MODIFIED)
+        assert report.is_dissipative and report.max_eigenvalue < 0.0
+
+    @pytest.mark.parametrize("bogus", ["Standard", "bogus", None, 1])
+    def test_a_bogus_variant_or_sign_raises_value_error(self, bogus):
+        with pytest.raises(ValueError):
+            UpperBidiagonal(3, 0.2, bogus)
+        with pytest.raises(ValueError):
+            dissipativity_threshold(3, bogus)
+        with pytest.raises(ValueError):
+            dissipativity_threshold(3, JordanVariant.STANDARD, bogus)
+        with pytest.raises(ValueError):
+            UpperBidiagonal(3, 0.2, BlockSign.PLUS)
+        with pytest.raises(ValueError):
+            dissipativity_threshold(3, JordanVariant.STANDARD, JordanVariant.STANDARD)
+
     def test_symmetrize_matches_dense_transpose_sum(self):
         for variant in JordanVariant:
             for n in (1, 2, 5):
@@ -360,13 +384,15 @@ class TestSteeredSweeps:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 64])
     def test_wrong_guesses_cost_counts_not_bits(self, n, count_passes, monkeypatch):
-        runs, sweeps = [], tridiagonal._sweeps  # each whole run of the sweeps, steered or plain
+        # each whole run of the sweeps, steered or plain: a rerun recurses through the
+        # module attribute, and the calls below go through it so the first run shows too
+        runs, eig = [], tridiagonal._eig_sturm
 
-        def spy(diag, pairs, pivmin, lo, hi, guess, *rest):
+        def spy(tri, tol, guess, margin):
             runs.append("steered" if np.isfinite(guess).any() else "plain")
-            return sweeps(diag, pairs, pivmin, lo, hi, guess, *rest)
+            return eig(tri, tol, guess, margin)
 
-        monkeypatch.setattr(tridiagonal, "_sweeps", spy)
+        monkeypatch.setattr(tridiagonal, "_eig_sturm", spy)
         for variant in JordanVariant:
             for alpha in (-0.3, 0.7):
                 tri = symmetrize(UpperBidiagonal(n, alpha, variant))
@@ -375,19 +401,19 @@ class TestSteeredSweeps:
                 moved[n // 2] += 0.5
                 for tol in (1e-13, 1e-15):
                     del count_passes[:]
-                    plain = hexes(_eig_sturm(tri, tol, np.full(n, math.nan), margin))
+                    plain = hexes(tridiagonal._eig_sturm(tri, tol, np.full(n, math.nan), margin))
                     plain_passes = len(count_passes)
                     for wrong in (guess + 0.1, guess - 0.1, guess + 10 * margin,
                                   guess - 10 * margin, moved):
                         del runs[:]
-                        assert hexes(_eig_sturm(tri, tol, wrong, margin)) == plain
+                        assert hexes(tridiagonal._eig_sturm(tri, tol, wrong, margin)) == plain
                         if tol == 1e-15 or wrong is moved:
                             # the bracket narrows past the error, so a settled side was wrong
                             # and every column reruns with no guess
                             assert runs == ["steered", "plain"]
                     for steers_nothing in (math.inf, -math.inf, math.nan):
                         del count_passes[:], runs[:]
-                        got = _eig_sturm(tri, tol, np.full(n, steers_nothing), margin)
+                        got = tridiagonal._eig_sturm(tri, tol, np.full(n, steers_nothing), margin)
                         assert hexes(got) == plain
                         assert len(count_passes) == plain_passes and runs == ["plain"]
 
@@ -417,11 +443,40 @@ class TestSteeredSweeps:
                     eig_sturm(symmetrize(UpperBidiagonal(n, alpha, variant)))
                     assert len(count_passes) <= 12
 
+    def test_the_plain_sweeps_count_the_open_brackets_only(self, count_passes):
+        # with no guess every sweep counts the midpoints of exactly the brackets still
+        # open, column by column, as the reference's compacted column list does
+        rng = SplitMix64(30)
+        for _ in range(40):
+            tri = random_tridiagonal(rng, rng.integer(1, 40))
+            tol = (1e-13, 1e-15)[rng.integer(0, 1)]
+            sweeps = []
+            clamped_lockstep_sturm(tri, tol, sweeps)
+            del count_passes[:]
+            _eig_sturm(tri, tol, np.full(tri.n, math.nan), 0.0)  # a 1x1 matrix is a block
+            assert [hexes(mids) for mids in count_passes] == [hexes(mids) for mids in sweeps]
 
-def clamped_lockstep_sturm(tri, tol=1e-13):
+    def test_only_eig_sturm_holds_a_lockstep_loop(self):
+        # the sweeps run in _eig_sturm itself: no other loop in src/ calls _sturm_counts
+        src = Path(__file__).resolve().parent.parent / "src"
+        loops = []
+        for path in sorted(src.rglob("*.py")):
+            for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(func, ast.FunctionDef):
+                    loops += [(path.name, func.name) for node in ast.walk(func)
+                              if isinstance(node, (ast.For, ast.While))
+                              and any(isinstance(call, ast.Call)
+                                      and ast.unparse(call.func) == "_sturm_counts"
+                                      for call in ast.walk(node))]
+        assert loops == [("tridiagonal.py", "_eig_sturm")]
+
+
+def clamped_lockstep_sturm(tri, tol=1e-13, sweeps=None):
     """The lockstep sweep with dstebz's pivmin clamp in every row step.
 
     The reference that eig_sturm's deferred clamp must match bit for bit.
+    Each sweep's midpoints, those of the open brackets, go to ``sweeps``
+    when it is a list.
     """
     pairs, lo0, hi0, pivmin = _bisection_setup(tri)
     off2 = [e2 for _, e2 in pairs]
@@ -431,6 +486,8 @@ def clamped_lockstep_sturm(tri, tol=1e-13):
         mid = 0.5 * lo[k] + 0.5 * hi[k]
         splits = ~((mid <= lo[k]) | (mid >= hi[k]))
         k, mid = k[splits], mid[splits]
+        if sweeps is not None:
+            sweeps.append(mid)
         pivots = tri.diag[:, None] - mid
         for i in range(tri.n):
             if i > 0:
