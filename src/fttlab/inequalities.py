@@ -111,7 +111,11 @@ def verify(
     tol = as_finite(tol, "tol", minimum=0.0)
     constant_scale = as_finite(constant_scale, "constant_scale")
     a, square = as_vector_and_square(a, "a")
-    constant, is_lower, pins_right_end = _kind_at(kind, a.size)
+    try:
+        constant, is_lower, pins_right_end = _kind_at(kind, a.size)
+    except TypeError:  # the cache hashes the kind before _kind_at can check it
+        InequalityKind(kind)  # an unhashable kind is no member: ValueError
+        raise
     if square > _QUIET_SQUARE:
         with np.errstate(over="ignore"):  # _energy's finite guard raises right after
             lhs = _energy(a, pins_right_end)

@@ -253,7 +253,10 @@ class TestKindByValue:
             assert difference_energy(a, kind.value) == difference_energy(a, kind)
             assert extremal_vector(kind.value, 7).tobytes() == extremal_vector(kind, 7).tobytes()
 
-    @pytest.mark.parametrize("bogus", ["lower_pinned", None, 1, JordanVariant.STANDARD])
+    @pytest.mark.parametrize("bogus", ["lower_pinned", None, 1, JordanVariant.STANDARD,
+                                       # verify's cache hashes a kind before it is checked
+                                       pytest.param([1], id="list"),
+                                       pytest.param({"lower-pinned": 1}, id="dict")])
     def test_a_bogus_kind_raises_value_error(self, bogus):
         a = np.ones(3)
         for call in (sharp_constant, threshold_alpha, extremal_vector):

@@ -47,8 +47,10 @@ from fttlab.tridiagonal import (
     _eig_sturm,
     _eig_sturm_one,
     _extreme_guess,
+    _far,
     _solve_tridiagonal,
     _sturm_count,
+    _sturm_counts,
 )
 
 
@@ -443,6 +445,50 @@ class TestSteeredSweeps:
                     eig_sturm(symmetrize(UpperBidiagonal(n, alpha, variant)))
                     assert len(count_passes) <= 12
 
+    def test_a_block_takes_two_count_passes(self, count_passes):
+        # one pass holds every deferred count and one confirms; counting each sweep's
+        # near midpoints in a pass of its own took up to 9
+        rng = SplitMix64(31)
+        for n in [*range(1, 41), 50, 64, 100, 127, 200, 300, 400]:
+            for variant in JordanVariant:
+                for alpha in (rng.symmetric(), rng.symmetric()):
+                    del count_passes[:]
+                    eig_sturm(symmetrize(UpperBidiagonal(n, alpha, variant)), 1e-13)
+                    assert len(count_passes) <= 2
+
+    @pytest.mark.parametrize("alpha", [1e3, -1e3, 1e6, -1e6])
+    def test_a_large_alpha_takes_as_many_passes_at_every_size(self, alpha, count_passes):
+        # the margin grows with |alpha|, so a column's chain of near halvings is longer,
+        # but the passes no longer grow with the number of columns: 6-8 for every n, 16
+        # at n = 400 when each sweep's near midpoints took a pass of their own
+        passes = {}
+        for n in [*range(1, 41), 50, 64, 100, 127, 200, 300, 400]:
+            for variant in JordanVariant:
+                del count_passes[:]
+                eig_sturm(symmetrize(UpperBidiagonal(n, alpha, variant)), 1e-13)
+                passes[n] = max(passes.get(n, 0), len(count_passes))
+        assert max(passes.values()) <= 8
+        large = (100, 127, 200, 300, 400)
+        assert max(passes[n] for n in large) <= max(passes[n] for n in range(1, 41))
+
+    @pytest.mark.parametrize("sizes", [range(1, 41), (50, 64, 100, 127), (200, 300), (400,)],
+                             ids=["1-40", "50-127", "200-300", "400"])
+    def test_the_deferred_sweeps_count_the_same_shifts(self, sizes, count_passes):
+        # deferring a count moves it to another pass, never to another shift
+        fewer = 0
+        for block, tol in steered_sweep(sizes, seed=len(sizes)):
+            tri = symmetrize(block)
+            del count_passes[:]
+            got = eig_sturm(tri, tol)
+            passes = []
+            want = steered_lockstep_sturm(tri, tol, *_block_guesses(tri), passes)
+            assert hexes(got) == hexes(want)
+            assert sorted(np.concatenate(count_passes).tolist()) == sorted(
+                np.concatenate(passes).tolist())
+            assert len(count_passes) <= len(passes)
+            fewer += len(count_passes) < len(passes)
+        assert fewer
+
     def test_the_plain_sweeps_count_the_open_brackets_only(self, count_passes):
         # with no guess every sweep counts the midpoints of exactly the brackets still
         # open, column by column, as the reference's compacted column list does
@@ -496,6 +542,40 @@ def clamped_lockstep_sturm(tri, tol=1e-13, sweeps=None):
         below = np.count_nonzero(pivots < 0.0, axis=0) > k
         hi[k[below]] = mid[below]
         lo[k[~below]] = mid[~below]
+    return 0.5 * lo + 0.5 * hi
+
+
+def steered_lockstep_sturm(tri, tol, guess, margin, passes):
+    """eig_sturm's steered sweeps with no deferral: every sweep halves every open
+    bracket and counts its near midpoints in a pass of their own.
+
+    The reference for the shifts that eig_sturm counts; the shifts of each pass,
+    the confirmation's and a rerun's included, go to ``passes``.
+    """
+    pairs, lo0, hi0, pivmin = _bisection_setup(tri)
+
+    def counts(mids):
+        passes.append(mids)
+        return _sturm_counts(tri.diag, pairs, pivmin, mids)
+
+    lo, hi = np.full(tri.n, lo0), np.full(tri.n, hi0)
+    while True:
+        mid = 0.5 * lo + 0.5 * hi
+        open_ = (hi - lo > tol) & (mid > lo) & (mid < hi)
+        if not open_.any():
+            break
+        below = mid > guess
+        near = np.flatnonzero(open_ & ~_far(mid, guess, margin))
+        if near.size:
+            below[near] = counts(mid[near]) > near
+        np.copyto(hi, mid, where=open_ & below)
+        np.copyto(lo, mid, where=open_ & ~below)
+    lo_k = np.flatnonzero((lo != lo0) & _far(lo, guess, margin))
+    hi_k = np.flatnonzero((hi != hi0) & _far(hi, guess, margin))
+    if lo_k.size + hi_k.size:
+        confirmed = counts(np.concatenate((lo[lo_k], hi[hi_k])))
+        if (confirmed[:lo_k.size] > lo_k).any() or (confirmed[lo_k.size:] <= hi_k).any():
+            return steered_lockstep_sturm(tri, tol, np.full(tri.n, math.nan), 0.0, passes)
     return 0.5 * lo + 0.5 * hi
 
 
