@@ -27,11 +27,17 @@ from ._validate import as_int, as_real_array, finite
 __all__ = ["u_eval", "u_zeros", "u_diff_eval", "u_diff_zeros"]
 
 
-def _recurrence(n: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """(U_{n-1}(x), U_n(x)) by the forward recurrence."""
+def _recurrence(n: int, x):
+    """(U_{n-1}(x), U_n(x)) by the forward recurrence: floats for a scalar x, else arrays.
+
+    A scalar runs on Python floats, the same IEEE operations as a 0-d array at
+    a tenth of the cost; an overflow gives inf or nan either way, never an error.
+    """
     x = as_real_array(x, "x")
-    prev = np.zeros_like(x)          # U_{-1}
-    curr = np.ones_like(x)           # U_0
+    if x.ndim == 0:
+        x, prev, curr = float(x), 0.0, 1.0  # U_{-1}, U_0
+    else:
+        prev, curr = np.zeros_like(x), np.ones_like(x)
     with np.errstate(over="ignore", invalid="ignore"):  # the callers' finite guard raises
         for _ in range(n):
             prev, curr = curr, 2.0 * x * curr - prev
@@ -43,16 +49,14 @@ def u_eval(n: int, x):
 
     ``x`` may be a float or an ndarray; the result matches its shape.
     """
-    curr = finite(_recurrence(as_int(n, "polynomial order", minimum=0), x)[1], "U_n(x)")
-    return float(curr) if curr.ndim == 0 else curr
+    return finite(_recurrence(as_int(n, "polynomial order", minimum=0), x)[1], "U_n(x)")
 
 
 def u_diff_eval(n: int, x):
     """Evaluate (U_n - U_{n-1})(x).  Requires n >= 1."""
     prev, curr = _recurrence(as_int(n, "polynomial order", minimum=1), x)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = finite(curr - prev, "U_n(x) - U_{n-1}(x)")
-    return float(out) if out.ndim == 0 else out
+        return finite(curr - prev, "U_n(x) - U_{n-1}(x)")
 
 
 def u_zeros(n: int) -> np.ndarray:

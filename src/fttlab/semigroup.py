@@ -11,11 +11,14 @@ that statement and keeps them strictly separate so they can check each other:
 
 A norm curve is one pass over the grid in chunks of a fixed byte budget,
 each one exponential of the (k, n, n) stack of Qx, where a slice has its own
-scale, Taylor length and squaring count, then one run of 32 power steps in
-lockstep, where a slice that settles stops at the step its own loop would,
-then one norm bracket that squares each slice only until its norm is
-decided: by a settled estimate within 1e-6 of the upper end, by a bracket
-4 eps wide (its lower end), or after 48 squarings (its lower end).
+scale, Taylor length and squaring count and takes no Taylor product once its
+series and those of the slices before it have ended, then one run of 32
+power steps in lockstep, where a slice that settles stops at the step its
+own loop would, then one norm bracket that squares each slice only until its
+norm is decided: by a settled estimate within 1e-6 of the upper end, by a
+bracket 4 eps wide (its lower end), or after 48 squarings (its lower end).
+An exact multiple of the identity, as exp(0) is, keeps its settled estimate
+without the bracket, which would admit it.
 Each point keeps the bits of ``operator_norm(expm_oracle(Q, x))``, the
 one-point calls of the same cores.  A chunk's exponentials and its norms are
 each checked for overflow once, as whole arrays; a failing curve computes
@@ -46,6 +49,7 @@ dimension does not depend on x > 0 and it is invariant under the semigroup.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -117,10 +121,12 @@ def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, NumericsErro
     second stage runs only on the slices before the first such x, so nothing
     past the first failing x is computed.  A slice of finite entries whose
     column sum overflows is measured as Qx 2^-e, e the exponent of max |Qx|,
-    and takes e more halvings.  Every slice gets its own 2^-s scale, applied
-    by ``np.ldexp`` as 2^s is inf from s = 1024 on, leaves the Taylor sum once
-    its own term drops below 1e-18 and is squared its own s times, all through
-    the same per-matrix products as a single call, so each slice keeps its bits.
+    and takes e more halvings.  Every slice gets its own 2^-s scale, a product
+    with 2^-s up to s = 1022 and ``np.ldexp`` beyond, with the same bits.  It
+    leaves the Taylor sum once its own term drops below 1e-18; from the round
+    in which no slice before it still adds, it takes no more products.  It is
+    squared its own s times, all through the same per-matrix products as a
+    single call, so each slice keeps its bits.
     The sum always ends: a scaled slice has ||A||_1 <= 1/2, so its k-th term is
     at most 2^-k / k!, below 1e-18 from k = 16 on.
     """
@@ -140,22 +146,25 @@ def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, NumericsErro
     squarings = np.array([e + (0 if a <= 0.5 else math.ceil(min(math.log2(a / 0.5), 1025.0)))
                           for e, a in zip(shifts, anorms[:in_range])], dtype=int)
     A = A[:in_range]
-    np.ldexp(A, -squarings[:, None, None], out=A)
+    _scale_by_power_of_two(A, -squarings)
 
-    # Taylor phase on the whole stack: a slice whose term dropped below the
-    # tolerance stops adding terms; four stack-sized arrays at most are alive
-    term = np.broadcast_to(np.eye(Q.shape[0]), A.shape)
-    result = term.copy()
-    adding = np.ones((in_range, 1, 1), dtype=bool)
-    for k in range(1, 64):
-        term = term @ A
-        term /= k
-        np.add(result, term, out=result, where=adding)
-        # max |term| < tol without an |term| temporary
-        adding &= ~((term.max(axis=(1, 2), keepdims=True) < _TAYLOR_TOL)
-                    & (term.min(axis=(1, 2), keepdims=True) > -_TAYLOR_TOL))
+    # Taylor phase: term k is A^k / k!, the first A itself.  Each round works on
+    # the window of slices from the first one still adding, as views; a slice in
+    # the window that has stopped gets a zero term, which adds nothing, as no
+    # result holds -0.0.  Four stack-sized arrays at most are alive.
+    result = A + np.eye(Q.shape[0])
+    term = A
+    adding = _adding(term)
+    for k in range(2, 64):
         if not adding.any():
             break
+        adding = adding[adding.argmax():]
+        start = in_range - adding.size
+        term = term[-adding.size:] @ A[start:]
+        term[~adding] = 0.0
+        term /= k
+        result[start:] += term
+        adding = _adding(term)  # False where the term was zeroed
     del A, term
 
     # overflow here is an expected outcome that the check below reports, not a warning
@@ -173,6 +182,21 @@ def _expm_stack(Q: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, NumericsErro
             error.index = len(result)
         return result[:error.index], error
     return result, None
+
+
+def _adding(term: np.ndarray) -> np.ndarray:
+    """Per slice of a (k, n, n) stack: is some |entry| at least the Taylor tolerance."""
+    # max |term| < tol without an |term| temporary
+    return ~((term.max(axis=(1, 2)) < _TAYLOR_TOL) & (term.min(axis=(1, 2)) > -_TAYLOR_TOL))
+
+
+def _scale_by_power_of_two(M: np.ndarray, exponents: np.ndarray) -> None:
+    """M[i] *= 2^exponents[i] in place, bit for bit ``np.ldexp``: a product with a
+    normal power of two is rounded once, as ldexp's result is, at a fraction of its cost."""
+    if exponents.size and np.abs(exponents).max() <= 1022:
+        M *= np.ldexp(1.0, exponents)[:, None, None]
+    else:  # 2^exponent is subnormal, inf or 0
+        np.ldexp(M, exponents[:, None, None], out=M)
 
 
 def _taylor_coefficients(n: int, x: float) -> np.ndarray:
@@ -234,6 +258,10 @@ def _norm_bracket(M: np.ndarray, estimates: np.ndarray | None = None) -> tuple[n
 
     Without estimates every slice ends by (b) or (c), so both ends hold the
     4 n eps above.  A slice's numbers do not depend on the others in M.
+    An exact c I has upper = |c| n^(2^-(k+2)): (a) admits an estimate within
+    2^-40 of |c| by k ~ 18-22, while its factor reaches 1.0 only from k = 52
+    on for n >= 2, so (b) never comes first; ``_operator_norms`` keeps such
+    an estimate without calling here.
     M is read by a slice's position and never copied: a round that retires a
     slice compacts only B and the per-slice state.
     """
@@ -283,7 +311,10 @@ def operator_norm(M) -> float:
     eigenvector for a smaller singular value or did not settle in 32 steps,
     as near x = 0 where exp(Qx) has two nearly equal singular values) is
     replaced by the bracket's lower end, taken once the bracket is 4 eps
-    wide or after 48 squarings, which is within 4 n eps of the norm.
+    wide or after 48 squarings, which is within 4 n eps of the norm.  An
+    exact multiple of the identity c I (as exp(0) = I) whose settled estimate
+    lies within 2^-40 of |c| keeps it without squaring: the bracket would
+    admit it after ~20 squarings, and reach nothing else first.
     This is the one-matrix call of the lockstep iteration that
     ``contraction_check`` runs over a whole stack of exponentials.
     """
@@ -297,9 +328,10 @@ def _power_run(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (sigma, settled): a slice that settles stops at the step where a
     loop over that slice alone would stop, with the same products (matmul of
     a vector with itself is numpy's ddot, as ``w.dot(w)``), so its estimate
-    keeps the bits of such a loop.  The steps only record the squared norms
-    of w = M v; one vectorized pass over the record then finds every slice's
-    first stop.  ``settled`` is False where the slice did not settle within
+    keeps the bits of such a loop.  Each step writes its products into arrays
+    allocated once and records only the squared norms of w = M v; one
+    vectorized pass over the record then finds every slice's first stop.
+    ``settled`` is False where the slice did not settle within
     the steps (past g = 0, in the kernel of M^T M, every estimate is nan);
     its ``sigma`` is then not an estimate.  The run comes before
     ``_norm_bracket``, which takes the settled estimates and keeps those
@@ -307,15 +339,18 @@ def _power_run(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     k, n, _ = M.shape
     MT = M.transpose(0, 2, 1)
-    v = np.broadcast_to(np.full((n, 1), 1.0 / math.sqrt(n)), (k, n, 1))
+    start = np.broadcast_to(np.full((n, 1), 1.0 / math.sqrt(n)), (k, n, 1))
+    v, w, g = np.empty((k, n, 1)), np.empty((k, n, 1)), np.empty((k, n, 1))
+    gg = np.empty((k, 1, 1))
     ww = np.empty((_POWER_STEPS, k, 1, 1))  # w^T w of every step
     # a slice runs on unread after its stop, through 0 / 0 past the kernel
     with np.errstate(divide="ignore", invalid="ignore"):
-        for ww_step in ww:
-            w = M @ v
+        for step, ww_step in enumerate(ww):
+            np.matmul(M, v if step else start, out=w)
             np.matmul(w.transpose(0, 2, 1), w, out=ww_step)
-            g = MT @ w
-            v = g / np.sqrt(g.transpose(0, 2, 1) @ g)
+            np.matmul(MT, w, out=g)
+            np.matmul(g.transpose(0, 2, 1), g, out=gg)
+            np.divide(g, np.sqrt(gg, out=gg), out=v)
     sig = np.sqrt(ww.reshape(_POWER_STEPS, k))
     previous = np.vstack((np.full(k, -1.0), sig[:-1]))
     close = np.abs(sig - previous) <= _POWER_TOL * np.maximum(sig, 1e-300)
@@ -333,16 +368,30 @@ def _operator_norms(M: np.ndarray) -> np.ndarray:
     if live.size:
         # power-of-two rescale by exponent: keeps M^T M v finite for huge entries, exactly
         e = np.frexp(largest[live])[1]
-        M = np.ldexp(M[live], -e[:, None, None])
+        M = M[live]
+        _scale_by_power_of_two(M, -e)
         sigma, settled = _power_run(M)
-        lower = _norm_bracket(M, np.where(settled, sigma, np.nan))[0]
+        lower = np.where(settled, sigma, np.nan)
+        # an exact c I keeps an estimate within 2^-40 of |c|, which the bracket admits
+        near = np.flatnonzero(np.abs(lower - np.abs(M[:, 0, 0])) <= 2.0**-40)
+        scalar = near[(M[near] == M[near, :1, :1] * np.eye(M.shape[1])).all(axis=(1, 2))]
+        rest = np.delete(np.arange(lower.size), scalar)
+        if scalar.size:
+            M = M[rest]  # the bracket's slices replace the stack, which is no longer needed
+        if rest.size:
+            lower[rest] = _norm_bracket(M, lower[rest])[0]
         with np.errstate(over="ignore"):  # checked just below
             norms[live] = np.ldexp(lower, e)
     return finite(norms, "operator norm")
 
 
 def default_contraction_grid() -> np.ndarray:
-    """x = 0 plus 64 log-spaced points on [0.01, 10]."""
+    """x = 0 plus 64 log-spaced points on [0.01, 10], a new array each call."""
+    return _default_grid().copy()
+
+
+@functools.cache
+def _default_grid() -> np.ndarray:
     return np.concatenate(([0.0], np.geomspace(0.01, 10.0, 64)))
 
 
@@ -454,8 +503,15 @@ def gftt2_toeplitz_lhs(a, x: float) -> float:
 
     This is a *hypothesized* closed form: it is NOT the exact semigroup
     quantity for n >= 2 (see ``gftt2_discrepancy_probe``), and the bound it
-    suggests fails for n = 2.  Kept because measuring that failure is part
-    of this package's job.  Overflow raises ``OverflowFailure``.
+    suggests, e^{2x cos(2pi/(2n+1))} ||a||^2, fails at every n >= 2 measured
+    (2-8, 16, 30, 40), on a window of small x > 0.  The form is a quadratic
+    form in a, and its top eigenvector v is a witness: at n = 5, x = 1 it
+    gives 5.4929 against the bound 5.3790, while ``gftt2_exact_lhs(v, alpha*,
+    1)`` at the threshold alpha* is 0.979, at most ||v||^2 = 1.  The random
+    probe can miss it: with 200 samples at seed 1 it reports a negative
+    excess for n = 5-8.
+    Kept because measuring that failure is part of this package's job.
+    Overflow raises ``OverflowFailure``.
     """
     a = as_vector(a, "a")
     x = as_finite(x, "x")

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fttlab import u_diff_eval, u_diff_zeros, u_eval, u_zeros
+from fttlab.errors import OverflowFailure
+from fttlab.rng import SplitMix64
 
 
 def bisect_roots(f, lo, hi, samples):
@@ -78,6 +80,35 @@ class TestEval:
 
     def test_scalar_input_returns_float(self):
         assert isinstance(u_eval(4, 0.3), float)
+        assert isinstance(u_diff_eval(4, np.float64(0.3)), float)
+        assert isinstance(u_eval(4, np.array(0.3)), float)
+
+    def test_a_scalar_keeps_the_bits_of_a_one_element_array(self):
+        # a scalar runs the recurrence on Python floats, an array on numpy's
+        rng = SplitMix64(5)
+        overflows = 0
+        for _ in range(400):
+            n = rng.integer(1, 600)
+            x = rng.symmetric() * 10.0 ** rng.integer(-3, 3)
+            for f in (u_eval, u_diff_eval):
+                try:
+                    want = f(n, np.array([x]))[0].hex()
+                except OverflowFailure:
+                    overflows += 1
+                    with pytest.raises(OverflowFailure):
+                        f(n, x)
+                    continue
+                assert f(n, x).hex() == want, (f.__name__, n, x)
+        assert 0 < overflows < 400
+
+    @pytest.mark.parametrize("x", [1e3, -1e3])
+    def test_a_scalar_overflow_raises(self, x):
+        # |U_n(1e3)| ~ 2000^n overflows from n = 94 on
+        with pytest.raises(OverflowFailure, match="U_n"):
+            u_eval(400, x)
+        with pytest.raises(OverflowFailure, match="U_n"):
+            u_diff_eval(400, x)
+        assert u_eval(50, x) == u_eval(50, np.array([x]))[0]
 
     def test_difference_matches_subtraction(self):
         for n in range(1, 12):

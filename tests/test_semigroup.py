@@ -24,6 +24,7 @@ from fttlab import (
     InequalityKind,
     JordanVariant,
     UpperBidiagonal,
+    check_dissipative,
     contraction_check,
     default_contraction_grid,
     dissipativity_threshold,
@@ -269,6 +270,22 @@ class TestContraction:
             curve = contraction_check(Q)
             assert curve.max_norm > 1.0
 
+    # (n, past the threshold by: a miss, an escape)
+    GRID_GAP = [(2, 2e-6, 3e-6), (8, 1e-7, 3e-7), (30, 5e-9, 8e-9)]
+
+    @pytest.mark.parametrize("n, missed, caught", GRID_GAP)
+    def test_the_default_grid_misses_blocks_just_past_the_threshold(self, n, missed, caught):
+        # a known limit, measured: log N(x)/x reaches -threshold only as x -> 0+, so a grid
+        # whose first positive point is 0.01 passes blocks up to O(0.01^2) past it
+        for variant in JordanVariant:
+            threshold = dissipativity_threshold(n, variant)
+            block = UpperBidiagonal(n, threshold + missed, variant)
+            assert not check_dissipative(block).is_dissipative, (n, variant)
+            curve = contraction_check(block.to_dense())
+            assert curve.max_norm == 1.0 and curve.norms.argmax() == 0, (n, variant)
+            escaping = contraction_check(UpperBidiagonal(n, threshold + caught, variant).to_dense())
+            assert escaping.max_norm > 1.0, (n, variant)
+
     def test_norm_at_zero_is_one(self):
         Q = np.array([[-1.0, 0.5], [0.0, -2.0]])
         curve = contraction_check(Q, xs=np.array([0.0, 1.0]))
@@ -308,6 +325,27 @@ class TestBatchedCurve:
             assert len({math.ceil(math.log2(a / 0.5)) if a > 0.5 else 0 for a in anorms}) >= 4
             for x, got in zip(xs, stack):
                 assert got.tobytes() == expm_oracle(Q, x).tobytes(), (n, x)
+
+    @pytest.mark.parametrize("growth", [-1.0, 20.0])  # 20: e^{20x} overflows from x ~ 35.4 on
+    def test_a_shuffled_grid_keeps_each_slice_and_the_first_failure(self, growth):
+        # slices leave the Taylor sum in no particular order, so windows hold stopped slices
+        rng = SplitMix64(17)
+        grid = np.geomspace(1e-8, 50.0, 120)[np.argsort(rng.vector(120))]
+        Q = random_matrix(rng, 6) + growth * np.eye(6)
+        stack, error = semigroup._expm_stack(Q, grid)
+        first = None
+        for i, x in enumerate(grid):
+            try:
+                want = expm_oracle(Q, x)
+            except OverflowFailure as failure:
+                first = i, str(failure)
+                break
+            assert stack[i].tobytes() == want.tobytes(), (i, x)
+        if growth < 0:
+            assert first is None and error is None and len(stack) == grid.size
+        else:
+            assert first is not None and 0 < first[0] < grid.size // 2
+            assert (error.index, str(error)) == first and len(stack) == first[0]
 
     KERNEL_STACK = np.array([
         [[2.0, 0.3], [-0.4, 1.1]],
@@ -421,9 +459,78 @@ class TestBatchedCurve:
             Q = UpperBidiagonal(30, dissipativity_threshold(30, variant), variant).to_dense()
             sizes.clear()
             contraction_check(Q)
-            assert sizes[0] == 65  # M^T M of every slice, before the first squaring
+            # M^T M of every slice but x = 0, an exact I, before the first squaring
+            assert sizes[0] == 64
             squarings, rounds = sum(sizes[1:]), len(sizes) - 1
             assert squarings <= 1000 and rounds <= 24, (variant, squarings, rounds)
+
+    def test_a_default_grid_curve_has_no_one_slice_tail(self, monkeypatch):
+        # x = 0, an exact I, never enters the bracket, so no round squares one slice alone
+        sizes = []
+        frobenius = semigroup._frobenius
+
+        def counted(B):
+            sizes.append(B.shape[0])
+            return frobenius(B)
+
+        monkeypatch.setattr(semigroup, "_frobenius", counted)
+        for n in (1, 2, 8):
+            for variant in JordanVariant:
+                Q = UpperBidiagonal(n, dissipativity_threshold(n, variant), variant).to_dense()
+                sizes.clear()
+                contraction_check(Q)
+                if n == 1:  # every slice of a 1 x 1 curve is an exact c I
+                    assert sizes == [], variant
+                else:
+                    assert sizes[0] == 64 and min(sizes) > 1, (n, variant, sizes)
+
+    def test_an_exact_multiple_of_the_identity_skips_the_bracket(self, monkeypatch):
+        # the bypass must give the lower end the bracket itself returns from the same estimates
+        wants = {}
+        for n in range(1, 65):
+            M = np.stack([sign * 2.0**-k * np.eye(n) for k in (-3, 0, 1, 7, 30, 1000)
+                          for sign in (1.0, -1.0)])
+            scale = np.ldexp(1.0, np.frexp(np.abs(M).max(axis=(1, 2)))[1])
+            sigma, settled = semigroup._power_run(M / scale[:, None, None])
+            assert settled.all(), n
+            lower = semigroup._norm_bracket(M / scale[:, None, None], sigma)[0]
+            wants[n] = M, _hexes(lower * scale)
+        brackets = []
+        norm_bracket = semigroup._norm_bracket
+
+        def counted(M, estimates=None):
+            brackets.append(M.shape)
+            return norm_bracket(M, estimates)
+
+        monkeypatch.setattr(semigroup, "_norm_bracket", counted)
+        for n, (M, want) in wants.items():
+            assert _hexes(semigroup._operator_norms(M)) == want, n
+        assert brackets == []
+        # a slice that is not c I still goes to the bracket, alone
+        M = np.stack([np.eye(3), np.diag([1.0, 1.0, 1.0 - 2.0**-45]), np.eye(3)])
+        semigroup._operator_norms(M)
+        assert brackets == [(1, 3, 3)]
+
+    def test_the_taylor_sum_works_from_the_first_slice_still_adding(self, monkeypatch):
+        # _adding sees each round's window; it starts where the last round's first True was
+        calls = []
+        adding = semigroup._adding
+
+        def counted(term):
+            flags = adding(term)
+            calls.append(flags.copy())
+            return flags
+
+        monkeypatch.setattr(semigroup, "_adding", counted)
+        Q = UpperBidiagonal(8, dissipativity_threshold(8, JordanVariant.STANDARD)).to_dense()
+        grid = default_contraction_grid()
+        stack = semigroup._expm_stack(Q, grid)[0]
+        assert calls[0].size == grid.size
+        for before, after in zip(calls, calls[1:]):
+            assert after.size == before.size - before.argmax() and before.any()
+        assert not calls[-1].any()
+        assert len({flags.size for flags in calls}) >= 4  # the window shrinks along the grid
+        assert [m.tobytes() for m in stack] == [expm_oracle(Q, x).tobytes() for x in grid]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 13, 30, 40])
     def test_retiring_slices_early_keeps_each_route(self, monkeypatch, n):
@@ -735,6 +842,23 @@ class TestGftt2:
             exact = math.exp(-2 * alpha * x) * gftt2_exact_lhs(a, alpha, x)
             want = x * x - 4.0 * (1.0 - math.exp(-x / 2.0)) ** 2
             assert toeplitz - exact == pytest.approx(want, abs=1e-10)
+
+    def test_the_guess_fails_at_n5_where_the_probe_sees_no_excess(self):
+        # the guess is a quadratic form a^T G a; G by polarization, its top eigenvector the witness
+        n, x = 5, 1.0
+        unit = np.eye(n)
+        form = np.array([[0.25 * (gftt2_toeplitz_lhs(unit[i] + unit[j], x)
+                                  - gftt2_toeplitz_lhs(unit[i] - unit[j], x))
+                          for j in range(n)] for i in range(n)])
+        v = np.linalg.eigh(form)[1][:, -1]
+        guess = gftt2_toeplitz_lhs(v, x)
+        bound = math.exp(2.0 * x * math.cos(2.0 * math.pi / (2 * n + 1)))
+        exact = gftt2_exact_lhs(v, dissipativity_threshold(n, JordanVariant.MODIFIED), x)
+        assert guess == pytest.approx(5.4929, abs=1e-4) and bound == pytest.approx(5.3790, abs=1e-4)
+        assert guess > bound * float(v @ v)
+        assert exact == pytest.approx(0.979, abs=1e-3) and exact <= float(v @ v)
+        # the random probe does not see it at this n
+        assert gftt2_discrepancy_probe(n, 200, 1).bound_excess.value < 0.0
 
     def test_probe_finds_counterexample_at_n2(self):
         report = gftt2_discrepancy_probe(2, 300, 42)
