@@ -10,7 +10,9 @@ The free-end story has a trap.  The exact semigroup quantity
 "same-shape" polynomial form built from x^k/k! coefficients plus an e^{-x}
 tail is NOT that quantity for n >= 2 (the true propagator's last column is
 exponential, not polynomial), and the bound it suggests is simply false.
-The probe hunts for the counterexample and prints the witness.
+The probe hunts for the counterexample and prints the witness.  At n = 5
+the random probe finds nothing, yet the bound fails there too: the guess
+is a quadratic form, and its top eigenvector is a witness.
 """
 
 import math
@@ -19,6 +21,8 @@ import numpy as np
 
 from fttlab import (
     InequalityKind,
+    JordanVariant,
+    dissipativity_threshold,
     gftt2_discrepancy_probe,
     gftt2_exact_lhs,
     gftt2_toeplitz_lhs,
@@ -62,6 +66,26 @@ print(f"  worst bound excess {w.value:+.5f} at x = {w.x:.5f}, a = {np.round(w.a,
 print(f"  (positive excess = the suggested bound is violated there)")
 d = probe.exact_discrepancy
 print(f"  worst |polynomial - exact| gap: {d.value:.5f}")
+
+print()
+print("free-end: at n = 5 sampling sees no excess, the quadratic form does")
+n5, x5 = 5, 1.0
+probe5 = gftt2_discrepancy_probe(n5, 200, 1)
+print(f"  probed n = 5 with 200 seeded samples: worst bound excess "
+      f"{probe5.bound_excess.value:+.5f}")
+# the guess is a^T G a; G by polarization, its top eigenvector the witness
+unit = np.eye(n5)
+form = np.array([[0.25 * (gftt2_toeplitz_lhs(unit[i] + unit[j], x5)
+                          - gftt2_toeplitz_lhs(unit[i] - unit[j], x5))
+                  for j in range(n5)] for i in range(n5)])
+v = np.linalg.eigh(form)[1][:, -1]
+v *= np.sign(v.sum())  # an eigenvector has no sign of its own
+guess = gftt2_toeplitz_lhs(v, x5)
+bound = math.exp(2 * x5 * math.cos(2 * math.pi / (2 * n5 + 1))) * float(v @ v)
+exact = gftt2_exact_lhs(v, dissipativity_threshold(n5, JordanVariant.MODIFIED), x5)
+print(f"  top eigenvector of the guess's form at x = {x5}: a = {np.round(v, 5)}")
+print(f"  polynomial {guess:.4f} > bound {bound:.4f}, while the exact quantity is "
+      f"{exact:.3f} <= sum a^2 = {float(v @ v):.3f}")
 
 print()
 print("the gap in closed form, at a = (0, 1):")

@@ -220,18 +220,18 @@ def _far(x, guess, margin):
     """Whether ``x`` is more than ``margin`` from ``guess``, floats or arrays: the steering rule.
 
     A far midpoint takes the side ``guess`` puts it on with no count; every
-    other midpoint is counted, and a nan or inf guess is never far.  Midpoints
-    lie strictly inside their brackets, so a final endpoint off its Gershgorin
-    start was set by a halving, and by a settled one exactly when it is far:
-    one count confirms each such endpoint, count(lo) <= index < count(hi).
-    Sturm counts are monotone in the shift (Kahan; Demmel, Dhillon and Ren
-    1995) and every settled midpoint lies at or beyond the final endpoint on
-    its side, so a confirmed bracket was halved as the counts alone halve it,
-    to their bits.  A failed confirmation reruns the plain route: a wrong
-    guess or margin costs counts, never bits.
+    other midpoint is counted, and a nan guess is never far (the bisections
+    turn an inf guess into nan on entry).  Midpoints lie strictly inside their
+    brackets, so a final endpoint off its Gershgorin start was set by a
+    halving, and by a settled one exactly when it is far: one count confirms
+    each such endpoint, count(lo) <= index < count(hi).  Sturm counts are
+    monotone in the shift (Kahan; Demmel, Dhillon and Ren 1995) and every
+    settled midpoint lies at or beyond the final endpoint on its side, so a
+    confirmed bracket was halved as the counts alone halve it, to their bits.
+    A failed confirmation reruns the plain route: a wrong guess or margin
+    costs counts, never bits.
     """
-    dist = abs(x - guess)  # guess and x lie in one Gershgorin bracket: no overflow
-    return (dist > margin) & (dist < math.inf)
+    return abs(x - guess) > margin
 
 
 def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
@@ -247,44 +247,84 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
     Where ``tri`` is J^T + J of a block, recognised from its band, the closed
     form of its spectrum steers the sweeps: a midpoint farther than
     32 eps (|alpha| + 2) from its column's closed-form eigenvalue takes that
-    eigenvalue's side with no count.  A near bracket waits until no open
-    bracket can move without a count; then every waiting bracket is counted
-    in one pass.  One more pass confirms the endpoints so settled, and the
-    values keep the bits of the counts alone (``_far`` says why): for
-    n <= 400 and |alpha| < 1, at most 2 passes of n row steps in all.  Any
-    other matrix runs the same sweeps with every midpoint counted.
+    eigenvalue's side with no count.  Those far halvings run first, in one
+    compact run over the far columns only, each column until its midpoint
+    turns near or its bracket closes; a near bracket waits, and then every
+    open bracket is counted in one pass.  One more pass confirms the
+    endpoints so settled, and the values keep the bits of the counts alone
+    (``_far`` says why): for n <= 400 and |alpha| < 1, at most 2 passes of
+    n row steps in all.  Any other matrix runs the same sweeps with every
+    midpoint counted.
     """
     tol = as_finite(tol, "tol", above=0.0)
     return _eig_sturm(tri, tol, *_block_guesses(tri))
 
 
+def _halve_far(
+    lo: np.ndarray, hi: np.ndarray, guess: np.ndarray, margin: float, tol: float, fine: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Halve, in place, each open bracket whose midpoint is far until that midpoint
+    is near or the bracket closes; return every midpoint and the open mask.
+
+    The far columns run on their own, compacted: a step takes the midpoint,
+    ``_far``, the side and the new ends, and a column leaves the run, its
+    bracket written back, when its midpoint turns near or its bracket closes.
+    The open test of ``_eig_sturm`` is needed only once a bracket may be
+    within ``fine``, max(tol, 4 ulp of the largest Gershgorin end): a wider
+    bracket is wider than tol, and a midpoint, off by half an ulp at most,
+    splits it.  So it starts when the narrowest entry width, halved once a
+    step, is within 2 ``fine``, which leaves room for the steps' roundings.
+    """
+    mid = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) overflows past ~9e307
+    open_ = (hi - lo > tol) & (mid > lo) & (mid < hi)  # else at float resolution
+    cols = np.flatnonzero(open_ & _far(mid, guess, margin))
+    if not cols.size:
+        return mid, open_
+    l, h, m, g = lo[cols], hi[cols], mid[cols], guess[cols]
+    narrowest = float(np.min(h - l))
+    while True:
+        below = m > g
+        h = np.where(below, m, h)
+        l = np.where(below, l, m)
+        m = 0.5 * l + 0.5 * h
+        stay = _far(m, g, margin)
+        narrowest *= 0.5
+        if narrowest <= 2.0 * fine:  # from here on a bracket may close
+            open_[cols] = (h - l > tol) & (m > l) & (m < h)
+            stay &= open_[cols]
+        if not stay.all():
+            out = ~stay
+            left = cols[out]
+            lo[left], hi[left], mid[left] = l[out], h[out], m[out]
+            if not stay.any():
+                return mid, open_
+            cols, l, h, m, g = cols[stay], l[stay], h[stay], m[stay], g[stay]
+
+
 def _eig_sturm(tri: SymTridiagonal, tol: float, guess: np.ndarray, margin: float) -> np.ndarray:
     """``eig_sturm`` steered by ``guess`` (one per column) within ``margin``, as ``_far`` rules.
 
-    Each sweep halves the brackets [lo, hi] in place under one mask of the
-    open ones; a bracket that closed or froze never changes again.  While any
-    open bracket is far, only the far ones move, and a waiting bracket keeps
-    its lo and hi, so its next sweep recomputes the same midpoint: each
-    column sees the midpoints, counts and halvings it would see if every
-    sweep counted its near midpoints, in fewer passes.  Where a confirmation
-    fails, every column reruns unsteered.
+    Each round first halves every far bracket in one compact run
+    (``_halve_far``), each until its midpoint turns near or it closes; a
+    waiting bracket keeps its lo and hi, so it meets the same midpoint again.
+    Then every open bracket, each one near, is counted in one pass and
+    halved.  So each column sees the midpoints, counts and halvings it would
+    see if every sweep halved every open bracket and counted its near
+    midpoints, in fewer passes.  Where a confirmation fails, every column
+    reruns unsteered.
     """
     pairs, lo0, hi0, pivmin = _bisection_setup(tri)
+    guess = np.where(abs(guess) < math.inf, guess, math.nan)  # an inf guess is never far
+    fine = max(tol, 4.0 * math.ulp(max(abs(lo0), abs(hi0))))
     lo, hi = np.full(tri.n, lo0), np.full(tri.n, hi0)
     while True:
-        mid = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) overflows past ~9e307
-        open_ = (hi - lo > tol) & (mid > lo) & (mid < hi)  # else at float resolution
-        if not open_.any():
+        mid, open_ = _halve_far(lo, hi, guess, margin, tol, fine)
+        near = np.flatnonzero(open_)
+        if not near.size:
             break
-        below = mid > guess
-        far = open_ & _far(mid, guess, margin)
-        if far.any():  # a near bracket waits while any bracket can move without a count
-            open_ = far
-        else:
-            near = np.flatnonzero(open_)
-            below[near] = _sturm_counts(tri.diag, pairs, pivmin, mid[near]) > near
-        np.copyto(hi, mid, where=open_ & below)
-        np.copyto(lo, mid, where=open_ & ~below)
+        below = _sturm_counts(tri.diag, pairs, pivmin, mid[near]) > near
+        hi[near[below]] = mid[near[below]]
+        lo[near[~below]] = mid[near[~below]]
     lo_k = np.flatnonzero((lo != lo0) & _far(lo, guess, margin))
     hi_k = np.flatnonzero((hi != hi0) & _far(hi, guess, margin))
     if lo_k.size + hi_k.size:
@@ -307,6 +347,7 @@ def _eig_sturm_one(
     guess; the default nan steers nothing.
     """
     pairs, lo0, hi0, pivmin = _bisection_setup(tri)
+    guess = guess if abs(guess) < math.inf else math.nan  # an inf guess is never far
 
     def step(lo: float, mid: float, hi: float) -> tuple[float, float]:
         if _far(mid, guess, margin):

@@ -48,6 +48,7 @@ from fttlab.tridiagonal import (
     _eig_sturm_one,
     _extreme_guess,
     _far,
+    _halve_far,
     _solve_tridiagonal,
     _sturm_count,
     _sturm_counts,
@@ -347,13 +348,18 @@ class TestGuidedBisection:
 
 
 def steered_sweep(sizes, seed):
-    """(block, tol) over both variants and tol 1e-13 and 1e-10, with alpha drawn
-    from [-1, 1) and, in turn over the sizes, at +-1e3, +-1e6, 0 and 1e-300."""
+    """(block, tol) over both variants and tol 1e-13, 1e-10, 5e-324, 1e-3 and 1e300,
+    with alpha drawn from [-1, 1) and, in turn over the sizes, at +-1e3, +-1e6, 0 and
+    1e-300, and at 3e100 and +-8e307.
+
+    At tol 5e-324 the far run ends at float resolution, at 1e-3 by width, and at
+    1e300, or where 2 alpha swallows the Gershgorin radius, it never starts."""
     rng, fixed = SplitMix64(seed), itertools.cycle((1e3, -1e3, 1e6, -1e6, 0.0, 1e-300))
+    huge = itertools.cycle((3e100, 8e307, -8e307))
     for n in sizes:
         for variant in JordanVariant:
-            for alpha in (rng.symmetric(), next(fixed)):
-                for tol in (1e-13, 1e-10):
+            for alpha in (rng.symmetric(), next(fixed), next(huge)):
+                for tol in (1e-13, 1e-10, 5e-324, 1e-3, 1e300):
                     yield UpperBidiagonal(n, alpha, variant), tol
 
 
@@ -372,6 +378,11 @@ def count_passes(monkeypatch):
 
 def hexes(values):
     return [v.hex() for v in values.tolist()]
+
+
+def sorted_shifts(passes):
+    """The shifts of all ``passes`` as one sorted list of hex strings, [] for no pass."""
+    return sorted(v for mids in passes for v in hexes(mids))
 
 
 class TestSteeredSweeps:
@@ -483,8 +494,7 @@ class TestSteeredSweeps:
             passes = []
             want = steered_lockstep_sturm(tri, tol, *_block_guesses(tri), passes)
             assert hexes(got) == hexes(want)
-            assert sorted(np.concatenate(count_passes).tolist()) == sorted(
-                np.concatenate(passes).tolist())
+            assert sorted_shifts(count_passes) == sorted_shifts(passes)
             assert len(count_passes) <= len(passes)
             fewer += len(count_passes) < len(passes)
         assert fewer
@@ -515,6 +525,50 @@ class TestSteeredSweeps:
                                       and ast.unparse(call.func) == "_sturm_counts"
                                       for call in ast.walk(node))]
         assert loops == [("tridiagonal.py", "_eig_sturm")]
+
+
+class TestFarRun:
+    """_halve_far moves only the far brackets, each as the lockstep sweeps move it."""
+
+    @staticmethod
+    def far_lockstep(lo, hi, guess, margin, tol):
+        # the steered sweeps' far halvings, in place: each sweep masks every column
+        while True:
+            mid = 0.5 * lo + 0.5 * hi
+            far = (hi - lo > tol) & (mid > lo) & (mid < hi) & _far(mid, guess, margin)
+            if not far.any():
+                return
+            below = mid > guess
+            np.copyto(hi, mid, where=far & below)
+            np.copyto(lo, mid, where=far & ~below)
+
+    @pytest.mark.parametrize("tol", [1e-13, 5e-324, 1e-3])
+    @pytest.mark.parametrize("n", [3, 16, 101])
+    def test_near_and_closed_brackets_keep_their_ends(self, n, tol):
+        for variant in JordanVariant:
+            tri = symmetrize(UpperBidiagonal(n, 0.3, variant))
+            guess, margin = _block_guesses(tri)
+            _, lo0, hi0, _ = _bisection_setup(tri)
+            lo, hi = np.full(n, lo0), np.full(n, hi0)
+            near, closed, far = np.arange(0, n, 3), np.arange(1, n, 3), np.arange(2, n, 3)
+            lo[near], hi[near] = guess[near] - 0.25, guess[near] + 0.25  # midpoint at the guess
+            lo[closed] = guess[closed] + 0.5  # far from the guess, but no wider than tol
+            hi[closed] = lo[closed] + 0.5 * tol
+            want_lo, want_hi = lo.copy(), hi.copy()
+            self.far_lockstep(want_lo, want_hi, guess, margin, tol)
+            got_lo, got_hi = lo.copy(), hi.copy()
+            fine = max(tol, 4.0 * math.ulp(max(abs(lo0), abs(hi0))))
+            mid, open_ = _halve_far(got_lo, got_hi, guess, margin, tol, fine)
+            assert hexes(got_lo) == hexes(want_lo) and hexes(got_hi) == hexes(want_hi)
+            kept = np.concatenate((near, closed))
+            assert hexes(got_lo[kept]) == hexes(lo[kept]) and hexes(got_hi[kept]) == hexes(hi[kept])
+            moved = _far(0.5 * lo0 + 0.5 * hi0, guess[far], margin)  # n = 101: one is near
+            assert (got_hi[far] - got_lo[far] < hi0 - lo0).tolist() == moved.tolist()
+            # every midpoint comes back, and the open brackets, each of them near
+            assert hexes(mid) == hexes(0.5 * got_lo + 0.5 * got_hi)
+            assert (open_ == ((got_hi - got_lo > tol) & (mid > got_lo) & (mid < got_hi))).all()
+            assert open_[near].all() and not open_[closed].any()
+            assert not (open_ & _far(mid, guess, margin)).any()
 
 
 def clamped_lockstep_sturm(tri, tol=1e-13, sweeps=None):
