@@ -176,21 +176,29 @@ def _sturm_counts(
     Up to a column's first such pivot its unclamped pivots are the clamped
     ones bit for bit, so a column without one is counted exactly.  A column
     with one, where a zero pivot's inf or nan stays, is recounted by
-    ``_sturm_count``, the clamped scalar count.
+    ``_sturm_count``, the clamped scalar count.  The negatives are counted
+    32 rows at a time and the clamp is tested on the pivots' moduli in place,
+    so no n-by-k mask is built; ``fmin``, unlike ``minimum``, skips a nan
+    further down a column, which would hide a tiny pivot above it.
     """
-    pivots = diag[:, None] - mids
+    pivots = np.broadcast_to(mids, (diag.size, mids.size)).copy()
+    np.subtract(diag[:, None], pivots, out=pivots)  # diag[:, None] - mids also takes two buffers
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for (_, e2), prev, row in zip(pairs[1:], pivots, pivots[1:]):
             row -= e2 / prev  # a zero pivot's inf or nan only reaches its own column
-    count = np.count_nonzero(pivots < 0.0, axis=0)
-    for j in np.flatnonzero(((pivots > -pivmin) & (pivots < pivmin)).any(axis=0)):
+    count = np.zeros(mids.size, dtype=np.intp)
+    for i in range(0, diag.size, 32):  # a uint8 sum of at most 32 rows needs no cast buffer
+        count += (pivots[i:i + 32] < 0.0).view(np.uint8).sum(axis=0, dtype=np.uint8)
+    np.abs(pivots, out=pivots)
+    for j in np.flatnonzero(np.fmin.reduce(pivots, axis=0) < pivmin):
         count[j] = _sturm_count(pairs, pivmin, float(mids[j]))
     return count
 
 
 def _margin(alpha: float) -> float:
     """32 eps (|alpha| + 2): a midpoint this close to a closed-form eigenvalue of
-    J^T + J is counted, not steered; ``_extreme_guess`` says what it covers."""
+    J^T + J is counted, not steered, by ``_eig_sturm_one``; ``_extreme_guess``
+    says what it covers."""
     return 32.0 * math.ulp(1.0) * (abs(alpha) + 2.0)
 
 
@@ -204,7 +212,7 @@ def _block_guesses(tri: SymTridiagonal) -> tuple[np.ndarray, float]:
     U_n - U_{n-1}; a 1x1 matrix, with no off-diagonal, is a standard block.
     Any other matrix gets nan guesses, which steer nothing.
     """
-    from .chebyshev import u_diff_zeros, u_zeros  # only the steered sweeps need it
+    from .chebyshev import u_diff_zeros, u_zeros  # only a steered block needs it
 
     diag, n = tri.diag, tri.n
     alpha = float(diag[0]) / 2.0
@@ -217,19 +225,19 @@ def _block_guesses(tri: SymTridiagonal) -> tuple[np.ndarray, float]:
 
 
 def _far(x, guess, margin):
-    """Whether ``x`` is more than ``margin`` from ``guess``, floats or arrays: the steering rule.
+    """Whether ``x`` is more than ``margin`` from ``guess``: ``_eig_sturm_one``'s steering rule.
 
     A far midpoint takes the side ``guess`` puts it on with no count; every
-    other midpoint is counted, and a nan guess is never far (the bisections
-    turn an inf guess into nan on entry).  Midpoints lie strictly inside their
-    brackets, so a final endpoint off its Gershgorin start was set by a
-    halving, and by a settled one exactly when it is far: one count confirms
-    each such endpoint, count(lo) <= index < count(hi).  Sturm counts are
-    monotone in the shift (Kahan; Demmel, Dhillon and Ren 1995) and every
-    settled midpoint lies at or beyond the final endpoint on its side, so a
-    confirmed bracket was halved as the counts alone halve it, to their bits.
-    A failed confirmation reruns the plain route: a wrong guess or margin
-    costs counts, never bits.
+    other midpoint is counted, and a nan guess is never far (an inf guess
+    becomes nan on entry).  Midpoints lie strictly inside their brackets, so
+    a final endpoint off its Gershgorin start was set by a halving, and one
+    count confirms it, count(lo) <= index < count(hi).  Sturm counts are
+    monotone in the shift (Kahan; Demmel, Dhillon and Ren 1995), and every
+    midpoint that moved an end lies at or beyond that end's final value, so
+    a confirmed bracket was halved as the counts alone halve it, to their
+    bits; only the ends a settled midpoint set need the count.  A failed
+    confirmation reruns with no guess: a wrong guess or margin costs counts,
+    never bits.
     """
     return abs(x - guess) > margin
 
@@ -245,93 +253,78 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
     end by their own arithmetic.
 
     Where ``tri`` is J^T + J of a block, recognised from its band, the closed
-    form of its spectrum steers the sweeps: a midpoint farther than
-    32 eps (|alpha| + 2) from its column's closed-form eigenvalue takes that
-    eigenvalue's side with no count.  Those far halvings run first, in one
-    compact run over the far columns only, each column until its midpoint
-    turns near or its bracket closes; a near bracket waits, and then every
-    open bracket is counted in one pass.  One more pass confirms the
-    endpoints so settled, and the values keep the bits of the counts alone
-    (``_far`` says why): for n <= 400 and |alpha| < 1, at most 2 passes of
-    n row steps in all.  Any other matrix runs the same sweeps with every
-    midpoint counted.
+    form of its spectrum steers every halving instead: each bracket is halved
+    to the side of its column's closed-form eigenvalue, with no count, until
+    it closes.  Then one count pass confirms every final endpoint that moved,
+    and a column that fails reruns alone by the one-bracket bisection, so the
+    values keep the bits of the counts alone (``_far`` says why): one pass of
+    n row steps per call for n <= 400, |alpha| < 1 and tol 1e-13, where the
+    unsteered sweeps take about 46.
     """
     tol = as_finite(tol, "tol", above=0.0)
     return _eig_sturm(tri, tol, *_block_guesses(tri))
 
 
-def _halve_far(
-    lo: np.ndarray, hi: np.ndarray, guess: np.ndarray, margin: float, tol: float, fine: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Halve, in place, each open bracket whose midpoint is far until that midpoint
-    is near or the bracket closes; return every midpoint and the open mask.
+def _halve_to_guess(
+    lo: np.ndarray, hi: np.ndarray, guess: np.ndarray, tol: float, fine: float
+) -> None:
+    """Halve, in place, every open bracket to its ``guess``'s side until it closes, no count taken.
 
-    The far columns run on their own, compacted: a step takes the midpoint,
-    ``_far``, the side and the new ends, and a column leaves the run, its
-    bracket written back, when its midpoint turns near or its bracket closes.
-    The open test of ``_eig_sturm`` is needed only once a bracket may be
+    The columns run compacted: a step takes the midpoint, the side
+    (``mid > guess`` keeps the lower half) and the new ends, and a column
+    leaves the run, its bracket written back, when its bracket closes as the
+    sweeps close one.  That open test is needed only once a bracket may be
     within ``fine``, max(tol, 4 ulp of the largest Gershgorin end): a wider
     bracket is wider than tol, and a midpoint, off by half an ulp at most,
     splits it.  So it starts when the narrowest entry width, halved once a
     step, is within 2 ``fine``, which leaves room for the steps' roundings.
     """
-    mid = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) overflows past ~9e307
-    open_ = (hi - lo > tol) & (mid > lo) & (mid < hi)  # else at float resolution
-    cols = np.flatnonzero(open_ & _far(mid, guess, margin))
-    if not cols.size:
-        return mid, open_
-    l, h, m, g = lo[cols], hi[cols], mid[cols], guess[cols]
-    narrowest = float(np.min(h - l))
-    while True:
-        below = m > g
+    cols, l, h = np.arange(lo.size), lo.copy(), hi.copy()
+    narrowest = float(np.min(hi - lo))
+    while cols.size:
+        m = 0.5 * l + 0.5 * h  # 0.5 * (lo + hi) overflows past ~9e307
+        if narrowest <= 2.0 * fine:  # from here on a bracket may close
+            stay = (h - l > tol) & (m > l) & (m < h)  # else at float resolution
+            if not stay.all():
+                lo[cols[~stay]], hi[cols[~stay]] = l[~stay], h[~stay]
+                cols, l, h, m, guess = cols[stay], l[stay], h[stay], m[stay], guess[stay]
+        narrowest *= 0.5
+        below = m > guess
         h = np.where(below, m, h)
         l = np.where(below, l, m)
-        m = 0.5 * l + 0.5 * h
-        stay = _far(m, g, margin)
-        narrowest *= 0.5
-        if narrowest <= 2.0 * fine:  # from here on a bracket may close
-            open_[cols] = (h - l > tol) & (m > l) & (m < h)
-            stay &= open_[cols]
-        if not stay.all():
-            out = ~stay
-            left = cols[out]
-            lo[left], hi[left], mid[left] = l[out], h[out], m[out]
-            if not stay.any():
-                return mid, open_
-            cols, l, h, m, g = cols[stay], l[stay], h[stay], m[stay], g[stay]
 
 
 def _eig_sturm(tri: SymTridiagonal, tol: float, guess: np.ndarray, margin: float) -> np.ndarray:
-    """``eig_sturm`` steered by ``guess`` (one per column) within ``margin``, as ``_far`` rules.
+    """``eig_sturm`` steered by ``guess``, one per column, where every guess is finite.
 
-    Each round first halves every far bracket in one compact run
-    (``_halve_far``), each until its midpoint turns near or it closes; a
-    waiting bracket keeps its lo and hi, so it meets the same midpoint again.
-    Then every open bracket, each one near, is counted in one pass and
-    halved.  So each column sees the midpoints, counts and halvings it would
-    see if every sweep halved every open bracket and counted its near
-    midpoints, in fewer passes.  Where a confirmation fails, every column
-    reruns unsteered.
+    Every bracket is halved to its guess's side in one compact run
+    (``_halve_to_guess``).  One ``_sturm_counts`` pass then confirms each
+    final endpoint that moved, count(lo) <= index < count(hi), and a column
+    that fails reruns alone through ``_eig_sturm_one`` with its guess and
+    ``margin``, which gives that column's bits of the plain sweeps.  A guess
+    that is not finite everywhere steers nothing: the plain sweeps count
+    every open bracket, one pass a sweep.
     """
     pairs, lo0, hi0, pivmin = _bisection_setup(tri)
-    guess = np.where(abs(guess) < math.inf, guess, math.nan)  # an inf guess is never far
-    fine = max(tol, 4.0 * math.ulp(max(abs(lo0), abs(hi0))))
     lo, hi = np.full(tri.n, lo0), np.full(tri.n, hi0)
+    if (abs(guess) < math.inf).all():
+        _halve_to_guess(lo, hi, guess, tol, max(tol, 4.0 * math.ulp(max(abs(lo0), abs(hi0)))))
+        lo_k, hi_k = np.flatnonzero(lo != lo0), np.flatnonzero(hi != hi0)
+        values = 0.5 * lo + 0.5 * hi
+        if lo_k.size + hi_k.size:
+            counts = _sturm_counts(tri.diag, pairs, pivmin, np.concatenate((lo[lo_k], hi[hi_k])))
+            wrong = np.union1d(lo_k[counts[:lo_k.size] > lo_k], hi_k[counts[lo_k.size:] <= hi_k])
+            for j in wrong.tolist():
+                values[j] = _eig_sturm_one(tri, j, tol, guess[j], margin)
+        return values
     while True:
-        mid, open_ = _halve_far(lo, hi, guess, margin, tol, fine)
-        near = np.flatnonzero(open_)
-        if not near.size:
-            break
-        below = _sturm_counts(tri.diag, pairs, pivmin, mid[near]) > near
-        hi[near[below]] = mid[near[below]]
-        lo[near[~below]] = mid[near[~below]]
-    lo_k = np.flatnonzero((lo != lo0) & _far(lo, guess, margin))
-    hi_k = np.flatnonzero((hi != hi0) & _far(hi, guess, margin))
-    if lo_k.size + hi_k.size:
-        counts = _sturm_counts(tri.diag, pairs, pivmin, np.concatenate((lo[lo_k], hi[hi_k])))
-        if (counts[:lo_k.size] > lo_k).any() or (counts[lo_k.size:] <= hi_k).any():
-            return _eig_sturm(tri, tol, np.full(tri.n, math.nan), 0.0)
-    return 0.5 * lo + 0.5 * hi
+        mid = 0.5 * lo + 0.5 * hi
+        open_ = np.flatnonzero((hi - lo > tol) & (mid > lo) & (mid < hi))  # else at resolution
+        if not open_.size:
+            return mid
+        below = _sturm_counts(tri.diag, pairs, pivmin, mid[open_]) > open_
+        hi[open_[below]] = mid[open_[below]]
+        lo[open_[~below]] = mid[open_[~below]]
 
 
 def _eig_sturm_one(
@@ -339,12 +332,14 @@ def _eig_sturm_one(
 ) -> float:
     """Eigenvalue ``index`` (ascending) of ``tri``, bit for bit ``eig_sturm(tri, tol)[index]``.
 
-    The one bracket evolves exactly as in ``_eig_sturm``'s sweeps: the same
-    set-up, midpoints and freeze, and the clamped Sturm count that
-    ``eig_sturm`` falls back on, ``_sturm_count`` over Python floats, O(n) per
-    sweep.  A ``guess`` of the eigenvalue steers the halvings within
-    ``margin`` as ``_far`` rules, and a failed confirmation reruns with no
-    guess; the default nan steers nothing.
+    The one bracket evolves exactly as in ``_eig_sturm``'s plain sweeps: the
+    same set-up, midpoints and freeze, and the clamped Sturm count that
+    ``_sturm_counts`` falls back on, ``_sturm_count`` over Python floats, O(n)
+    per halving.  A ``guess`` of the eigenvalue settles the halvings whose
+    midpoint is farther than ``margin`` from it, as ``_far`` rules, and a
+    failed confirmation reruns with no guess; the default nan steers nothing.
+    It serves ``check_dissipative`` and ``extremal_vector``, and it reruns a
+    column of ``_eig_sturm`` that fails its confirmation.
     """
     pairs, lo0, hi0, pivmin = _bisection_setup(tri)
     guess = guess if abs(guess) < math.inf else math.nan  # an inf guess is never far

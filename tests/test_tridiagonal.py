@@ -47,8 +47,7 @@ from fttlab.tridiagonal import (
     _eig_sturm,
     _eig_sturm_one,
     _extreme_guess,
-    _far,
-    _halve_far,
+    _halve_to_guess,
     _solve_tridiagonal,
     _sturm_count,
     _sturm_counts,
@@ -380,13 +379,49 @@ def hexes(values):
     return [v.hex() for v in values.tolist()]
 
 
-def sorted_shifts(passes):
-    """The shifts of all ``passes`` as one sorted list of hex strings, [] for no pass."""
-    return sorted(v for mids in passes for v in hexes(mids))
+def lockstep_to_guess(lo, hi, guess, tol):
+    """Halve, in place, every open bracket to its guess's side, ``mid > guess``, with a
+    full-width mask a sweep and no count: the reference for ``_halve_to_guess``."""
+    while True:
+        mid = 0.5 * lo + 0.5 * hi
+        open_ = (hi - lo > tol) & (mid > lo) & (mid < hi)
+        if not open_.any():
+            return
+        below = mid > guess
+        np.copyto(hi, mid, where=open_ & below)
+        np.copyto(lo, mid, where=open_ & ~below)
+
+
+def steered_brackets(tri, tol, guess):
+    """The final brackets of the run to ``guess``, the Gershgorin ends, and the columns that
+    fail the confirmation count(lo) <= index < count(hi) at an end that moved."""
+    pairs, lo0, hi0, pivmin = _bisection_setup(tri)
+    lo, hi = np.full(tri.n, lo0), np.full(tri.n, hi0)
+    lockstep_to_guess(lo, hi, guess, tol)
+    index = np.arange(tri.n)
+    wrong = (((lo != lo0) & (_sturm_counts(tri.diag, pairs, pivmin, lo) > index))
+             | ((hi != hi0) & (_sturm_counts(tri.diag, pairs, pivmin, hi) <= index)))
+    return lo, hi, lo0, hi0, np.flatnonzero(wrong).tolist()
+
+
+@pytest.fixture
+def reruns(monkeypatch):
+    """The column of every steered call of ``_eig_sturm_one`` made while the test runs:
+    the reruns of ``_eig_sturm``, not their own unsteered fallback."""
+    columns, one = [], tridiagonal._eig_sturm_one
+
+    def spy(tri, index, tol, guess=math.nan, margin=0.0):
+        if abs(guess) < math.inf:
+            columns.append(index)
+        return one(tri, index, tol, guess, margin)
+
+    monkeypatch.setattr(tridiagonal, "_eig_sturm_one", spy)
+    return columns
 
 
 class TestSteeredSweeps:
-    """The closed-form spectrum settles eig_sturm's far halvings; counts keep the clamped bits."""
+    """The closed-form spectrum settles every halving of a block; one count pass and a rerun
+    of each column that fails it keep the clamped bits."""
 
     @pytest.mark.parametrize("sizes", [range(1, 41), (50, 64, 100, 127), (200, 300), (400,)],
                              ids=["1-40", "50-127", "200-300", "400"])
@@ -396,16 +431,9 @@ class TestSteeredSweeps:
             assert hexes(eig_sturm(tri, tol)) == hexes(clamped_lockstep_sturm(tri, tol))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 64])
-    def test_wrong_guesses_cost_counts_not_bits(self, n, count_passes, monkeypatch):
-        # each whole run of the sweeps, steered or plain: a rerun recurses through the
-        # module attribute, and the calls below go through it so the first run shows too
-        runs, eig = [], tridiagonal._eig_sturm
-
-        def spy(tri, tol, guess, margin):
-            runs.append("steered" if np.isfinite(guess).any() else "plain")
-            return eig(tri, tol, guess, margin)
-
-        monkeypatch.setattr(tridiagonal, "_eig_sturm", spy)
+    def test_wrong_guesses_cost_counts_not_bits(self, n, count_passes, reruns):
+        # only the columns that fail their confirmation rerun, each alone through
+        # _eig_sturm_one; the one count pass is the confirmation's
         for variant in JordanVariant:
             for alpha in (-0.3, 0.7):
                 tri = symmetrize(UpperBidiagonal(n, alpha, variant))
@@ -418,17 +446,42 @@ class TestSteeredSweeps:
                     plain_passes = len(count_passes)
                     for wrong in (guess + 0.1, guess - 0.1, guess + 10 * margin,
                                   guess - 10 * margin, moved):
-                        del runs[:]
+                        del count_passes[:], reruns[:]
                         assert hexes(tridiagonal._eig_sturm(tri, tol, wrong, margin)) == plain
+                        assert reruns == steered_brackets(tri, tol, wrong)[-1]
+                        assert len(count_passes) == 1
                         if tol == 1e-15 or wrong is moved:
                             # the bracket narrows past the error, so a settled side was wrong
-                            # and every column reruns with no guess
-                            assert runs == ["steered", "plain"]
+                            assert reruns
+                        if wrong is moved:
+                            assert n // 2 in reruns
                     for steers_nothing in (math.inf, -math.inf, math.nan):
-                        del count_passes[:], runs[:]
+                        del count_passes[:], reruns[:]
                         got = tridiagonal._eig_sturm(tri, tol, np.full(n, steers_nothing), margin)
                         assert hexes(got) == plain
-                        assert len(count_passes) == plain_passes and runs == ["plain"]
+                        assert len(count_passes) == plain_passes and not reruns
+
+    @pytest.mark.parametrize("n, alpha, column", [(3, -1.0, 1), (2, -0.5, 0)])
+    def test_a_rounded_guess_reruns_its_column_alone(self, n, alpha, column, count_passes,
+                                                     reruns):
+        # the eigenvalue is -2 exactly, but its closed form rounds above it: 2 alpha + 2 cos(pi/2)
+        # is -2 + 2.2e-16 at n = 3 and 2 alpha + 2 cos(2 pi/3) is -2 + 4.4e-16 at n = 2, so a
+        # midpoint between the two takes the wrong side and only that column fails
+        tri = symmetrize(UpperBidiagonal(n, alpha))
+        got = eig_sturm(tri)
+        assert reruns == [column] and len(count_passes) == 1
+        assert hexes(got) == hexes(_eig_sturm(tri, 1e-13, np.full(n, math.nan), 0.0))
+        assert hexes(got) == hexes(clamped_lockstep_sturm(tri))
+
+    @given(n=st.integers(1, 60),
+           alpha=st.one_of(st.floats(-2.0, 2.0), st.integers(-80, 80).map(lambda k: k / 40),
+                           st.sampled_from([-0.0, 1e-300, 5e-324, math.nextafter(1.0, 0.0)])),
+           variant=st.sampled_from(list(JordanVariant)), tol=st.sampled_from([1e-13, 1e-15]))
+    @settings(max_examples=150, deadline=None)
+    def test_property_a_block_keeps_the_plain_sweeps_bits(self, n, alpha, variant, tol):
+        tri = symmetrize(UpperBidiagonal(n, alpha, variant))
+        want = _eig_sturm(tri, tol, np.full(n, math.nan), 0.0)
+        assert hexes(eig_sturm(tri, tol)) == hexes(want)
 
     @pytest.mark.parametrize("n", [2, 3, 16, 100])
     def test_a_block_one_ulp_off_is_not_steered(self, n, count_passes):
@@ -456,48 +509,44 @@ class TestSteeredSweeps:
                     eig_sturm(symmetrize(UpperBidiagonal(n, alpha, variant)))
                     assert len(count_passes) <= 12
 
-    def test_a_block_takes_two_count_passes(self, count_passes):
-        # one pass holds every deferred count and one confirms; counting each sweep's
-        # near midpoints in a pass of its own took up to 9
+    def test_a_block_takes_one_count_pass(self, count_passes):
+        # the run to the guesses takes no count, and one pass confirms every end that moved
         rng = SplitMix64(31)
         for n in [*range(1, 41), 50, 64, 100, 127, 200, 300, 400]:
             for variant in JordanVariant:
                 for alpha in (rng.symmetric(), rng.symmetric()):
                     del count_passes[:]
                     eig_sturm(symmetrize(UpperBidiagonal(n, alpha, variant)), 1e-13)
-                    assert len(count_passes) <= 2
+                    assert len(count_passes) == 1
 
     @pytest.mark.parametrize("alpha", [1e3, -1e3, 1e6, -1e6])
     def test_a_large_alpha_takes_as_many_passes_at_every_size(self, alpha, count_passes):
-        # the margin grows with |alpha|, so a column's chain of near halvings is longer,
-        # but the passes no longer grow with the number of columns: 6-8 for every n, 16
-        # at n = 400 when each sweep's near midpoints took a pass of their own
+        # the brackets end at float resolution, where a column often fails its confirmation,
+        # but its rerun takes scalar counts, so one pass still serves every n
         passes = {}
         for n in [*range(1, 41), 50, 64, 100, 127, 200, 300, 400]:
             for variant in JordanVariant:
                 del count_passes[:]
                 eig_sturm(symmetrize(UpperBidiagonal(n, alpha, variant)), 1e-13)
                 passes[n] = max(passes.get(n, 0), len(count_passes))
-        assert max(passes.values()) <= 8
-        large = (100, 127, 200, 300, 400)
-        assert max(passes[n] for n in large) <= max(passes[n] for n in range(1, 41))
+        assert set(passes.values()) == {1}
 
     @pytest.mark.parametrize("sizes", [range(1, 41), (50, 64, 100, 127), (200, 300), (400,)],
                              ids=["1-40", "50-127", "200-300", "400"])
-    def test_the_deferred_sweeps_count_the_same_shifts(self, sizes, count_passes):
-        # deferring a count moves it to another pass, never to another shift
-        fewer = 0
+    def test_one_pass_counts_the_final_ends_that_moved(self, sizes, count_passes, reruns):
+        # the run counts nothing; one pass counts each final end that moved, lo ends
+        # first, and a column that fails reruns alone, so its value is the plain bits
         for block, tol in steered_sweep(sizes, seed=len(sizes)):
             tri = symmetrize(block)
-            del count_passes[:]
+            lo, hi, lo0, hi0, wrong = steered_brackets(tri, tol, _block_guesses(tri)[0])
+            ends = np.concatenate((lo[lo != lo0], hi[hi != hi0]))
+            del count_passes[:], reruns[:]
             got = eig_sturm(tri, tol)
-            passes = []
-            want = steered_lockstep_sturm(tri, tol, *_block_guesses(tri), passes)
+            assert [hexes(mids) for mids in count_passes] == ([hexes(ends)] if ends.size else [])
+            assert reruns == wrong
+            want = 0.5 * lo + 0.5 * hi
+            want[wrong] = [_eig_sturm_one(tri, j, tol) for j in wrong]
             assert hexes(got) == hexes(want)
-            assert sorted_shifts(count_passes) == sorted_shifts(passes)
-            assert len(count_passes) <= len(passes)
-            fewer += len(count_passes) < len(passes)
-        assert fewer
 
     def test_the_plain_sweeps_count_the_open_brackets_only(self, count_passes):
         # with no guess every sweep counts the midpoints of exactly the brackets still
@@ -527,48 +576,37 @@ class TestSteeredSweeps:
         assert loops == [("tridiagonal.py", "_eig_sturm")]
 
 
-class TestFarRun:
-    """_halve_far moves only the far brackets, each as the lockstep sweeps move it."""
+class TestGuessRun:
+    """_halve_to_guess closes every bracket as masked lockstep sweeps to the guesses do."""
 
-    @staticmethod
-    def far_lockstep(lo, hi, guess, margin, tol):
-        # the steered sweeps' far halvings, in place: each sweep masks every column
-        while True:
-            mid = 0.5 * lo + 0.5 * hi
-            far = (hi - lo > tol) & (mid > lo) & (mid < hi) & _far(mid, guess, margin)
-            if not far.any():
-                return
-            below = mid > guess
-            np.copyto(hi, mid, where=far & below)
-            np.copyto(lo, mid, where=far & ~below)
-
+    @pytest.mark.parametrize("with_closed", [True, False])
     @pytest.mark.parametrize("tol", [1e-13, 5e-324, 1e-3])
     @pytest.mark.parametrize("n", [3, 16, 101])
-    def test_near_and_closed_brackets_keep_their_ends(self, n, tol):
+    def test_open_brackets_close_and_closed_ones_keep_their_ends(self, n, tol, with_closed):
+        # uneven entry widths: a narrow bracket around its guess, a Gershgorin one, and
+        # one already closed, whose width would start the open test at once
         for variant in JordanVariant:
             tri = symmetrize(UpperBidiagonal(n, 0.3, variant))
-            guess, margin = _block_guesses(tri)
+            guess, _ = _block_guesses(tri)
             _, lo0, hi0, _ = _bisection_setup(tri)
             lo, hi = np.full(n, lo0), np.full(n, hi0)
-            near, closed, far = np.arange(0, n, 3), np.arange(1, n, 3), np.arange(2, n, 3)
-            lo[near], hi[near] = guess[near] - 0.25, guess[near] + 0.25  # midpoint at the guess
+            narrow, closed = np.arange(0, n, 3), np.arange(1, n, 3) if with_closed else []
+            lo[narrow], hi[narrow] = guess[narrow] - 0.25, guess[narrow] + 2.0 ** -30
             lo[closed] = guess[closed] + 0.5  # far from the guess, but no wider than tol
             hi[closed] = lo[closed] + 0.5 * tol
             want_lo, want_hi = lo.copy(), hi.copy()
-            self.far_lockstep(want_lo, want_hi, guess, margin, tol)
+            lockstep_to_guess(want_lo, want_hi, guess, tol)
             got_lo, got_hi = lo.copy(), hi.copy()
             fine = max(tol, 4.0 * math.ulp(max(abs(lo0), abs(hi0))))
-            mid, open_ = _halve_far(got_lo, got_hi, guess, margin, tol, fine)
+            assert _halve_to_guess(got_lo, got_hi, guess, tol, fine) is None
             assert hexes(got_lo) == hexes(want_lo) and hexes(got_hi) == hexes(want_hi)
-            kept = np.concatenate((near, closed))
-            assert hexes(got_lo[kept]) == hexes(lo[kept]) and hexes(got_hi[kept]) == hexes(hi[kept])
-            moved = _far(0.5 * lo0 + 0.5 * hi0, guess[far], margin)  # n = 101: one is near
-            assert (got_hi[far] - got_lo[far] < hi0 - lo0).tolist() == moved.tolist()
-            # every midpoint comes back, and the open brackets, each of them near
-            assert hexes(mid) == hexes(0.5 * got_lo + 0.5 * got_hi)
-            assert (open_ == ((got_hi - got_lo > tol) & (mid > got_lo) & (mid < got_hi))).all()
-            assert open_[near].all() and not open_[closed].any()
-            assert not (open_ & _far(mid, guess, margin)).any()
+            assert hexes(got_lo[closed]) == hexes(lo[closed])
+            assert hexes(got_hi[closed]) == hexes(hi[closed])
+            mid = 0.5 * got_lo + 0.5 * got_hi
+            assert not ((got_hi - got_lo > tol) & (mid > got_lo) & (mid < got_hi)).any()
+            steered = np.setdiff1d(np.arange(n), closed)
+            assert (got_hi[steered] - got_lo[steered] < hi[steered] - lo[steered]).all()
+            assert ((got_lo <= guess) & (guess <= got_hi))[steered].all()
 
 
 def clamped_lockstep_sturm(tri, tol=1e-13, sweeps=None):
@@ -596,40 +634,6 @@ def clamped_lockstep_sturm(tri, tol=1e-13, sweeps=None):
         below = np.count_nonzero(pivots < 0.0, axis=0) > k
         hi[k[below]] = mid[below]
         lo[k[~below]] = mid[~below]
-    return 0.5 * lo + 0.5 * hi
-
-
-def steered_lockstep_sturm(tri, tol, guess, margin, passes):
-    """eig_sturm's steered sweeps with no deferral: every sweep halves every open
-    bracket and counts its near midpoints in a pass of their own.
-
-    The reference for the shifts that eig_sturm counts; the shifts of each pass,
-    the confirmation's and a rerun's included, go to ``passes``.
-    """
-    pairs, lo0, hi0, pivmin = _bisection_setup(tri)
-
-    def counts(mids):
-        passes.append(mids)
-        return _sturm_counts(tri.diag, pairs, pivmin, mids)
-
-    lo, hi = np.full(tri.n, lo0), np.full(tri.n, hi0)
-    while True:
-        mid = 0.5 * lo + 0.5 * hi
-        open_ = (hi - lo > tol) & (mid > lo) & (mid < hi)
-        if not open_.any():
-            break
-        below = mid > guess
-        near = np.flatnonzero(open_ & ~_far(mid, guess, margin))
-        if near.size:
-            below[near] = counts(mid[near]) > near
-        np.copyto(hi, mid, where=open_ & below)
-        np.copyto(lo, mid, where=open_ & ~below)
-    lo_k = np.flatnonzero((lo != lo0) & _far(lo, guess, margin))
-    hi_k = np.flatnonzero((hi != hi0) & _far(hi, guess, margin))
-    if lo_k.size + hi_k.size:
-        confirmed = counts(np.concatenate((lo[lo_k], hi[hi_k])))
-        if (confirmed[:lo_k.size] > lo_k).any() or (confirmed[lo_k.size:] <= hi_k).any():
-            return steered_lockstep_sturm(tri, tol, np.full(tri.n, math.nan), 0.0, passes)
     return 0.5 * lo + 0.5 * hi
 
 
@@ -666,8 +670,8 @@ class TestDeferredClamp:
     @pytest.mark.parametrize("n", [3, 5, 50, 51])
     def test_a_zero_first_pivot_is_recounted_by_the_clamped_count(self, n, monkeypatch):
         # at alpha = 0 the first midpoint is exactly 0.0 and the first pivot d_0 - 0.0 is 0;
-        # a block's closed form settles that midpoint for every column not near 0.0, so the
-        # recount is shown on a matrix that is not a block, whose first midpoint is 0.0 too
+        # a block's closed form settles every midpoint, so the recount is shown on a matrix
+        # that is not a block, whose first midpoint is 0.0 too
         recounted, count = [], tridiagonal._sturm_count
 
         def spy(pairs, pivmin, mid):
