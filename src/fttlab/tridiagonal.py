@@ -171,26 +171,40 @@ def _sturm_counts(
 ) -> np.ndarray:
     """``_sturm_count`` at every shift of ``mids`` at once, in one pass of n row steps.
 
-    A row step is two ufunc calls, ``row -= e2 / prev``, because ``dstebz``'s
-    clamp (a pivot below ``pivmin`` in modulus becomes -pivmin) is deferred.
-    Up to a column's first such pivot its unclamped pivots are the clamped
-    ones bit for bit, so a column without one is counted exactly.  A column
-    with one, where a zero pivot's inf or nan stays, is recounted by
-    ``_sturm_count``, the clamped scalar count.  The negatives are counted
-    32 rows at a time and the clamp is tested on the pivots' moduli in place,
-    so no n-by-k mask is built; ``fmin``, unlike ``minimum``, skips a nan
-    further down a column, which would hide a tiny pivot above it.
+    The pivots are built 32 rows at a time in one reused (33, k) buffer, whose
+    row 0 carries the previous block's last pivot row, so memory is O(32 k),
+    not n by k.  A row step is ``row -= e2 / prev`` in two ufunc calls; a unit
+    e2, every row of a block, takes ``np.reciprocal``, which IEEE division
+    rounds to the bits of 1.0 / prev.  ``dstebz``'s clamp (a pivot below
+    ``pivmin`` in modulus becomes -pivmin) is deferred: up to a column's first
+    such pivot its unclamped pivots are the clamped ones bit for bit, so a
+    column without one is counted exactly.  After each block its negatives
+    are counted as uint8 and ``fmin`` of its moduli folds into a running
+    least per column; a column whose least is below ``pivmin``, where a zero
+    pivot's inf or nan stays, is recounted by ``_sturm_count``, the clamped
+    scalar count.  ``fmin``, unlike ``minimum``, skips a nan further down a
+    column, which would hide a tiny pivot above it.
     """
-    pivots = np.broadcast_to(mids, (diag.size, mids.size)).copy()
-    np.subtract(diag[:, None], pivots, out=pivots)  # diag[:, None] - mids also takes two buffers
+    buf, tmp = np.empty((33, mids.size)), np.empty(mids.size)
+    rows = list(buf)  # the row views, made once
+    count, least = np.zeros(mids.size, dtype=np.intp), np.full(mids.size, math.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for (_, e2), prev, row in zip(pairs[1:], pivots, pivots[1:]):
-            row -= e2 / prev  # a zero pivot's inf or nan only reaches its own column
-    count = np.zeros(mids.size, dtype=np.intp)
-    for i in range(0, diag.size, 32):  # a uint8 sum of at most 32 rows needs no cast buffer
-        count += (pivots[i:i + 32] < 0.0).view(np.uint8).sum(axis=0, dtype=np.uint8)
-    np.abs(pivots, out=pivots)
-    for j in np.flatnonzero(np.fmin.reduce(pivots, axis=0) < pivmin):
+        for i in range(0, diag.size, 32):
+            m = min(32, diag.size - i)
+            block = buf[1:m + 1]
+            np.subtract(diag[i:i + m, None], mids, out=block)  # no broadcast buffer
+            first = 1 if i == 0 else 0  # the matrix's row 0 has no row above
+            for (_, e2), prev, row in zip(pairs[i + first:i + m], rows[first:], rows[first + 1:]):
+                # a zero pivot's inf or nan only reaches its own column
+                if e2 == 1.0:
+                    np.subtract(row, np.reciprocal(prev, out=tmp), out=row)
+                else:
+                    np.subtract(row, np.divide(e2, prev, out=tmp), out=row)
+            # a uint8 sum of at most 32 rows needs no cast buffer
+            count += (block < 0.0).view(np.uint8).sum(axis=0, dtype=np.uint8)
+            buf[0] = buf[m]  # the carry, taken before the moduli overwrite it
+            np.fmin(least, np.fmin.reduce(np.abs(block, out=block), axis=0), out=least)
+    for j in np.flatnonzero(least < pivmin):
         count[j] = _sturm_count(pairs, pivmin, float(mids[j]))
     return count
 
@@ -271,9 +285,10 @@ def _halve_to_guess(
     """Halve, in place, every open bracket to its ``guess``'s side until it closes, no count taken.
 
     The columns run compacted: a step takes the midpoint, the side
-    (``mid > guess`` keeps the lower half) and the new ends, and a column
-    leaves the run, its bracket written back, when its bracket closes as the
-    sweeps close one.  That open test is needed only once a bracket may be
+    (``mid > guess`` keeps the lower half) and the new ends, selected in place
+    (the midpoint array becomes the new lower ends), and a column leaves the
+    run, its bracket written back, when its bracket closes as the sweeps
+    close one.  That open test is needed only once a bracket may be
     within ``fine``, max(tol, 4 ulp of the largest Gershgorin end): a wider
     bracket is wider than tol, and a midpoint, off by half an ulp at most,
     splits it.  So it starts when the narrowest entry width, halved once a
@@ -290,8 +305,9 @@ def _halve_to_guess(
                 cols, l, h, m, guess = cols[stay], l[stay], h[stay], m[stay], guess[stay]
         narrowest *= 0.5
         below = m > guess
-        h = np.where(below, m, h)
-        l = np.where(below, l, m)
+        np.copyto(h, m, where=below)
+        np.copyto(m, l, where=below)
+        l = m
 
 
 def _eig_sturm(tri: SymTridiagonal, tol: float, guess: np.ndarray, margin: float) -> np.ndarray:
@@ -300,12 +316,13 @@ def _eig_sturm(tri: SymTridiagonal, tol: float, guess: np.ndarray, margin: float
     Every bracket is halved to its guess's side in one compact run
     (``_halve_to_guess``).  One ``_sturm_counts`` pass then confirms each
     final endpoint that moved, count(lo) <= index < count(hi), and a column
-    that fails reruns alone through ``_eig_sturm_one`` with its guess and
-    ``margin``, which gives that column's bits of the plain sweeps.  A guess
-    that is not finite everywhere steers nothing: the plain sweeps count
-    every open bracket, one pass a sweep.
+    that fails reruns alone through ``_eig_sturm_one`` with its guess,
+    ``margin`` and this call's set-up, which gives that column's bits of the
+    plain sweeps.  A guess that is not finite everywhere steers nothing: the
+    plain sweeps count every open bracket, one pass a sweep.
     """
-    pairs, lo0, hi0, pivmin = _bisection_setup(tri)
+    setup = _bisection_setup(tri)
+    pairs, lo0, hi0, pivmin = setup
     lo, hi = np.full(tri.n, lo0), np.full(tri.n, hi0)
     if (abs(guess) < math.inf).all():
         _halve_to_guess(lo, hi, guess, tol, max(tol, 4.0 * math.ulp(max(abs(lo0), abs(hi0)))))
@@ -315,7 +332,7 @@ def _eig_sturm(tri: SymTridiagonal, tol: float, guess: np.ndarray, margin: float
             counts = _sturm_counts(tri.diag, pairs, pivmin, np.concatenate((lo[lo_k], hi[hi_k])))
             wrong = np.union1d(lo_k[counts[:lo_k.size] > lo_k], hi_k[counts[lo_k.size:] <= hi_k])
             for j in wrong.tolist():
-                values[j] = _eig_sturm_one(tri, j, tol, guess[j], margin)
+                values[j] = _eig_sturm_one(tri, j, tol, guess[j], margin, setup)
         return values
     while True:
         mid = 0.5 * lo + 0.5 * hi
@@ -328,7 +345,8 @@ def _eig_sturm(tri: SymTridiagonal, tol: float, guess: np.ndarray, margin: float
 
 
 def _eig_sturm_one(
-    tri: SymTridiagonal, index: int, tol: float, guess: float = math.nan, margin: float = 0.0
+    tri: SymTridiagonal, index: int, tol: float, guess: float = math.nan, margin: float = 0.0,
+    setup: tuple[list[tuple[float, float]], float, float, float] | None = None,
 ) -> float:
     """Eigenvalue ``index`` (ascending) of ``tri``, bit for bit ``eig_sturm(tri, tol)[index]``.
 
@@ -339,9 +357,12 @@ def _eig_sturm_one(
     midpoint is farther than ``margin`` from it, as ``_far`` rules, and a
     failed confirmation reruns with no guess; the default nan steers nothing.
     It serves ``check_dissipative`` and ``extremal_vector``, and it reruns a
-    column of ``_eig_sturm`` that fails its confirmation.
+    column of ``_eig_sturm`` that fails its confirmation.  ``setup`` is
+    ``_bisection_setup(tri)`` where the caller already holds it, as
+    ``_eig_sturm`` and the unsteered rerun do; None builds it.
     """
-    pairs, lo0, hi0, pivmin = _bisection_setup(tri)
+    setup = _bisection_setup(tri) if setup is None else setup
+    pairs, lo0, hi0, pivmin = setup
     guess = guess if abs(guess) < math.inf else math.nan  # an inf guess is never far
 
     def step(lo: float, mid: float, hi: float) -> tuple[float, float]:
@@ -355,7 +376,7 @@ def _eig_sturm_one(
     wrong_lo = lo != lo0 and _far(lo, guess, margin) and _sturm_count(pairs, pivmin, lo) > index
     wrong_hi = hi != hi0 and _far(hi, guess, margin) and _sturm_count(pairs, pivmin, hi) <= index
     if wrong_lo or wrong_hi:
-        return _eig_sturm_one(tri, index, tol)
+        return _eig_sturm_one(tri, index, tol, setup=setup)
     return 0.5 * lo + 0.5 * hi
 
 

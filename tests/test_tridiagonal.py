@@ -6,10 +6,12 @@ solve; the library never calls them for these quantities.
 """
 
 import ast
+import inspect
 import itertools
 import json
 import math
 import os
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -409,14 +411,30 @@ def reruns(monkeypatch):
     """The column of every steered call of ``_eig_sturm_one`` made while the test runs:
     the reruns of ``_eig_sturm``, not their own unsteered fallback."""
     columns, one = [], tridiagonal._eig_sturm_one
+    signature = inspect.signature(one)
 
-    def spy(tri, index, tol, guess=math.nan, margin=0.0):
-        if abs(guess) < math.inf:
-            columns.append(index)
-        return one(tri, index, tol, guess, margin)
+    def spy(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        if abs(call.arguments["guess"]) < math.inf:
+            columns.append(call.arguments["index"])
+        return one(*args, **kwargs)
 
     monkeypatch.setattr(tridiagonal, "_eig_sturm_one", spy)
     return columns
+
+
+@pytest.fixture
+def setups(monkeypatch):
+    """The matrix of every ``_bisection_setup`` call made while the test runs."""
+    calls, setup = [], tridiagonal._bisection_setup
+
+    def spy(tri):
+        calls.append(tri)
+        return setup(tri)
+
+    monkeypatch.setattr(tridiagonal, "_bisection_setup", spy)
+    return calls
 
 
 class TestSteeredSweeps:
@@ -472,6 +490,22 @@ class TestSteeredSweeps:
         assert reruns == [column] and len(count_passes) == 1
         assert hexes(got) == hexes(_eig_sturm(tri, 1e-13, np.full(n, math.nan), 0.0))
         assert hexes(got) == hexes(clamped_lockstep_sturm(tri))
+
+    def test_a_rerun_reuses_the_set_up(self, setups, count_passes, reruns):
+        # the rerun of column 1 (the rounded guess above) takes the set-up _eig_sturm holds
+        tri = symmetrize(UpperBidiagonal(3, -1.0))
+        eig_sturm(tri)
+        assert reruns == [1] and len(count_passes) == 1 and len(setups) == 1
+
+    def test_the_unsteered_fallback_reuses_the_set_up(self, setups, counted_shifts):
+        block = UpperBidiagonal(5, -0.3)
+        sym = symmetrize(block)
+        guess, margin = _extreme_guess(block, True)
+        plain = _eig_sturm_one(sym, 4, 1e-15)
+        plain_counts = len(counted_shifts)
+        del counted_shifts[:], setups[:]
+        assert _eig_sturm_one(sym, 4, 1e-15, guess + 0.1, margin).hex() == plain.hex()
+        assert len(counted_shifts) > plain_counts and len(setups) == 1  # the fallback ran
 
     @given(n=st.integers(1, 60),
            alpha=st.one_of(st.floats(-2.0, 2.0), st.integers(-80, 80).map(lambda k: k / 40),
@@ -711,6 +745,83 @@ class TestDeferredClamp:
                                          for name in ast.walk(node))]
         assert compares == [("inequalities.py", "verify"), ("inequalities.py", "verify"),
                             ("semigroup.py", "gftt_check"), ("tridiagonal.py", "_far")]
+
+
+class TestRowBlocks:
+    """_sturm_counts builds its pivots 32 rows at a time, the last row carried to the next
+    block; every count is ``_sturm_count``'s, at every shift."""
+
+    @staticmethod
+    def assert_counts_match(tri, recounted=None):
+        pairs, lo0, hi0, pivmin = _bisection_setup(tri)
+        mids = np.concatenate((np.linspace(lo0, hi0, 41), tri.diag,
+                               np.linalg.eigvalsh(tri.to_dense()), [0.0, -0.0]))
+        if recounted is not None:
+            del recounted[:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a zero pivot's inf or nan stays silent
+            got = _sturm_counts(tri.diag, pairs, pivmin, mids)
+        assert got.tolist() == [_sturm_count(pairs, pivmin, mid) for mid in mids.tolist()]
+        return mids
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 97])
+    def test_every_block_size_counts_as_the_scalar_count(self, n):
+        rng = SplitMix64(n)
+        for variant in JordanVariant:  # unit rows only
+            self.assert_counts_match(symmetrize(UpperBidiagonal(n, rng.symmetric(), variant)))
+        for _ in range(3):  # no unit row
+            self.assert_counts_match(random_tridiagonal(rng, n))
+
+    @pytest.mark.parametrize("kind", [0.0, 1e-300])
+    @pytest.mark.parametrize("row", [0, 31, 32, 63, 64, 96])
+    def test_a_tiny_pivot_at_a_block_edge_is_recounted(self, row, kind, counted_shifts):
+        # at shift 0.0 the pivot of ``row`` is its diagonal ``kind``, below pivmin: a zero
+        # e2 cuts it off from the row above
+        rng = SplitMix64(row)
+        diag = 3.0 * np.array([rng.symmetric() for _ in range(97)])
+        off = np.ones(96)
+        diag[row] = kind
+        if row:
+            off[row - 1] = 0.0
+        mids = self.assert_counts_match(SymTridiagonal(diag, off), counted_shifts)
+        assert counted_shifts.count(0.0) == np.count_nonzero(mids == 0.0)
+
+    @pytest.mark.parametrize("row", [30, 31, 32])
+    def test_a_nan_crosses_a_block_boundary(self, row, counted_shifts):
+        # a zero pivot at ``row`` and a zero e2 below it give 0 / 0 in the next row, and
+        # the nan runs down its column across the boundary after row 31
+        rng = SplitMix64(row)
+        diag = 3.0 * np.array([rng.symmetric() for _ in range(97)])
+        off = np.ones(96)
+        diag[row], off[row - 1], off[row] = 0.0, 0.0, 0.0
+        tri = SymTridiagonal(diag, off)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pivots = [p := diag[0]] + [p := d - e2 / p for d, e2 in zip(diag[1:], off * off)]
+        assert pivots[row] == 0.0 and np.isnan(pivots[row + 1:]).all()
+        mids = self.assert_counts_match(tri, counted_shifts)
+        assert counted_shifts.count(0.0) == np.count_nonzero(mids == 0.0)
+
+    @pytest.mark.parametrize("n", [33, 97])
+    def test_unit_and_other_rows_mix_in_one_call(self, n):
+        # e2 == 1.0 takes the reciprocal, any other e2 the division, in one pass
+        rng = SplitMix64(n + 1)
+        for _ in range(3):
+            tri = random_tridiagonal(rng, n)
+            off = tri.offdiag.copy()
+            off[::2], off[1::5] = 1.0, -1.0
+            self.assert_counts_match(SymTridiagonal(tri.diag, off))
+
+    def test_a_large_block_counts_in_flat_memory(self):
+        # the pivots of 32 rows at a time: the n by 2n matrix of one pass would take 64 MB
+        tri = symmetrize(UpperBidiagonal(2000, 0.3))
+        eig_sturm(tri)  # loads chebyshev
+        tracemalloc.start()
+        try:
+            eig_sturm(tri)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestScalarBisection:
