@@ -135,7 +135,7 @@ def _bisection_setup(tri: SymTridiagonal) -> tuple[list[tuple[float, float]], fl
 
     The first pair carries e_{-1}^2 = 0.0, so its pivot d_0 - mid needs no branch.
     Overflow shows up only as the ``OverflowFailure`` of the guard on hi - lo,
-    the width the sweeps compare with tol, never as a numpy warning first; past
+    the width the halvings compare with tol, never as a numpy warning first; past
     the guard lo and hi are finite, and so is every midpoint ``0.5 * lo + 0.5 * hi``
     of a bracket inside them.
     """
@@ -260,88 +260,87 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
     """All eigenvalues of ``tri``, ascending, each bracketed to width <= tol.
 
     Sturm bisection of all n Gershgorin brackets in lockstep, as LAPACK
-    ``dstebz`` does: each sweep halves every open bracket and counts the
-    negative LDL^T pivots of T - mid I for the midpoints in one pass of n row
-    steps (``_sturm_counts``).  A bracket closes at width <= tol or when its
-    midpoint no longer splits it, as the scalar ``_bisect`` does, so the sweeps
-    end by their own arithmetic.
+    ``dstebz`` does, in one compact run (``_halve``): each step halves every
+    open bracket and counts the negative LDL^T pivots of T - mid I for its
+    midpoints in one pass of n row steps (``_sturm_counts``).  A bracket
+    closes at width <= tol or when its midpoint no longer splits it, as the
+    scalar ``_bisect`` does, so the run ends by its own arithmetic.
 
-    Where ``tri`` is J^T + J of a block, recognised from its band, the closed
-    form of its spectrum steers every halving instead: each bracket is halved
-    to the side of its column's closed-form eigenvalue, with no count, until
-    it closes.  Then one count pass confirms every final endpoint that moved,
-    and a column that fails reruns alone by the one-bracket bisection, so the
-    values keep the bits of the counts alone (``_far`` says why): one pass of
-    n row steps per call for n <= 400, |alpha| < 1 and tol 1e-13, where the
-    unsteered sweeps take about 46.
+    Where ``tri`` is J^T + J of a block, recognised from its band, the same
+    run halves each bracket to the side of its column's closed-form
+    eigenvalue instead, with no count, until it closes.  Then one count pass
+    confirms every final endpoint that moved, and a column that fails reruns
+    alone by the one-bracket bisection, so the values keep the bits of the
+    counts alone (``_far`` says why): one pass of n row steps per call for
+    n <= 400, |alpha| < 1 and tol 1e-13, where the counted run takes about 46.
     """
     tol = as_finite(tol, "tol", above=0.0)
     return _eig_sturm(tri, tol, *_block_guesses(tri))
 
 
-def _halve_to_guess(
-    lo: np.ndarray, hi: np.ndarray, guess: np.ndarray, tol: float, fine: float
-) -> None:
-    """Halve, in place, every open bracket to its ``guess``'s side until it closes, no count taken.
+def _halve(lo: np.ndarray, hi: np.ndarray, key: np.ndarray, below, tol: float, fine: float):
+    """Halve, in place, every open bracket in lockstep until it closes; ``below`` picks sides.
 
-    The columns run compacted: a step takes the midpoint, the side
-    (``mid > guess`` keeps the lower half) and the new ends, selected in place
-    (the midpoint array becomes the new lower ends), and a column leaves the
-    run, its bracket written back, when its bracket closes as the sweeps
-    close one.  That open test is needed only once a bracket may be
-    within ``fine``, max(tol, 4 ulp of the largest Gershgorin end): a wider
-    bracket is wider than tol, and a midpoint, off by half an ulp at most,
-    splits it.  So it starts when the narrowest entry width, halved once a
-    step, is within 2 ``fine``, which leaves room for the steps' roundings.
+    A step keeps the lower half where ``below(mid, key)``: ``np.greater``
+    against closed-form guesses steers with no count, and a Sturm count
+    against the column indices halves as ``dstebz`` does.  The columns run
+    compacted, ``key`` with them: a step takes the midpoint, the side and
+    the new ends, selected in place (the midpoint array becomes the new lower
+    ends), and a column leaves the run, its bracket written back, when its
+    bracket closes as ``_bisect`` closes one; the run returns as its last
+    column leaves, so ``below`` never sees an empty step.  That open test is
+    needed only once a bracket may be within ``fine``, max(tol, 4 ulp of the
+    largest Gershgorin end): a wider bracket is wider than tol, and a
+    midpoint, off by half an ulp at most, splits it.  So it starts when the
+    narrowest entry width, halved once a step, is within 2 ``fine``, which
+    leaves room for the steps' roundings.
     """
     cols, l, h = np.arange(lo.size), lo.copy(), hi.copy()
     narrowest = float(np.min(hi - lo))
-    while cols.size:
+    while True:
         m = 0.5 * l + 0.5 * h  # 0.5 * (lo + hi) overflows past ~9e307
         if narrowest <= 2.0 * fine:  # from here on a bracket may close
             stay = (h - l > tol) & (m > l) & (m < h)  # else at float resolution
             if not stay.all():
                 lo[cols[~stay]], hi[cols[~stay]] = l[~stay], h[~stay]
-                cols, l, h, m, guess = cols[stay], l[stay], h[stay], m[stay], guess[stay]
+                cols, l, h, m, key = cols[stay], l[stay], h[stay], m[stay], key[stay]
+                if not cols.size:
+                    return
         narrowest *= 0.5
-        below = m > guess
-        np.copyto(h, m, where=below)
-        np.copyto(m, l, where=below)
+        lower = below(m, key)
+        np.copyto(h, m, where=lower)
+        np.copyto(m, l, where=lower)
         l = m
 
 
 def _eig_sturm(tri: SymTridiagonal, tol: float, guess: np.ndarray, margin: float) -> np.ndarray:
     """``eig_sturm`` steered by ``guess``, one per column, where every guess is finite.
 
-    Every bracket is halved to its guess's side in one compact run
-    (``_halve_to_guess``).  One ``_sturm_counts`` pass then confirms each
-    final endpoint that moved, count(lo) <= index < count(hi), and a column
-    that fails reruns alone through ``_eig_sturm_one`` with its guess,
-    ``margin`` and this call's set-up, which gives that column's bits of the
-    plain sweeps.  A guess that is not finite everywhere steers nothing: the
-    plain sweeps count every open bracket, one pass a sweep.
+    ``_halve`` takes each side from ``np.greater`` against the guesses, and
+    one ``_sturm_counts`` pass then confirms each final endpoint that moved,
+    count(lo) <= index < count(hi); a column that fails reruns alone through
+    ``_eig_sturm_one`` with its guess, ``margin`` and this call's set-up,
+    which gives its bits of the counts alone.  A guess that is not finite
+    everywhere steers nothing: ``_halve`` then counts the open brackets'
+    midpoints against their column indices, one pass a step.
     """
     setup = _bisection_setup(tri)
     pairs, lo0, hi0, pivmin = setup
     lo, hi = np.full(tri.n, lo0), np.full(tri.n, hi0)
-    if (abs(guess) < math.inf).all():
-        _halve_to_guess(lo, hi, guess, tol, max(tol, 4.0 * math.ulp(max(abs(lo0), abs(hi0)))))
-        lo_k, hi_k = np.flatnonzero(lo != lo0), np.flatnonzero(hi != hi0)
-        values = 0.5 * lo + 0.5 * hi
-        if lo_k.size + hi_k.size:
-            counts = _sturm_counts(tri.diag, pairs, pivmin, np.concatenate((lo[lo_k], hi[hi_k])))
-            wrong = np.union1d(lo_k[counts[:lo_k.size] > lo_k], hi_k[counts[lo_k.size:] <= hi_k])
-            for j in wrong.tolist():
-                values[j] = _eig_sturm_one(tri, j, tol, guess[j], margin, setup)
-        return values
-    while True:
-        mid = 0.5 * lo + 0.5 * hi
-        open_ = np.flatnonzero((hi - lo > tol) & (mid > lo) & (mid < hi))  # else at resolution
-        if not open_.size:
-            return mid
-        below = _sturm_counts(tri.diag, pairs, pivmin, mid[open_]) > open_
-        hi[open_[below]] = mid[open_[below]]
-        lo[open_[~below]] = mid[open_[~below]]
+    fine = max(tol, 4.0 * math.ulp(max(abs(lo0), abs(hi0))))
+    if not (abs(guess) < math.inf).all():
+        _halve(lo, hi, np.arange(tri.n),
+               lambda mid, j: _sturm_counts(tri.diag, pairs, pivmin, mid) > j, tol, fine)
+        return 0.5 * lo + 0.5 * hi
+    _halve(lo, hi, guess, np.greater, tol, fine)
+    lo_k, hi_k = np.flatnonzero(lo != lo0), np.flatnonzero(hi != hi0)
+    values = 0.5 * lo + 0.5 * hi
+    if lo_k.size + hi_k.size:
+        counts = _sturm_counts(tri.diag, pairs, pivmin, np.concatenate((lo[lo_k], hi[hi_k])))
+        wrong = np.union1d(lo_k[counts[:lo_k.size] > lo_k], hi_k[counts[lo_k.size:] <= hi_k])
+        values[wrong] = [_eig_sturm_one(tri, j, tol, guess[j], margin, setup)
+                         for j in wrong.tolist()]
+    return values
 
 
 def _eig_sturm_one(
@@ -350,7 +349,7 @@ def _eig_sturm_one(
 ) -> float:
     """Eigenvalue ``index`` (ascending) of ``tri``, bit for bit ``eig_sturm(tri, tol)[index]``.
 
-    The one bracket evolves exactly as in ``_eig_sturm``'s plain sweeps: the
+    The one bracket evolves exactly as in ``_eig_sturm``'s counted run: the
     same set-up, midpoints and freeze, and the clamped Sturm count that
     ``_sturm_counts`` falls back on, ``_sturm_count`` over Python floats, O(n)
     per halving.  A ``guess`` of the eigenvalue settles the halvings whose

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import os
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -49,7 +50,7 @@ from fttlab.tridiagonal import (
     _eig_sturm,
     _eig_sturm_one,
     _extreme_guess,
-    _halve_to_guess,
+    _halve,
     _solve_tridiagonal,
     _sturm_count,
     _sturm_counts,
@@ -383,7 +384,7 @@ def hexes(values):
 
 def lockstep_to_guess(lo, hi, guess, tol):
     """Halve, in place, every open bracket to its guess's side, ``mid > guess``, with a
-    full-width mask a sweep and no count: the reference for ``_halve_to_guess``."""
+    full-width mask a sweep and no count: the reference for ``_halve``'s guess side."""
     while True:
         mid = 0.5 * lo + 0.5 * hi
         open_ = (hi - lo > tol) & (mid > lo) & (mid < hi)
@@ -462,6 +463,7 @@ class TestSteeredSweeps:
                     del count_passes[:]
                     plain = hexes(tridiagonal._eig_sturm(tri, tol, np.full(n, math.nan), margin))
                     plain_passes = len(count_passes)
+                    assert plain == hexes(clamped_lockstep_sturm(tri, tol))  # shares no code
                     for wrong in (guess + 0.1, guess - 0.1, guess + 10 * margin,
                                   guess - 10 * margin, moved):
                         del count_passes[:], reruns[:]
@@ -516,6 +518,7 @@ class TestSteeredSweeps:
         tri = symmetrize(UpperBidiagonal(n, alpha, variant))
         want = _eig_sturm(tri, tol, np.full(n, math.nan), 0.0)
         assert hexes(eig_sturm(tri, tol)) == hexes(want)
+        assert hexes(want) == hexes(clamped_lockstep_sturm(tri, tol))  # shares no code
 
     @pytest.mark.parametrize("n", [2, 3, 16, 100])
     def test_a_block_one_ulp_off_is_not_steered(self, n, count_passes):
@@ -583,64 +586,124 @@ class TestSteeredSweeps:
             assert hexes(got) == hexes(want)
 
     def test_the_plain_sweeps_count_the_open_brackets_only(self, count_passes):
-        # with no guess every sweep counts the midpoints of exactly the brackets still
-        # open, column by column, as the reference's compacted column list does
+        # with no guess every step counts the midpoints of exactly the brackets still
+        # open, column by column, as the reference's compacted column list does; at
+        # n >= 64 and tol 5e-324 or 1e-3 the run's deferred open test decides which
         rng = SplitMix64(30)
-        for _ in range(40):
-            tri = random_tridiagonal(rng, rng.integer(1, 40))
-            tol = (1e-13, 1e-15)[rng.integer(0, 1)]
+        cases = [(random_tridiagonal(rng, rng.integer(1, 40)), (1e-13, 1e-15)[rng.integer(0, 1)])
+                 for _ in range(40)]
+        for n, tol in itertools.product((64, 127, 200, 400), (5e-324, 1e-3, 1e300)):
+            tri = random_tridiagonal(rng, n)
+            diag, off = 10.0 ** rng.integer(-3, 3) * tri.diag, tri.offdiag.copy()
+            off[::7], off[3::11], off[5::13] = 0.0, -0.0, 1.0  # exact zeros split the matrix
+            diag[::9] = -0.0  # so row 0 alone has the eigenvalue zero
+            cases.append((tri, tol))
+            if n == 64 or tol > 5e-324:  # zero needs ~1030 sweeps of the reference's row loop
+                cases.append((SymTridiagonal(diag, off), tol))
+        cases += [(SymTridiagonal(np.array([0.7]), np.empty(0)), tol)
+                  for tol in (5e-324, 1e-3, 1e-13, 1e300)]
+        for tri, tol in cases:
             sweeps = []
-            clamped_lockstep_sturm(tri, tol, sweeps)
+            want = clamped_lockstep_sturm(tri, tol, sweeps)
             del count_passes[:]
-            _eig_sturm(tri, tol, np.full(tri.n, math.nan), 0.0)  # a 1x1 matrix is a block
+            got = _eig_sturm(tri, tol, np.full(tri.n, math.nan), 0.0)  # a 1x1 matrix is a block
+            assert hexes(got) == hexes(want)
             assert [hexes(mids) for mids in count_passes] == [hexes(mids) for mids in sweeps]
+            assert all(mids.size for mids in count_passes)  # no empty pass
+            if tol == 1e300:
+                assert not count_passes  # every Gershgorin bracket is closed on entry
 
-    def test_only_eig_sturm_holds_a_lockstep_loop(self):
-        # the sweeps run in _eig_sturm itself: no other loop in src/ calls _sturm_counts
+    def test_only_halve_holds_a_lockstep_loop(self):
+        # every loop in src/ that takes a midpoint of two names, by file and function: the
+        # lockstep run _halve and the scalar _bisect; and every _sturm_counts call, which
+        # only _eig_sturm makes, outside any loop (the run calls its counting side)
         src = Path(__file__).resolve().parent.parent / "src"
-        loops = []
+        midpoint = re.compile(r"0\.5 \* (\w+) \+ 0\.5 \* (\w+)|0\.5 \* \((\w+) \+ (\w+)\)"
+                              r"|\((\w+) \+ (\w+)\) / 2")
+        halving, counting = [], []
         for path in sorted(src.rglob("*.py")):
-            for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(func, ast.FunctionDef):
-                    loops += [(path.name, func.name) for node in ast.walk(func)
-                              if isinstance(node, (ast.For, ast.While))
-                              and any(isinstance(call, ast.Call)
-                                      and ast.unparse(call.func) == "_sturm_counts"
-                                      for call in ast.walk(node))]
-        assert loops == [("tridiagonal.py", "_eig_sturm")]
+            for func in ast.parse(path.read_text(encoding="utf-8")).body:
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                loops = [node for node in ast.walk(func)
+                         if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+                halving += [(path.name, func.name) for loop in loops
+                            if any(isinstance(node, ast.BinOp)
+                                   and midpoint.fullmatch(ast.unparse(node))
+                                   for node in ast.walk(loop))]
+                calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)
+                         and ast.unparse(node.func) == "_sturm_counts"]
+                in_loops = {id(node) for loop in loops for node in ast.walk(loop)}
+                counting += [(path.name, func.name, id(call) in in_loops) for call in calls]
+        assert halving == [("_scalar.py", "_bisect"), ("tridiagonal.py", "_halve")]
+        assert counting == [("tridiagonal.py", "_eig_sturm", False)] * 2
+
+
+def lockstep_counted(tri, lo, hi, tol, passes):
+    """Halve, in place, every open bracket to the side the scalar ``_sturm_count`` of its
+    column gives, with a full-width mask a sweep; each sweep's open midpoints go to
+    ``passes``: the reference for ``_halve``'s counting side."""
+    pairs, _, _, pivmin = _bisection_setup(tri)
+    while True:
+        mid = 0.5 * lo + 0.5 * hi
+        open_ = (hi - lo > tol) & (mid > lo) & (mid < hi)
+        if not open_.any():
+            return
+        passes.append(mid[open_])
+        below = np.zeros(tri.n, dtype=bool)
+        below[open_] = [_sturm_count(pairs, pivmin, m) > j
+                        for j, m in zip(np.flatnonzero(open_).tolist(), mid[open_].tolist())]
+        np.copyto(hi, mid, where=open_ & below)
+        np.copyto(lo, mid, where=open_ & ~below)
 
 
 class TestGuessRun:
-    """_halve_to_guess closes every bracket as masked lockstep sweeps to the guesses do."""
+    """_halve closes every bracket as masked lockstep sweeps do, on either side: to the
+    guesses, or by a count at each open midpoint."""
 
+    @pytest.mark.parametrize("side", ["guess", "count"])
     @pytest.mark.parametrize("with_closed", [True, False])
     @pytest.mark.parametrize("tol", [1e-13, 5e-324, 1e-3])
     @pytest.mark.parametrize("n", [3, 16, 101])
-    def test_open_brackets_close_and_closed_ones_keep_their_ends(self, n, tol, with_closed):
+    def test_open_brackets_close_and_closed_ones_keep_their_ends(self, n, tol, with_closed,
+                                                                 side):
         # uneven entry widths: a narrow bracket around its guess, a Gershgorin one, and
         # one already closed, whose width would start the open test at once
         for variant in JordanVariant:
             tri = symmetrize(UpperBidiagonal(n, 0.3, variant))
             guess, _ = _block_guesses(tri)
-            _, lo0, hi0, _ = _bisection_setup(tri)
+            pairs, lo0, hi0, pivmin = _bisection_setup(tri)
             lo, hi = np.full(n, lo0), np.full(n, hi0)
             narrow, closed = np.arange(0, n, 3), np.arange(1, n, 3) if with_closed else []
             lo[narrow], hi[narrow] = guess[narrow] - 0.25, guess[narrow] + 2.0 ** -30
             lo[closed] = guess[closed] + 0.5  # far from the guess, but no wider than tol
             hi[closed] = lo[closed] + 0.5 * tol
             want_lo, want_hi = lo.copy(), hi.copy()
-            lockstep_to_guess(want_lo, want_hi, guess, tol)
             got_lo, got_hi = lo.copy(), hi.copy()
             fine = max(tol, 4.0 * math.ulp(max(abs(lo0), abs(hi0))))
-            assert _halve_to_guess(got_lo, got_hi, guess, tol, fine) is None
+            if side == "guess":
+                lockstep_to_guess(want_lo, want_hi, guess, tol)
+                assert _halve(got_lo, got_hi, guess, np.greater, tol, fine) is None
+            else:
+                want_passes, got_passes = [], []
+                lockstep_counted(tri, want_lo, want_hi, tol, want_passes)
+
+                def counted(mid, j):
+                    got_passes.append(mid.copy())
+                    return _sturm_counts(tri.diag, pairs, pivmin, mid) > j
+
+                assert _halve(got_lo, got_hi, np.arange(n), counted, tol, fine) is None
+                assert [hexes(m) for m in got_passes] == [hexes(m) for m in want_passes]
+                assert all(m.size for m in got_passes)  # no empty count pass
             assert hexes(got_lo) == hexes(want_lo) and hexes(got_hi) == hexes(want_hi)
             assert hexes(got_lo[closed]) == hexes(lo[closed])
             assert hexes(got_hi[closed]) == hexes(hi[closed])
             mid = 0.5 * got_lo + 0.5 * got_hi
             assert not ((got_hi - got_lo > tol) & (mid > got_lo) & (mid < got_hi)).any()
-            steered = np.setdiff1d(np.arange(n), closed)
-            assert (got_hi[steered] - got_lo[steered] < hi[steered] - lo[steered]).all()
-            assert ((got_lo <= guess) & (guess <= got_hi))[steered].all()
+            halved = np.setdiff1d(np.arange(n), closed)
+            assert (got_hi[halved] - got_lo[halved] < hi[halved] - lo[halved]).all()
+            if side == "guess":
+                assert ((got_lo <= guess) & (guess <= got_hi))[halved].all()
 
 
 def clamped_lockstep_sturm(tri, tol=1e-13, sweeps=None):
@@ -658,6 +721,8 @@ def clamped_lockstep_sturm(tri, tol=1e-13, sweeps=None):
         mid = 0.5 * lo[k] + 0.5 * hi[k]
         splits = ~((mid <= lo[k]) | (mid >= hi[k]))
         k, mid = k[splits], mid[splits]
+        if not k.size:
+            break  # every bracket left is at float resolution: no sweep to count
         if sweeps is not None:
             sweeps.append(mid)
         pivots = tri.diag[:, None] - mid
