@@ -209,15 +209,8 @@ def _sturm_counts(
     return count
 
 
-def _margin(alpha: float) -> float:
-    """32 eps (|alpha| + 2): a midpoint this close to a closed-form eigenvalue of
-    J^T + J is counted, not steered, by ``_eig_sturm_one``; ``_extreme_guess``
-    says what it covers."""
-    return 32.0 * math.ulp(1.0) * (abs(alpha) + 2.0)
-
-
-def _block_guesses(tri: SymTridiagonal) -> tuple[np.ndarray, float]:
-    """The closed-form eigenvalues of ``tri``, ascending, and their margin, or nan guesses.
+def _block_guesses(tri: SymTridiagonal) -> np.ndarray:
+    """The closed-form eigenvalues of ``tri``, ascending, or nan guesses.
 
     ``tri`` is recognised as J^T + J of a block from its band alone, in O(n):
     unit off-diagonals, a constant ``diag[:-1]`` = 2 alpha, and a last entry
@@ -232,14 +225,14 @@ def _block_guesses(tri: SymTridiagonal) -> tuple[np.ndarray, float]:
     alpha = float(diag[0]) / 2.0
     if (tri.offdiag == 1.0).all() and (diag[:-1] == diag[0]).all():
         if diag[-1] == diag[0]:
-            return 2.0 * alpha + 2.0 * u_zeros(n)[::-1], _margin(alpha)
+            return 2.0 * alpha + 2.0 * u_zeros(n)[::-1]
         if diag[-1] == 2.0 * (alpha - 0.5):
-            return 2.0 * alpha - 2.0 * u_diff_zeros(n), _margin(alpha)
-    return np.full(n, math.nan), 0.0
+            return 2.0 * alpha - 2.0 * u_diff_zeros(n)
+    return np.full(n, math.nan)
 
 
-def _far(x, guess, margin):
-    """Whether ``x`` is more than ``margin`` from ``guess``: ``_eig_sturm_one``'s steering rule.
+def _far(x, guess, reach):
+    """Whether ``x`` is more than ``reach`` from ``guess``: ``_eig_sturm_one``'s steering rule.
 
     A far midpoint takes the side ``guess`` puts it on with no count; every
     other midpoint is counted, and a nan guess is never far (an inf guess
@@ -250,10 +243,10 @@ def _far(x, guess, margin):
     midpoint that moved an end lies at or beyond that end's final value, so
     a confirmed bracket was halved as the counts alone halve it, to their
     bits; only the ends a settled midpoint set need the count.  A failed
-    confirmation reruns with no guess: a wrong guess or margin costs counts,
-    never bits.
+    confirmation reruns with no guess: a wrong guess or ``reach`` costs
+    counts, never bits.
     """
-    return abs(x - guess) > margin
+    return abs(x - guess) > reach
 
 
 def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
@@ -270,12 +263,13 @@ def eig_sturm(tri: SymTridiagonal, tol: float = 1e-13) -> np.ndarray:
     run halves each bracket to the side of its column's closed-form
     eigenvalue instead, with no count, until it closes.  Then one count pass
     confirms every final endpoint that moved, and a column that fails reruns
-    alone by the one-bracket bisection, so the values keep the bits of the
-    counts alone (``_far`` says why): one pass of n row steps per call for
+    alone by the one-bracket bisection on the same set-up, steered within a
+    margin read off the matrix, so the values keep the bits of the counts
+    alone (``_far`` says why): one pass of n row steps per call for
     n <= 400, |alpha| < 1 and tol 1e-13, where the counted run takes about 46.
     """
     tol = as_finite(tol, "tol", above=0.0)
-    return _eig_sturm(tri, tol, *_block_guesses(tri))
+    return _eig_sturm(tri, tol, _block_guesses(tri))
 
 
 def _halve(lo: np.ndarray, hi: np.ndarray, key: np.ndarray, below, tol: float, fine: float):
@@ -313,16 +307,16 @@ def _halve(lo: np.ndarray, hi: np.ndarray, key: np.ndarray, below, tol: float, f
         l = m
 
 
-def _eig_sturm(tri: SymTridiagonal, tol: float, guess: np.ndarray, margin: float) -> np.ndarray:
+def _eig_sturm(tri: SymTridiagonal, tol: float, guess: np.ndarray) -> np.ndarray:
     """``eig_sturm`` steered by ``guess``, one per column, where every guess is finite.
 
     ``_halve`` takes each side from ``np.greater`` against the guesses, and
     one ``_sturm_counts`` pass then confirms each final endpoint that moved,
     count(lo) <= index < count(hi); a column that fails reruns alone through
-    ``_eig_sturm_one`` with its guess, ``margin`` and this call's set-up,
-    which gives its bits of the counts alone.  A guess that is not finite
-    everywhere steers nothing: ``_halve`` then counts the open brackets'
-    midpoints against their column indices, one pass a step.
+    ``_eig_sturm_one`` with its guess and this call's set-up, which gives its
+    bits of the counts alone.  A guess that is not finite everywhere steers
+    nothing: ``_halve`` then counts the open brackets' midpoints against
+    their column indices, one pass a step.
     """
     setup = _bisection_setup(tri)
     pairs, lo0, hi0, pivmin = setup
@@ -338,30 +332,36 @@ def _eig_sturm(tri: SymTridiagonal, tol: float, guess: np.ndarray, margin: float
     if lo_k.size + hi_k.size:
         counts = _sturm_counts(tri.diag, pairs, pivmin, np.concatenate((lo[lo_k], hi[hi_k])))
         wrong = np.union1d(lo_k[counts[:lo_k.size] > lo_k], hi_k[counts[lo_k.size:] <= hi_k])
-        values[wrong] = [_eig_sturm_one(tri, j, tol, guess[j], margin, setup)
-                         for j in wrong.tolist()]
+        values[wrong] = [_eig_sturm_one(setup, j, tol, guess[j]) for j in wrong.tolist()]
     return values
 
 
 def _eig_sturm_one(
-    tri: SymTridiagonal, index: int, tol: float, guess: float = math.nan, margin: float = 0.0,
-    setup: tuple[list[tuple[float, float]], float, float, float] | None = None,
+    setup: tuple[list[tuple[float, float]], float, float, float], index: int, tol: float,
+    guess: float = math.nan,
 ) -> float:
-    """Eigenvalue ``index`` (ascending) of ``tri``, bit for bit ``eig_sturm(tri, tol)[index]``.
+    """Eigenvalue ``index`` (ascending) of T, bit for bit ``eig_sturm(T, tol)[index]``.
 
+    ``setup`` is ``_bisection_setup(T)``, which every caller already holds.
     The one bracket evolves exactly as in ``_eig_sturm``'s counted run: the
     same set-up, midpoints and freeze, and the clamped Sturm count that
     ``_sturm_counts`` falls back on, ``_sturm_count`` over Python floats, O(n)
     per halving.  A ``guess`` of the eigenvalue settles the halvings whose
-    midpoint is farther than ``margin`` from it, as ``_far`` rules, and a
-    failed confirmation reruns with no guess; the default nan steers nothing.
-    It serves ``check_dissipative`` and ``extremal_vector``, and it reruns a
-    column of ``_eig_sturm`` that fails its confirmation.  ``setup`` is
-    ``_bisection_setup(tri)`` where the caller already holds it, as
-    ``_eig_sturm`` and the unsteered rerun do; None builds it.
+    midpoint is farther than the margin from it, as ``_far`` rules, and a
+    failed confirmation reruns on the same set-up with no guess; the default
+    nan steers nothing.  It serves ``check_dissipative`` and
+    ``extremal_vector``, and it reruns a column of ``_eig_sturm`` that fails
+    its confirmation.
+
+    The margin is read off T: 32 eps (|alpha| + 2), with alpha = d_0 / 2, the
+    alpha of J^T + J of a block (alpha - 1/2 for the 1x1 free-end block, as
+    ``_block_guesses`` reads it too).  It covers, several times over, the
+    rounding of a closed-form guess (a few ulps of |alpha| + 1), of the
+    block's last diagonal 2 fl(alpha - 1/2) and the backward error of a Sturm
+    count, about 5 eps max|e| + 2 pivmin with unit off-diagonals.
     """
-    setup = _bisection_setup(tri) if setup is None else setup
     pairs, lo0, hi0, pivmin = setup
+    margin = 32.0 * math.ulp(1.0) * (abs(pairs[0][0]) / 2.0 + 2.0)
     guess = guess if abs(guess) < math.inf else math.nan  # an inf guess is never far
 
     def step(lo: float, mid: float, hi: float) -> tuple[float, float]:
@@ -375,7 +375,7 @@ def _eig_sturm_one(
     wrong_lo = lo != lo0 and _far(lo, guess, margin) and _sturm_count(pairs, pivmin, lo) > index
     wrong_hi = hi != hi0 and _far(hi, guess, margin) and _sturm_count(pairs, pivmin, hi) <= index
     if wrong_lo or wrong_hi:
-        return _eig_sturm_one(tri, index, tol, setup=setup)
+        return _eig_sturm_one(setup, index, tol)
     return 0.5 * lo + 0.5 * hi
 
 
@@ -512,32 +512,21 @@ def quad_form(block: UpperBidiagonal, a: np.ndarray) -> float:
     return finite(out, "quadratic form <J a, a>")
 
 
-def _extreme_guess(block: UpperBidiagonal, top: bool) -> tuple[float, float]:
-    """The closed form of J^T + J's largest (``top``) or smallest eigenvalue, and its margin.
-
-    The guess is 2 (alpha - threshold), the threshold under PLUS for the top
-    end and MINUS for the bottom.  The margin 32 eps (|alpha| + 2) covers,
-    several times over, the rounding of the guess (a few ulps of |alpha| + 1),
-    of the block's last diagonal 2 fl(alpha - 1/2) and the backward error of a
-    Sturm count, about 5 eps max|e| + 2 pivmin with unit off-diagonals.
-    """
-    sign = BlockSign.PLUS if top else BlockSign.MINUS
-    guess = 2.0 * (block.alpha - dissipativity_threshold(block.n, block.variant, sign))
-    return guess, _margin(block.alpha)
-
-
 def _extreme_eigenpair(
     block: UpperBidiagonal, top: bool, tol: float
 ) -> tuple[float, np.ndarray]:
     """Largest (``top``) or smallest eigenvalue of J^T + J and a unit eigenvector.
 
     Only the extreme bracket is bisected, to width ``tol``, steered by the
-    closed form ``_extreme_guess``; the eigenvector has the residual that
-    ``eigvec_inverse_iteration`` states.  A wrong closed form or margin would
-    cost the plain loop's time, never the value's bits (``_far`` says why).
+    closed form 2 (alpha - threshold), the threshold under PLUS for the top
+    end and MINUS for the bottom; the eigenvector has the residual that
+    ``eigvec_inverse_iteration`` states.  A wrong closed form would cost the
+    plain loop's time, never the value's bits (``_far`` says why).
     """
     sym = symmetrize(block)
-    mu = _eig_sturm_one(sym, sym.n - 1 if top else 0, tol, *_extreme_guess(block, top))
+    sign = BlockSign.PLUS if top else BlockSign.MINUS
+    guess = 2.0 * (block.alpha - dissipativity_threshold(block.n, block.variant, sign))
+    mu = _eig_sturm_one(_bisection_setup(sym), sym.n - 1 if top else 0, tol, guess)
     return mu, eigvec_inverse_iteration(sym, mu, tol=tol)
 
 
@@ -551,9 +540,10 @@ def check_dissipative(block: UpperBidiagonal, tol: float = 1e-10) -> Dissipativi
     That eigenvalue is bit for bit ``eig_sturm``'s, from the extreme bracket
     alone, bisected to width min(1e-13, tol * 1e-2), or to the least double
     above zero where that underflows.  The closed form 2 (alpha - threshold)
-    steers the bisection, yet the check stays independent of the threshold it
-    reports: a wrong closed form would change the time taken, not the result
-    (``_far`` says why).
+    steers the bisection, settling only the midpoints beyond the margin
+    32 eps (|alpha| + 2) of it, yet the check stays independent of the
+    threshold it reports: a wrong closed form would change the time taken,
+    not the result (``_far`` says why).
     """
     tol = as_finite(tol, "tol", above=0.0)
     inner = max(min(1e-13, tol * 1e-2), math.ulp(0.0))

@@ -17,7 +17,7 @@ import pytest
 import fttlab as F
 from fttlab._validate import checked_exp
 from fttlab.errors import OverflowFailure
-from fttlab.tridiagonal import _eig_sturm_one
+from fttlab.tridiagonal import _bisection_setup, _eig_sturm_one
 from test_tridiagonal import clamped_lockstep_sturm
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -77,8 +77,9 @@ def test_verify_rejects_a_vector_that_is_not_finite(a):
             F.verify(kind, a)
 
 
-@pytest.mark.parametrize("bisect", [F.eig_sturm, lambda tri: _eig_sturm_one(tri, tri.n - 1, 1e-13)],
-                         ids=["eig_sturm", "one-bracket"])
+@pytest.mark.parametrize("bisect", [
+    F.eig_sturm, lambda tri: _eig_sturm_one(_bisection_setup(tri), tri.n - 1, 1e-13),
+], ids=["eig_sturm", "one-bracket"])
 @pytest.mark.parametrize("tri", [
     F.SymTridiagonal(np.zeros(2), np.array([1e200])),  # the squared off-diagonal overflows
 ], ids=["offdiag"])
@@ -90,7 +91,8 @@ def test_sturm_setup_overflow_raises_without_a_warning(bisect, tri):
 
 
 @pytest.mark.parametrize("bisect", [lambda tri, tol: F.eig_sturm(tri, tol).tolist(),
-                                    lambda tri, tol: [_eig_sturm_one(tri, i, tol) for i in range(2)]],
+                                    lambda tri, tol: [_eig_sturm_one(_bisection_setup(tri), i, tol)
+                                                      for i in range(2)]],
                          ids=["eig_sturm", "one-bracket"])
 def test_sturm_bisection_of_a_finite_width_at_any_tol(bisect):
     # only width / tol overflowed here, a quotient that no sweep computes
@@ -114,7 +116,7 @@ def test_check_dissipative_keeps_the_plain_bits_at_any_alpha(alpha, variant):
                 with pytest.raises(OverflowFailure, match=r"J\^T \+ J overflows"):
                     F.check_dissipative(block)
                 continue
-            plain = _eig_sturm_one(F.symmetrize(block), n - 1, 1e-13)
+            plain = _eig_sturm_one(_bisection_setup(F.symmetrize(block)), n - 1, 1e-13)
             assert F.check_dissipative(block).max_eigenvalue.hex() == plain.hex()
 
 

@@ -49,7 +49,7 @@ from fttlab.tridiagonal import (
     _block_guesses,
     _eig_sturm,
     _eig_sturm_one,
-    _extreme_guess,
+    _extreme_eigenpair,
     _halve,
     _solve_tridiagonal,
     _sturm_count,
@@ -61,6 +61,23 @@ def random_tridiagonal(rng, n):
     diag = 3.0 * np.array([rng.symmetric() for _ in range(n)])
     off = 2.0 * np.array([rng.symmetric() for _ in range(n - 1)])
     return SymTridiagonal(diag, off)
+
+
+def one_bracket(tri, index, tol, guess=math.nan):
+    """``_eig_sturm_one`` on the set-up of ``tri``."""
+    return _eig_sturm_one(_bisection_setup(tri), index, tol, guess)
+
+
+def extreme_guess(block, top):
+    """The closed form 2 (alpha - threshold) of J^T + J's largest (``top``) or smallest
+    eigenvalue, the threshold under PLUS for the top end and MINUS for the bottom."""
+    sign = BlockSign.PLUS if top else BlockSign.MINUS
+    return 2.0 * (block.alpha - dissipativity_threshold(block.n, block.variant, sign))
+
+
+def steering_margin(alpha):
+    """32 eps (|alpha| + 2), the steering margin of the one-bracket route on a block."""
+    return 32.0 * math.ulp(1.0) * (abs(alpha) + 2.0)
 
 
 class TestStructures:
@@ -213,8 +230,8 @@ class TestOneBracketBisection:
     @staticmethod
     def assert_extremes_match(tri, tol):
         full = eig_sturm(tri, tol)
-        assert _eig_sturm_one(tri, 0, tol).hex() == float(full[0]).hex()
-        assert _eig_sturm_one(tri, tri.n - 1, tol).hex() == float(full[-1]).hex()
+        assert one_bracket(tri, 0, tol).hex() == float(full[0]).hex()
+        assert one_bracket(tri, tri.n - 1, tol).hex() == float(full[-1]).hex()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 50, 200, 400])
     def test_symmetrized_blocks(self, n):
@@ -281,43 +298,56 @@ class TestGuidedBisection:
         for block, top in guided_sweep(sizes):
             sym, index = symmetrize(block), block.n - 1 if top else 0
             for tol in (1e-13, 1e-10):
-                plain = _eig_sturm_one(sym, index, tol)
+                plain = one_bracket(sym, index, tol)
                 del counted_shifts[:]
-                guided = _eig_sturm_one(sym, index, tol, *_extreme_guess(block, top))
+                guided = one_bracket(sym, index, tol, extreme_guess(block, top))
                 assert guided.hex() == plain.hex()
                 assert len(counted_shifts) <= 7  # no fallback ran
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16])
     def test_the_guided_route_gives_eig_sturms_extremes(self, n):
+        # at n = 1 the free-end block's margin is read off d_0 / 2 = alpha - 1/2
         for variant in JordanVariant:
             for alpha in (dissipativity_threshold(n, variant, BlockSign.PLUS),
-                          dissipativity_threshold(n, variant, BlockSign.MINUS)):
+                          dissipativity_threshold(n, variant, BlockSign.MINUS), 0.0, 1e-300):
                 block = UpperBidiagonal(n, alpha, variant)
                 sym = symmetrize(block)
-                for tol in (1e-13, 1e-10):
+                for tol in (1e-13, 1e-10, 1e-15, 5e-324):
                     full = eig_sturm(sym, tol)
                     for top, want in ((True, full[-1]), (False, full[0])):
-                        got = _eig_sturm_one(sym, n - 1 if top else 0, tol,
-                                             *_extreme_guess(block, top))
+                        got = one_bracket(sym, n - 1 if top else 0, tol, extreme_guess(block, top))
                         assert got.hex() == float(want).hex()
+
+    @given(n=st.integers(1, 60),
+           alpha=st.one_of(st.floats(-2.0, 2.0), st.integers(-80, 80).map(lambda k: k / 40),
+                           st.sampled_from([-0.0, 1e-300, 5e-324, math.nextafter(1.0, 0.0)])),
+           variant=st.sampled_from(list(JordanVariant)), tol=st.sampled_from([1e-13, 1e-15]),
+           top=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_property_the_guided_extreme_is_the_clamped_sweeps(self, n, alpha, variant, tol,
+                                                                top):
+        # the reference shares no code with _eig_sturm_one: not _bisect, _far or _sturm_count
+        block = UpperBidiagonal(n, alpha, variant)
+        want = clamped_lockstep_sturm(symmetrize(block), tol)[n - 1 if top else 0]
+        assert _extreme_eigenpair(block, top, tol)[0].hex() == float(want).hex()
 
     @pytest.mark.parametrize("n", [1, 2, 5, 64])
     def test_a_wrong_guess_falls_back_to_the_plain_bits(self, n, counted_shifts):
         for block, top in guided_sweep([n]):
             sym, index = symmetrize(block), n - 1 if top else 0
-            guess, margin = _extreme_guess(block, top)
+            guess, margin = extreme_guess(block, top), steering_margin(block.alpha)
             for tol in (1e-13, 1e-15):
                 del counted_shifts[:]
-                plain = _eig_sturm_one(sym, index, tol)
+                plain = one_bracket(sym, index, tol)
                 plain_counts = len(counted_shifts)
                 for wrong in (guess + 0.1, guess - 0.1, guess + 10 * margin, guess - 10 * margin):
                     del counted_shifts[:]
-                    assert _eig_sturm_one(sym, index, tol, wrong, margin).hex() == plain.hex()
+                    assert one_bracket(sym, index, tol, wrong).hex() == plain.hex()
                     if abs(block.alpha) <= 1.0 and tol == 1e-15:
                         # the bracket narrows past the error, so a settled side was wrong
                         assert len(counted_shifts) > plain_counts
                 del counted_shifts[:]
-                assert _eig_sturm_one(sym, index, tol, math.inf, margin).hex() == plain.hex()
+                assert one_bracket(sym, index, tol, math.inf).hex() == plain.hex()
                 assert len(counted_shifts) == plain_counts  # an inf guess steers nothing
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
@@ -326,7 +356,7 @@ class TestGuidedBisection:
         for block, top in guided_sweep([n]):
             sym = symmetrize(block)
             pairs, _, _, pivmin = _bisection_setup(sym)
-            mu = _eig_sturm_one(sym, n - 1 if top else 0, 1e-13)
+            mu = one_bracket(sym, n - 1 if top else 0, 1e-13)
             below, above = [mu], [mu]
             for _ in range(1000):
                 below.append(math.nextafter(below[-1], -math.inf))
@@ -456,18 +486,18 @@ class TestSteeredSweeps:
         for variant in JordanVariant:
             for alpha in (-0.3, 0.7):
                 tri = symmetrize(UpperBidiagonal(n, alpha, variant))
-                guess, margin = _block_guesses(tri)
+                guess, margin = _block_guesses(tri), steering_margin(alpha)
                 moved = guess.copy()
                 moved[n // 2] += 0.5
                 for tol in (1e-13, 1e-15):
                     del count_passes[:]
-                    plain = hexes(tridiagonal._eig_sturm(tri, tol, np.full(n, math.nan), margin))
+                    plain = hexes(tridiagonal._eig_sturm(tri, tol, np.full(n, math.nan)))
                     plain_passes = len(count_passes)
                     assert plain == hexes(clamped_lockstep_sturm(tri, tol))  # shares no code
                     for wrong in (guess + 0.1, guess - 0.1, guess + 10 * margin,
                                   guess - 10 * margin, moved):
                         del count_passes[:], reruns[:]
-                        assert hexes(tridiagonal._eig_sturm(tri, tol, wrong, margin)) == plain
+                        assert hexes(tridiagonal._eig_sturm(tri, tol, wrong)) == plain
                         assert reruns == steered_brackets(tri, tol, wrong)[-1]
                         assert len(count_passes) == 1
                         if tol == 1e-15 or wrong is moved:
@@ -477,7 +507,7 @@ class TestSteeredSweeps:
                             assert n // 2 in reruns
                     for steers_nothing in (math.inf, -math.inf, math.nan):
                         del count_passes[:], reruns[:]
-                        got = tridiagonal._eig_sturm(tri, tol, np.full(n, steers_nothing), margin)
+                        got = tridiagonal._eig_sturm(tri, tol, np.full(n, steers_nothing))
                         assert hexes(got) == plain
                         assert len(count_passes) == plain_passes and not reruns
 
@@ -490,7 +520,7 @@ class TestSteeredSweeps:
         tri = symmetrize(UpperBidiagonal(n, alpha))
         got = eig_sturm(tri)
         assert reruns == [column] and len(count_passes) == 1
-        assert hexes(got) == hexes(_eig_sturm(tri, 1e-13, np.full(n, math.nan), 0.0))
+        assert hexes(got) == hexes(_eig_sturm(tri, 1e-13, np.full(n, math.nan)))
         assert hexes(got) == hexes(clamped_lockstep_sturm(tri))
 
     def test_a_rerun_reuses_the_set_up(self, setups, count_passes, reruns):
@@ -501,13 +531,14 @@ class TestSteeredSweeps:
 
     def test_the_unsteered_fallback_reuses_the_set_up(self, setups, counted_shifts):
         block = UpperBidiagonal(5, -0.3)
-        sym = symmetrize(block)
-        guess, margin = _extreme_guess(block, True)
-        plain = _eig_sturm_one(sym, 4, 1e-15)
+        setup = _bisection_setup(symmetrize(block))
+        plain = _eig_sturm_one(setup, 4, 1e-15)
         plain_counts = len(counted_shifts)
         del counted_shifts[:], setups[:]
-        assert _eig_sturm_one(sym, 4, 1e-15, guess + 0.1, margin).hex() == plain.hex()
-        assert len(counted_shifts) > plain_counts and len(setups) == 1  # the fallback ran
+        wrong = extreme_guess(block, True) + 0.1
+        assert _eig_sturm_one(setup, 4, 1e-15, wrong).hex() == plain.hex()
+        # the fallback ran, and _eig_sturm_one built no set-up of its own
+        assert len(counted_shifts) > plain_counts and not setups
 
     @given(n=st.integers(1, 60),
            alpha=st.one_of(st.floats(-2.0, 2.0), st.integers(-80, 80).map(lambda k: k / 40),
@@ -516,7 +547,7 @@ class TestSteeredSweeps:
     @settings(max_examples=150, deadline=None)
     def test_property_a_block_keeps_the_plain_sweeps_bits(self, n, alpha, variant, tol):
         tri = symmetrize(UpperBidiagonal(n, alpha, variant))
-        want = _eig_sturm(tri, tol, np.full(n, math.nan), 0.0)
+        want = _eig_sturm(tri, tol, np.full(n, math.nan))
         assert hexes(eig_sturm(tri, tol)) == hexes(want)
         assert hexes(want) == hexes(clamped_lockstep_sturm(tri, tol))  # shares no code
 
@@ -532,7 +563,7 @@ class TestSteeredSweeps:
                 got = eig_sturm(tri)
                 steered = [hexes(mids) for mids in count_passes]
                 del count_passes[:]
-                _eig_sturm(tri, 1e-13, np.full(n, math.nan), 0.0)
+                _eig_sturm(tri, 1e-13, np.full(n, math.nan))
                 assert steered == [hexes(mids) for mids in count_passes]
                 assert hexes(got) == hexes(clamped_lockstep_sturm(tri))
 
@@ -575,14 +606,14 @@ class TestSteeredSweeps:
         # first, and a column that fails reruns alone, so its value is the plain bits
         for block, tol in steered_sweep(sizes, seed=len(sizes)):
             tri = symmetrize(block)
-            lo, hi, lo0, hi0, wrong = steered_brackets(tri, tol, _block_guesses(tri)[0])
+            lo, hi, lo0, hi0, wrong = steered_brackets(tri, tol, _block_guesses(tri))
             ends = np.concatenate((lo[lo != lo0], hi[hi != hi0]))
             del count_passes[:], reruns[:]
             got = eig_sturm(tri, tol)
             assert [hexes(mids) for mids in count_passes] == ([hexes(ends)] if ends.size else [])
             assert reruns == wrong
             want = 0.5 * lo + 0.5 * hi
-            want[wrong] = [_eig_sturm_one(tri, j, tol) for j in wrong]
+            want[wrong] = [one_bracket(tri, j, tol) for j in wrong]
             assert hexes(got) == hexes(want)
 
     def test_the_plain_sweeps_count_the_open_brackets_only(self, count_passes):
@@ -606,7 +637,7 @@ class TestSteeredSweeps:
             sweeps = []
             want = clamped_lockstep_sturm(tri, tol, sweeps)
             del count_passes[:]
-            got = _eig_sturm(tri, tol, np.full(tri.n, math.nan), 0.0)  # a 1x1 matrix is a block
+            got = _eig_sturm(tri, tol, np.full(tri.n, math.nan))  # a 1x1 matrix is a block
             assert hexes(got) == hexes(want)
             assert [hexes(mids) for mids in count_passes] == [hexes(mids) for mids in sweeps]
             assert all(mids.size for mids in count_passes)  # no empty pass
@@ -671,7 +702,7 @@ class TestGuessRun:
         # one already closed, whose width would start the open test at once
         for variant in JordanVariant:
             tri = symmetrize(UpperBidiagonal(n, 0.3, variant))
-            guess, _ = _block_guesses(tri)
+            guess = _block_guesses(tri)
             pairs, lo0, hi0, pivmin = _bisection_setup(tri)
             lo, hi = np.full(n, lo0), np.full(n, hi0)
             narrow, closed = np.arange(0, n, 3), np.arange(1, n, 3) if with_closed else []
@@ -796,20 +827,37 @@ class TestDeferredClamp:
         assert clamps == [("tridiagonal.py", "_sturm_count")]
 
     def test_the_steering_rule_is_written_once(self):
-        # every comparison with a name ``margin`` in src/, by file and function: the
-        # steering margin only in _far; verify and gftt_check compare an inequality's
-        # margin with tol
+        # by file and function in src/: every comparison with a name ``margin``, which
+        # only verify and gftt_check make, of an inequality's margin with tol; every
+        # comparison of a distance from a guess, the steering rule, only in _far; the
+        # steering margin 32 eps (|alpha| + 2) worked out only in _eig_sturm_one, from
+        # its set-up, so no function takes a parameter ``margin``
         src = Path(__file__).resolve().parent.parent / "src"
-        compares = []
+        compares, steering, margins, params, texts = [], [], [], [], 0
         for path in sorted(src.rglob("*.py")):
-            for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            text = path.read_text(encoding="utf-8")
+            texts += text.count("32.0 * math.ulp(1.0)")
+            for func in ast.walk(ast.parse(text)):
+                if isinstance(func, (ast.FunctionDef, ast.Lambda)):
+                    args = func.args
+                    params += [(path.name, getattr(func, "name", "<lambda>"))
+                               for arg in args.posonlyargs + args.args + args.kwonlyargs
+                               if arg.arg == "margin"]
                 if isinstance(func, ast.FunctionDef):
-                    compares += [(path.name, func.name) for node in ast.walk(func)
-                                 if isinstance(node, ast.Compare)
-                                 and any(isinstance(name, ast.Name) and name.id == "margin"
-                                         for name in ast.walk(node))]
+                    cmps = [node for node in ast.walk(func) if isinstance(node, ast.Compare)]
+                    compares += [(path.name, func.name) for node in cmps
+                                 if any(isinstance(name, ast.Name) and name.id == "margin"
+                                        for name in ast.walk(node))]
+                    steering += [(path.name, func.name) for node in cmps
+                                 if re.search(r"abs\(\w+ - guess\)", ast.unparse(node))]
+                    margins += [(path.name, func.name) for node in ast.walk(func)
+                                if isinstance(node, ast.BinOp)
+                                and ast.unparse(node) == "32.0 * math.ulp(1.0)"]
         assert compares == [("inequalities.py", "verify"), ("inequalities.py", "verify"),
-                            ("semigroup.py", "gftt_check"), ("tridiagonal.py", "_far")]
+                            ("semigroup.py", "gftt_check")]
+        assert steering == [("tridiagonal.py", "_far")]
+        assert margins == [("tridiagonal.py", "_eig_sturm_one")] and texts == 1
+        assert params == []
 
 
 class TestRowBlocks:
