@@ -173,33 +173,55 @@ def _sturm_counts(
 
     The pivots are built 32 rows at a time in one reused (33, k) buffer, whose
     row 0 carries the previous block's last pivot row, so memory is O(32 k),
-    not n by k.  A row step is ``row -= e2 / prev`` in two ufunc calls; a unit
-    e2, every row of a block, takes ``np.reciprocal``, which IEEE division
-    rounds to the bits of 1.0 / prev.  ``dstebz``'s clamp (a pivot below
-    ``pivmin`` in modulus becomes -pivmin) is deferred: up to a column's first
-    such pivot its unclamped pivots are the clamped ones bit for bit, so a
-    column without one is counted exactly.  After each block its negatives
-    are counted as uint8 and ``fmin`` of its moduli folds into a running
-    least per column; a column whose least is below ``pivmin``, where a zero
-    pivot's inf or nan stays, is recounted by ``_sturm_count``, the clamped
-    scalar count.  ``fmin``, unlike ``minimum``, skips a nan further down a
-    column, which would hide a tiny pivot above it.
+    not n by k.  A row step is ``row = base - e2 / prev`` in two ufunc calls;
+    a unit e2, every row of a block, takes ``np.reciprocal``, which IEEE
+    division rounds to the bits of 1.0 / prev.  A 32-row block whose rows all
+    carry one diagonal entry d, as every block of J^T + J does but the last of
+    a free-end one, takes as ``base`` one shared row d - mids, computed again
+    only when d differs from the last shared row's; any other block is filled
+    with its rows' d_i - mids first and takes each row as its own ``base``.
+    Either way a pivot is fl(fl(d - mid) - fl(e2 / p)), as in ``_sturm_count``.
+    Blocks share the row by ``==``, so a block of -0.0 may take the row of
+    0.0: the two differ only at a zero shift, in the sign of a zero, and that
+    sign reaches only pivots of modulus 0, whose columns are recounted below.
+
+    ``dstebz``'s clamp (a pivot below ``pivmin`` in modulus becomes -pivmin)
+    is deferred: up to a column's first such pivot its unclamped pivots are
+    the clamped ones bit for bit, so a column without one is counted exactly.
+    After each block its negatives are counted as uint8 and ``fmin`` of its
+    moduli folds into a running least per column; a column whose least is
+    below ``pivmin``, where a zero pivot's inf or nan stays, is recounted by
+    ``_sturm_count``, the clamped scalar count.  ``fmin``, unlike ``minimum``,
+    skips a nan further down a column, which would hide a tiny pivot above it.
     """
-    buf, tmp = np.empty((33, mids.size)), np.empty(mids.size)
+    k = mids.size
+    buf, tmp, shift = np.empty((33, k)), np.empty(k), np.empty(k)
     rows = list(buf)  # the row views, made once
-    count, least = np.zeros(mids.size, dtype=np.intp), np.full(mids.size, math.inf)
+    count, least = np.zeros(k, dtype=np.intp), np.full(k, math.inf)
+    ds, shared = diag.tolist(), math.nan  # ``shift`` holds shared - mids
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(0, diag.size, 32):
             m = min(32, diag.size - i)
             block = buf[1:m + 1]
-            np.subtract(diag[i:i + m, None], mids, out=block)  # no broadcast buffer
             first = 1 if i == 0 else 0  # the matrix's row 0 has no row above
-            for (_, e2), prev, row in zip(pairs[i + first:i + m], rows[first:], rows[first + 1:]):
-                # a zero pivot's inf or nan only reaches its own column
+            if ds[i:i + m].count(ds[i]) == m:  # every row's d - mids is ``shift``
+                if ds[i] != shared:
+                    shared = ds[i]
+                    np.subtract(shared, mids, out=shift)
+                if first:
+                    buf[1] = shift
+                bases = [shift] * m
+            else:
+                np.subtract(diag[i:i + m, None], mids, out=block)  # no broadcast buffer
+                bases = rows[1:m + 1]
+            for (_, e2), prev, row, base in zip(
+                    pairs[i + first:i + m], rows[first:], rows[first + 1:], bases[first:]):
+                # a zero pivot's inf or nan only reaches its own column; a positional
+                # ``out`` is the faster call
                 if e2 == 1.0:
-                    np.subtract(row, np.reciprocal(prev, out=tmp), out=row)
+                    np.subtract(base, np.reciprocal(prev, tmp), row)
                 else:
-                    np.subtract(row, np.divide(e2, prev, out=tmp), out=row)
+                    np.subtract(base, np.divide(e2, prev, tmp), row)
             # a uint8 sum of at most 32 rows needs no cast buffer
             count += (block < 0.0).view(np.uint8).sum(axis=0, dtype=np.uint8)
             buf[0] = buf[m]  # the carry, taken before the moduli overwrite it
@@ -279,15 +301,15 @@ def _halve(lo: np.ndarray, hi: np.ndarray, key: np.ndarray, below, tol: float, f
     against closed-form guesses steers with no count, and a Sturm count
     against the column indices halves as ``dstebz`` does.  The columns run
     compacted, ``key`` with them: a step takes the midpoint, the side and
-    the new ends, selected in place (the midpoint array becomes the new lower
-    ends), and a column leaves the run, its bracket written back, when its
-    bracket closes as ``_bisect`` closes one; the run returns as its last
-    column leaves, so ``below`` never sees an empty step.  That open test is
-    needed only once a bracket may be within ``fine``, max(tol, 4 ulp of the
-    largest Gershgorin end): a wider bracket is wider than tol, and a
-    midpoint, off by half an ulp at most, splits it.  So it starts when the
-    narrowest entry width, halved once a step, is within 2 ``fine``, which
-    leaves room for the steps' roundings.
+    the new ends, selected in place by ``np.putmask`` (the midpoint array
+    becomes the new lower ends), and a column leaves the run, its bracket
+    written back, when its bracket closes as ``_bisect`` closes one; the run
+    returns as its last column leaves, so ``below`` never sees an empty step.
+    That open test is needed only once a bracket may be within ``fine``,
+    max(tol, 4 ulp of the largest Gershgorin end): a wider bracket is wider
+    than tol, and a midpoint, off by half an ulp at most, splits it.  So it
+    starts when the narrowest entry width, halved once a step, is within
+    2 ``fine``, which leaves room for the steps' roundings.
     """
     cols, l, h = np.arange(lo.size), lo.copy(), hi.copy()
     narrowest = float(np.min(hi - lo))
@@ -302,8 +324,8 @@ def _halve(lo: np.ndarray, hi: np.ndarray, key: np.ndarray, below, tol: float, f
                     return
         narrowest *= 0.5
         lower = below(m, key)
-        np.copyto(h, m, where=lower)
-        np.copyto(m, l, where=lower)
+        np.putmask(h, lower, m)
+        np.putmask(m, lower, l)
         l = m
 
 

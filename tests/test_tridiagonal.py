@@ -924,6 +924,55 @@ class TestRowBlocks:
             off[::2], off[1::5] = 1.0, -1.0
             self.assert_counts_match(SymTridiagonal(tri.diag, off))
 
+    @staticmethod
+    def runs(*pieces):
+        """The diagonal of the (value, length) runs ``pieces``, in order."""
+        return np.concatenate([np.full(length, value) for value, length in pieces])
+
+    @pytest.mark.parametrize("off", [1.0, 0.625])
+    @pytest.mark.parametrize("start", [30, 31, 32, 33])
+    @pytest.mark.parametrize("end", [63, 64, 65, 97])
+    def test_a_run_edge_near_a_block_edge(self, start, end, off):
+        # a 32-row block shares one d - sigma row only when all its rows carry one d
+        diag = self.runs((1.5, start), (-0.5, end - start), (1.5, 97 - end))
+        self.assert_counts_match(SymTridiagonal(diag, np.full(96, off)))
+
+    @pytest.mark.parametrize("off", [1.0, 0.625])
+    @pytest.mark.parametrize("row", [0, 45, 96])
+    def test_a_lone_entry_breaks_its_block_only(self, row, off):
+        diag = np.full(97, 1.5)
+        diag[row] = 0.25
+        self.assert_counts_match(SymTridiagonal(diag, np.full(96, off)))
+
+    @pytest.mark.parametrize("off", [1.0, 0.625])
+    def test_a_run_value_comes_back_after_a_mixed_block(self, off):
+        # rows 32-63 are filled row by row, and rows 64-96 take up the row of rows 0-31 again
+        rng = SplitMix64(38)
+        diag = self.runs((0.75, 32), (0.0, 32), (0.75, 33))
+        diag[32:64] = [rng.symmetric() for _ in range(32)]
+        self.assert_counts_match(SymTridiagonal(diag, np.full(96, off)))
+
+    @pytest.mark.parametrize("off", [1.0, 0.625])
+    @pytest.mark.parametrize("pieces", [
+        ((0.0, 40), (-0.0, 30), (0.0, 27)),
+        ((-0.0, 32), (0.0, 32), (-0.0, 33)),
+        ((0.0, 31), (-0.0, 1), (0.0, 33)),
+    ])
+    def test_signed_zero_runs(self, pieces, off):
+        # 0.0 == -0.0, so a block of -0.0 may take the row of 0.0: the two differ only in
+        # the sign of a zero pivot, which is below pivmin and recounted; the shifts include
+        # +-0.0 and every diagonal value
+        diag = self.runs(*pieces)
+        self.assert_counts_match(SymTridiagonal(diag, np.full(diag.size - 1, off)))
+
+    @given(pieces=st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                                     st.integers(1, 40)), min_size=1, max_size=12),
+           n=st.integers(1, 130), off=st.sampled_from([1.0, -1.0, 0.625, 0.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_property_run_length_diagonals_count_as_the_scalar_count(self, pieces, n, off):
+        diag = np.resize(self.runs(*pieces), n)  # the runs repeated up to n rows
+        self.assert_counts_match(SymTridiagonal(diag, np.full(n - 1, off)))
+
     def test_a_large_block_counts_in_flat_memory(self):
         # the pivots of 32 rows at a time: the n by 2n matrix of one pass would take 64 MB
         tri = symmetrize(UpperBidiagonal(2000, 0.3))
